@@ -5,8 +5,9 @@ The headline numbers: evaluating 64 inputs through the batched
 contractions) must be at least 5x faster than 64 scalar
 ``acceptance_probability`` calls on the reference dense backend for the chain
 families, and at least 3x faster for the tree families (the ``TreeProgram``
-path); a 256-point depolarizing-noise sweep through the density-matrix
-evaluation path must be at least 3x faster batched than scalar (and at least
+path); a 256-point noise sweep through the density-matrix evaluation path,
+with depolarizing or (generic) dephasing links, must be at least 3x faster
+batched than scalar (and the depolarizing one at least
 1.5x faster again in the complex64 contraction dtype, within the 1e-5
 dtype-parity tolerance of the complex128 rows); and the
 batched fingerprint-strategy soundness search must match the scalar loop's
@@ -25,6 +26,7 @@ backends head to head and the engine's operator-cache hit path.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.analysis.soundness import fingerprint_strategy_soundness
 from repro.engine import ChainJob, DenseBackend, Engine, TransferMatrixBackend
@@ -218,27 +220,30 @@ def _noisy_sweep_programs(protocol_factory, strengths):
     ]
 
 
-def test_noisy_sweep_batched_vs_scalar_speedup(benchmark):
+@pytest.mark.parametrize("channel", ["depolarizing", "dephasing"])
+def test_noisy_sweep_batched_vs_scalar_speedup(benchmark, channel):
     """Acceptance criterion: >= 3x batched speedup on a 256-point noise sweep.
 
     Every sweep point instantiates the Algorithm 3 path protocol with a
-    different depolarizing link strength, so every job carries different
-    channel annotations — but the noisy jobs share one shape group, and the
-    batched backend contracts all 256 density-row stacks in one transfer
-    product.  The scalar side evaluates each program one at a time on the
+    different link strength of one channel family, so every job carries
+    different channel annotations — but the noisy jobs share one shape
+    group, and the batched backend contracts all 256 density-row stacks in
+    one transfer product, applying the family's closed form to them in one
+    broadcast.  The scalar side evaluates each program one at a time on the
     dense backend (the Kraus-sum density recursion).
     """
     from repro.engine import default_engine
-    from repro.quantum.channels import NoiseModel
+    from repro.quantum.channels import NoiseModel, channel_family
 
     strengths = np.linspace(0.0, 0.5, NOISE_POINTS)
+    build = channel_family(channel)
 
     def factory(strength):
         return EqualityPathProtocol.on_path(
             2,
             6,
             NOISE_FINGERPRINTS,
-            noise=NoiseModel.depolarizing(strength, NOISE_FINGERPRINTS.dim),
+            noise=NoiseModel.uniform_link(build(strength, NOISE_FINGERPRINTS.dim)),
         )
 
     programs = _noisy_sweep_programs(factory, strengths)
@@ -267,16 +272,17 @@ def test_noisy_sweep_batched_vs_scalar_speedup(benchmark):
     )
     batched_time = best_of(lambda: engine.evaluate_programs(programs), repeats=3)
     speedup = scalar_time / batched_time
+    scenario = f"engine-noise-{channel}"
     emit_table(
-        "Engine — batched vs scalar depolarizing sweep (256 noise points, r=6)",
+        f"Engine — batched vs scalar {channel} sweep (256 noise points, r=6)",
         [
-            ExperimentRow("engine-noise", "256 scalar programs (dense backend)", {"seconds": scalar_time}),
-            ExperimentRow("engine-noise", "evaluate_programs (transfer-matrix)", {"seconds": batched_time}),
-            ExperimentRow("engine-noise", "speedup vs dense scalar", {"ratio": speedup, "target": ">= 3x"}),
+            ExperimentRow(scenario, "256 scalar programs (dense backend)", {"seconds": scalar_time}),
+            ExperimentRow(scenario, "evaluate_programs (transfer-matrix)", {"seconds": batched_time}),
+            ExperimentRow(scenario, "speedup vs dense scalar", {"ratio": speedup, "target": ">= 3x"}),
         ],
         artifact="engine",
     )
-    assert speedup >= 3.0, f"batched noisy sweep only {speedup:.1f}x faster"
+    assert speedup >= 3.0, f"batched {channel} sweep only {speedup:.1f}x faster"
 
 
 def test_noisy_soundness_search_batched_vs_scalar_speedup(benchmark):

@@ -8,15 +8,18 @@ noise vocabulary of the robustness experiments:
     A completely positive trace-preserving (CPTP) map given by its Kraus
     operators ``{K_k}`` with the completeness relation
     ``sum_k K_k^dagger K_k = I`` asserted at construction.  Channels act on
-    density matrices (``apply``), expose their ``d^2 x d^2`` superoperator
-    for vectorized batch application, and compose with ``then``.
+    density matrices through their definitional Kraus sum (``apply``), on
+    stacks of densities (``apply_batch``), and compose with ``then``.
 
 Channel constructors
     :func:`identity_channel`, :func:`depolarizing_channel`,
     :func:`dephasing_channel`, :func:`amplitude_damping_channel`,
     :func:`bit_flip_channel`, :func:`phase_flip_channel` — each generalized
     from the qubit textbook form to arbitrary register dimension ``d``
-    (shift/clock operators replace the Pauli ``X``/``Z``).
+    (shift/clock operators replace the Pauli ``X``/``Z``).  Every named
+    family applies to stacks in closed form, O(d^2) per density, with
+    per-row strengths; only generic and composed channels go through the
+    ``d^2 x d^2`` superoperator.
 
 :class:`NoiseModel`
     Assigns channels per-link and per-node of a protocol's network, plus a
@@ -57,6 +60,20 @@ COMPLETENESS_ATOL = 1e-10
 Label = Union[int, str]
 
 
+def _is_complete(operators: Sequence[np.ndarray]) -> bool:
+    """Whether ``sum_k K_k^dagger K_k = I`` holds to :data:`COMPLETENESS_ATOL`.
+
+    One stacked matmul of ``d x d`` products: an order of magnitude faster
+    than the equivalent einsum, and each product stays below the size at
+    which BLAS starts threads.
+    """
+    stacked = np.stack(operators)
+    completeness = (stacked.conj().swapaxes(-1, -2) @ stacked).sum(axis=0)
+    return bool(
+        np.allclose(completeness, np.eye(stacked.shape[-1]), atol=COMPLETENESS_ATOL)
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A CPTP map in Kraus form (compared by identity, like the engine jobs).
@@ -89,9 +106,7 @@ class KrausChannel:
                 )
         object.__setattr__(self, "kraus", operators)
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        stacked = np.stack(operators)
-        completeness = np.einsum("kji,kjl->il", stacked.conj(), stacked)
-        if not np.allclose(completeness, np.eye(dim), atol=COMPLETENESS_ATOL):
+        if not _is_complete(operators):
             raise ChannelError(
                 f"channel {self.name!r} is not trace preserving: "
                 "sum_k K_k^dagger K_k != I"
@@ -113,9 +128,9 @@ class KrausChannel:
 
         The digest of the actual operator content (cached) keeps two
         physically different channels that happen to share a name and
-        parameters from ever colliding in a program cache.  Subclasses whose
-        parameters provably determine the map (the closed-form constructors)
-        override this with the analytic label alone.
+        parameters from ever colliding in a program cache.  The named
+        families, whose parameters provably determine the map, override this
+        with the analytic label alone.
         """
         digest = self.__dict__.get("_kraus_digest")
         if digest is None:
@@ -153,9 +168,10 @@ class KrausChannel:
     def apply_batch(self, densities: np.ndarray) -> np.ndarray:
         """The channel applied to a stack of densities, shape ``(..., d, d)``.
 
-        The generic path routes every density through the superoperator in
-        one matmul; channels with a closed-form action (depolarizing)
-        override this to skip the ``d^2 x d^2`` matrix entirely.
+        Generic and composed channels route every density through the
+        superoperator in one matmul, O(d^4) per density.  The named families
+        override this with their O(d^2) closed form and never build the
+        ``d^2 x d^2`` matrix.
         """
         densities = np.asarray(densities, dtype=np.complex128)
         dim = self.dim
@@ -167,7 +183,7 @@ class KrausChannel:
         """The ``d^2 x d^2`` matrix ``S`` with ``vec(C(rho)) = S vec(rho)``.
 
         Row-major ``vec``; cached on the channel, since batched evaluation
-        applies the same channel to many registers at once.
+        of a generic channel applies it to many registers at once.
 
         >>> channel = identity_channel(3)
         >>> np.allclose(channel.superoperator(), np.eye(9))
@@ -187,15 +203,25 @@ class KrausChannel:
 
     @property
     def is_identity(self) -> bool:
-        """True when the channel acts as the identity map (cached check)."""
+        """True when the channel acts as the identity map (cached check).
+
+        A channel is the identity exactly when every Kraus operator is a
+        scalar multiple of ``I``, so the check reads the operators
+        themselves and never materializes the superoperator.
+        """
         cached = self.__dict__.get("_is_identity")
         if cached is None:
+            stack = np.stack(self.kraus)
+            scalars = np.trace(stack, axis1=1, axis2=2) / self.dim
             # rtol must be zero: np.allclose's default 1e-5 relative slack
             # would classify any channel weaker than ~1e-5 as the identity
             # and silently drop its noise from every evaluation path.
             cached = bool(
                 np.allclose(
-                    self.superoperator(), np.eye(self.dim**2), rtol=0.0, atol=1e-12
+                    stack,
+                    scalars[:, None, None] * np.eye(self.dim),
+                    rtol=0.0,
+                    atol=1e-12,
                 )
             )
             object.__setattr__(self, "_is_identity", cached)
@@ -232,10 +258,14 @@ def _shift_operator(dim: int) -> np.ndarray:
     return np.eye(dim)[:, list(range(1, dim)) + [0]].astype(np.complex128)
 
 
+def _clock_phases(dim: int) -> np.ndarray:
+    """The phases ``omega^j`` with ``omega = e^{2 pi i/d}``."""
+    return np.exp(2j * np.pi * np.arange(dim) / dim)
+
+
 def _clock_operator(dim: int) -> np.ndarray:
-    """The generalized Pauli ``Z``: phases ``omega^j`` with ``omega = e^{2 pi i/d}``."""
-    phases = np.exp(2j * np.pi * np.arange(dim) / dim)
-    return np.diag(phases)
+    """The generalized Pauli ``Z``: the diagonal of clock phases."""
+    return np.diag(_clock_phases(dim))
 
 
 def _check_probability(p: float, name: str) -> float:
@@ -256,7 +286,7 @@ def _weyl_operators(dim: int) -> np.ndarray:
     cached = _WEYL_CACHE.get(dim)
     if cached is None:
         identity = np.eye(dim, dtype=np.complex128)
-        phases = np.exp(2j * np.pi * np.arange(dim) / dim)
+        phases = _clock_phases(dim)
         stack = np.empty((dim * dim - 1, dim, dim), dtype=np.complex128)
         index = 0
         for a in range(dim):
@@ -275,18 +305,41 @@ _WEYL_CACHE: Dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True, eq=False)
-class _ClosedFormDepolarizing(KrausChannel):
-    """Depolarizing channel with closed-form action and lazy Kraus operators.
+class _ClosedFormChannel(KrausChannel):
+    """A named channel family whose strength and dimension determine the map.
 
-    The map ``rho -> (1 - p) rho + p I/d`` needs neither its ``d^2`` Weyl
-    Kraus operators nor a materialized superoperator for the *batched*
-    application path (:meth:`apply_batch`, :meth:`superoperator`), so
-    large-dimension noise sweeps stay cheap: the Kraus stack is built (and
-    its completeness asserted) only when read — by the scalar reference
-    :meth:`~KrausChannel.apply`, which deliberately stays the definitional
-    Kraus sum so the engine's dense backend cross-checks the closed forms.
-    Completeness holds analytically regardless: the channel is a mixture of
-    unitaries whose weights ``(1 - p (d^2-1)/d^2) + (d^2-1) p/d^2`` sum to 1.
+    The Kraus operators are built and completeness-checked as for any other
+    channel, and :meth:`~KrausChannel.apply` stays their definitional sum,
+    so the engine's dense backend cross-checks the closed forms.  Everything
+    the batched path reads is analytic: :meth:`apply_batch` is the family's
+    O(d^2) action from :data:`_CLOSED_FORMS` (no ``d^2 x d^2``
+    superoperator), :attr:`is_identity` reads the parameters, and
+    :attr:`key` is the analytic ``(name, params, dim)``.
+    """
+
+    @property
+    def is_identity(self) -> bool:
+        # Every CPTP map on a 1-dimensional register is the identity.
+        return self.params[0] == 0.0 or self.dim == 1
+
+    @property
+    def key(self) -> Tuple:
+        return (self.name, self.params, self.dim)
+
+    def apply_batch(self, densities: np.ndarray) -> np.ndarray:
+        densities = np.asarray(densities, dtype=np.complex128)
+        return _CLOSED_FORMS[self.name](densities, self.params[0], self.dim)
+
+
+@dataclass(frozen=True, eq=False)
+class _ClosedFormDepolarizing(_ClosedFormChannel):
+    """Depolarizing channel with lazy Kraus operators.
+
+    Unlike the other families, its Kraus set (the Weyl basis) has ``d^2``
+    members, so it is built (and its completeness asserted) only when read —
+    by the scalar reference :meth:`~KrausChannel.apply`.  Completeness holds
+    analytically regardless: the channel is a mixture of unitaries whose
+    weights ``(1 - p (d^2-1)/d^2) + (d^2-1) p/d^2`` sum to 1.
     """
 
     dimension: int = 0
@@ -300,11 +353,7 @@ class _ClosedFormDepolarizing(KrausChannel):
     def __getattr__(self, name: str):
         if name == "kraus":
             operators = _depolarizing_kraus(self.params[0], self.dimension)
-            stacked = np.stack(operators)
-            completeness = np.einsum("kji,kjl->il", stacked.conj(), stacked)
-            if not np.allclose(
-                completeness, np.eye(self.dimension), atol=COMPLETENESS_ATOL
-            ):  # pragma: no cover - analytic construction
+            if not _is_complete(operators):  # pragma: no cover - analytic construction
                 raise ChannelError("depolarizing Kraus set lost completeness")
             object.__setattr__(self, "kraus", operators)
             return operators
@@ -314,28 +363,11 @@ class _ClosedFormDepolarizing(KrausChannel):
     def dim(self) -> int:
         return self.dimension
 
-    @property
-    def is_identity(self) -> bool:
-        return self.params[0] == 0.0
-
-    @property
-    def key(self) -> Tuple:
-        # The strength and dimension fully determine the map, so the key
-        # stays analytic and never materializes the Kraus stack.
-        return (self.name, self.params, self.dimension)
-
-    def _strength(self) -> float:
-        return self.params[0]
-
-    def apply_batch(self, densities: np.ndarray) -> np.ndarray:
-        densities = np.asarray(densities, dtype=np.complex128)
-        return _depolarizing_action(densities, self._strength(), self.dimension)
-
     def superoperator(self) -> np.ndarray:
         cached = self.__dict__.get("_superoperator")
         if cached is None:
             # (1 - p) I + (p/d) |vec I><vec I| in the row-major vec basis.
-            p = self._strength()
+            p = self.params[0]
             vec_identity = np.eye(self.dimension).reshape(-1)
             cached = (1.0 - p) * np.eye(self.dimension**2) + (
                 p / self.dimension
@@ -344,24 +376,68 @@ class _ClosedFormDepolarizing(KrausChannel):
         return cached
 
 
-def _depolarizing_action(densities: np.ndarray, strengths, dim: int) -> np.ndarray:
-    """``(1 - p) rho + (p/d) Tr(rho) I`` on a stack, with scalar or per-row ``p``.
+def _strength_rows(densities: np.ndarray, strengths) -> np.ndarray:
+    """Scalar or per-row strengths shaped ``(..., 1, 1)`` against a density stack.
 
-    The single closed-form implementation shared by
-    :meth:`_ClosedFormDepolarizing.apply_batch` and both depolarizing paths
-    of :func:`apply_channel_grid`.
+    The strengths take the densities' real precision, so a complex64
+    contraction stays complex64: float64 strengths would silently upcast
+    the whole stack back to complex128 and defeat the reduced-precision path.
     """
-    # Match the density dtype so a complex64 contraction stays complex64:
-    # float64 strengths (or a float64 identity) would silently upcast the
-    # whole stack back to complex128 and defeat the reduced-precision path.
     real = np.float32 if densities.dtype == np.complex64 else np.float64
-    strengths = np.asarray(strengths, dtype=real)
-    if strengths.ndim:
-        strengths = strengths[:, None, None]
+    return np.asarray(strengths, dtype=real)[..., None, None]
+
+
+def _depolarizing_action(densities: np.ndarray, strengths, dim: int) -> np.ndarray:
+    """``(1 - p) rho + (p/d) Tr(rho) I``."""
+    strengths = _strength_rows(densities, strengths)
     traces = np.trace(densities, axis1=-2, axis2=-1)[..., None, None]
     return (1.0 - strengths) * densities + (strengths / dim) * traces * np.eye(
-        dim, dtype=real
+        dim, dtype=strengths.dtype
     )
+
+
+def _dephasing_action(densities: np.ndarray, strengths, dim: int) -> np.ndarray:
+    """``(1 - p) rho + p diag(rho)``: coherences shrink, populations stay."""
+    strengths = _strength_rows(densities, strengths)
+    return densities * (1.0 - strengths * (1.0 - np.eye(dim, dtype=strengths.dtype)))
+
+
+def _amplitude_damping_action(densities: np.ndarray, strengths, dim: int) -> np.ndarray:
+    """``rho o kk^T + gamma (Tr rho - rho_00) |0><0|`` with ``k = (1, sqrt(1-gamma), ...)``."""
+    strengths = _strength_rows(densities, strengths)
+    keep = np.repeat(np.sqrt(1.0 - strengths), dim, axis=-1)
+    keep[..., 0] = 1.0
+    output = densities * (keep.swapaxes(-1, -2) * keep)
+    excited = np.trace(densities, axis1=-2, axis2=-1) - densities[..., 0, 0]
+    output[..., 0, 0] += strengths[..., 0, 0] * excited
+    return output
+
+
+def _bit_flip_action(densities: np.ndarray, strengths, dim: int) -> np.ndarray:
+    """``(1 - p) rho + p X rho X^dagger``; the shift conjugation rolls both axes."""
+    strengths = _strength_rows(densities, strengths)
+    shifted = np.roll(densities, (1, 1), axis=(-2, -1))
+    return (1.0 - strengths) * densities + strengths * shifted
+
+
+def _phase_flip_action(densities: np.ndarray, strengths, dim: int) -> np.ndarray:
+    """``(1 - p) rho + p rho o omega^{j-k}``: ``Z rho Z^dagger`` is an entrywise phase."""
+    strengths = _strength_rows(densities, strengths)
+    phases = _clock_phases(dim)
+    relative = np.outer(phases, phases.conj()).astype(densities.dtype)
+    return densities * (1.0 - strengths * (1.0 - relative))
+
+
+#: The closed-form action of each named family, ``(densities, strengths,
+#: dim) -> densities``: the one implementation behind both
+#: :meth:`_ClosedFormChannel.apply_batch` and :func:`apply_channel_grid`.
+_CLOSED_FORMS = {
+    "depolarizing": _depolarizing_action,
+    "dephasing": _dephasing_action,
+    "amplitude-damping": _amplitude_damping_action,
+    "bit-flip": _bit_flip_action,
+    "phase-flip": _phase_flip_action,
+}
 
 
 def _depolarizing_kraus(p: float, dim: int) -> Tuple[np.ndarray, ...]:
@@ -378,8 +454,8 @@ def depolarizing_channel(p: float, dim: int = 2) -> KrausChannel:
     The Kraus set is the Weyl (shift/clock) basis: the identity with weight
     ``1 - p (d^2 - 1)/d^2`` and each of the ``d^2 - 1`` non-trivial Weyl
     unitaries with weight ``p/d^2``.  Because that set has ``d^2`` members,
-    the returned channel acts through the closed form and materializes the
-    Kraus operators only on demand (see :class:`_ClosedFormDepolarizing`).
+    the returned channel materializes the Kraus operators only on demand
+    (see :class:`_ClosedFormDepolarizing`).
 
     >>> channel = depolarizing_channel(1.0, dim=4)
     >>> rho = np.diag([1.0, 0, 0, 0])
@@ -410,7 +486,7 @@ def dephasing_channel(p: float, dim: int = 2) -> KrausChannel:
         projector = np.zeros((dim, dim), dtype=np.complex128)
         projector[level, level] = 1.0
         operators.append(np.sqrt(p) * projector)
-    return KrausChannel("dephasing", tuple(operators), params=(p,))
+    return _ClosedFormChannel("dephasing", tuple(operators), params=(p,))
 
 
 def amplitude_damping_channel(gamma: float, dim: int = 2) -> KrausChannel:
@@ -433,7 +509,7 @@ def amplitude_damping_channel(gamma: float, dim: int = 2) -> KrausChannel:
         decay = np.zeros((dim, dim), dtype=np.complex128)
         decay[0, level] = np.sqrt(gamma)
         operators.append(decay)
-    return KrausChannel("amplitude-damping", tuple(operators), params=(gamma,))
+    return _ClosedFormChannel("amplitude-damping", tuple(operators), params=(gamma,))
 
 
 def bit_flip_channel(p: float, dim: int = 2) -> KrausChannel:
@@ -443,7 +519,7 @@ def bit_flip_channel(p: float, dim: int = 2) -> KrausChannel:
         np.sqrt(1.0 - p) * np.eye(dim),
         np.sqrt(p) * _shift_operator(dim),
     )
-    return KrausChannel("bit-flip", operators, params=(p,))
+    return _ClosedFormChannel("bit-flip", operators, params=(p,))
 
 
 def phase_flip_channel(p: float, dim: int = 2) -> KrausChannel:
@@ -453,7 +529,7 @@ def phase_flip_channel(p: float, dim: int = 2) -> KrausChannel:
         np.sqrt(1.0 - p) * np.eye(dim),
         np.sqrt(p) * _clock_operator(dim),
     )
-    return KrausChannel("phase-flip", operators, params=(p,))
+    return _ClosedFormChannel("phase-flip", operators, params=(p,))
 
 
 def flip_probability(accept_probability, readout_error: float):
@@ -477,44 +553,14 @@ def apply_channels(
 ) -> np.ndarray:
     """Apply ``channels[i]`` to ``densities[i]`` (``None`` means noiseless).
 
-    ``densities`` has shape ``(rows, d, d)``.  Rows sharing a channel are
-    transformed together through one :meth:`KrausChannel.apply_batch` call
-    (a superoperator matmul, or the channel's closed form).  This is the
-    single-job sibling of :func:`apply_channel_grid` — the batched engine
-    paths use the grid form; this one serves ad-hoc callers and tests.
-
-    When every channel is trivial the *input array itself* is returned (no
-    copy); callers treat the result as read-only.
+    ``densities`` has shape ``(rows, d, d)``.  This is the single-job form of
+    :func:`apply_channel_grid`, with the same grouping and closed forms, in
+    complex128; the batched engine paths use the grid form, this one serves
+    ad-hoc callers and tests.  When every channel is trivial the input's own
+    data is returned (no copy); callers treat the result as read-only.
     """
     densities = np.asarray(densities, dtype=np.complex128)
-    rows, dim = densities.shape[0], densities.shape[1]
-    if len(channels) != rows:
-        raise DimensionMismatchError(
-            f"got {len(channels)} channels for {rows} density rows"
-        )
-    # Group by the channel's value-stable key, not object identity: equal
-    # channels built by different callers then share one apply_batch pass.
-    by_channel: Dict[Tuple, Tuple[KrausChannel, list]] = {}
-    for row, channel in enumerate(channels):
-        if channel is None or channel.is_identity:
-            continue
-        if channel.dim != dim:
-            raise DimensionMismatchError(
-                f"channel {channel.name!r} acts on dimension {channel.dim}, "
-                f"registers have dimension {dim}"
-            )
-        by_channel.setdefault(channel.key, (channel, []))[1].append(row)
-    if not by_channel:
-        return densities
-    output = densities.copy()
-    for channel, row_list in by_channel.values():
-        if len(row_list) == rows:
-            # One channel covers every row: transform in place, skip fancy
-            # indexing (the hot case for uniform link-noise sweeps).
-            output = channel.apply_batch(output)
-        else:
-            output[row_list] = channel.apply_batch(output[row_list])
-    return output
+    return apply_channel_grid([channels], densities[None])[0]
 
 
 def apply_channel_grid(
@@ -522,12 +568,13 @@ def apply_channel_grid(
 ) -> np.ndarray:
     """Apply ``grid[b][r]`` to ``densities[b, r]`` across a whole job batch.
 
-    ``densities`` has shape ``(batch, rows, d, d)``.  Entries are grouped by
-    channel value (:attr:`KrausChannel.key`), and every closed-form depolarizing entry — regardless
-    of its strength — joins one strength-stacked broadcast, so a 256-point
-    depolarizing sweep applies all of its channels in a single vectorized
-    expression.  As with :func:`apply_channels`, the input array itself is
-    returned (treat as read-only) when every entry is trivial.
+    ``densities`` has shape ``(batch, rows, d, d)``.  Every named family
+    applies in closed form: its entries, whatever their strengths, join one
+    strength-stacked O(d^2) broadcast, so a 256-point sweep applies all of
+    its channels in a single vectorized expression.  Only generic and
+    composed channels are grouped by value (:attr:`KrausChannel.key`) and go
+    through the superoperator matmul.  The input array itself is returned
+    (treat as read-only) when every entry is trivial.
 
     A ``complex64`` input stays ``complex64`` throughout (the engine's
     reduced-precision fast path); every other input is promoted to
@@ -539,10 +586,11 @@ def apply_channel_grid(
     batch, rows, dim = densities.shape[0], densities.shape[1], densities.shape[2]
     if len(grid) != batch:
         raise DimensionMismatchError(f"got {len(grid)} channel rows for batch {batch}")
-    flat = densities.reshape(batch * rows, dim, dim)
-    # Value-stable grouping (channel.key, not id()): equal channel objects
-    # from different grid builders collapse into one batched application.
-    by_channel: Dict[Tuple, Tuple[KrausChannel, list]] = {}
+    # Closed forms group by family name (strengths stacked per row); generic
+    # channels by value-stable key, not id(), so equal channel objects from
+    # different grid builders share one superoperator pass.
+    families: Dict[str, Tuple[list, list]] = {}
+    generic: Dict[Tuple, Tuple[KrausChannel, list]] = {}
     for b, row_channels in enumerate(grid):
         if len(row_channels) != rows:
             raise DimensionMismatchError(
@@ -556,33 +604,27 @@ def apply_channel_grid(
                     f"channel {channel.name!r} acts on dimension {channel.dim}, "
                     f"registers have dimension {dim}"
                 )
-            by_channel.setdefault(channel.key, (channel, []))[1].append(b * rows + r)
-    if not by_channel:
+            if isinstance(channel, _ClosedFormChannel):
+                row_list, strengths = families.setdefault(channel.name, ([], []))
+                row_list.append(b * rows + r)
+                strengths.append(channel.params[0])
+            else:
+                generic.setdefault(channel.key, (channel, []))[1].append(b * rows + r)
+    if not families and not generic:
         return densities
-    depolarizing_rows: list = []
-    depolarizing_strengths: list = []
-    generic_groups = []
-    for channel, row_list in by_channel.values():
-        if isinstance(channel, _ClosedFormDepolarizing):
-            depolarizing_rows.extend(row_list)
-            depolarizing_strengths.extend([channel.params[0]] * len(row_list))
-        else:
-            generic_groups.append((channel, row_list))
-    if not generic_groups and len(depolarizing_rows) == flat.shape[0]:
-        # Every row is depolarizing (the uniform-sweep hot path): one
-        # strength-stacked broadcast over the input, no row gathering.
-        strengths = np.empty(flat.shape[0])
-        strengths[depolarizing_rows] = depolarizing_strengths
-        output = _depolarizing_action(flat, strengths, dim)
-        return output.reshape(batch, rows, dim, dim)
+    flat = densities.reshape(batch * rows, dim, dim)
+    if not generic and len(families) == 1:
+        ((name, (row_list, strengths)),) = families.items()
+        if len(row_list) == flat.shape[0]:
+            # One family covers every row (the uniform-sweep hot path): rows
+            # were collected in order, so broadcast over the input directly.
+            return _CLOSED_FORMS[name](flat, strengths, dim).reshape(densities.shape)
     output = flat.copy()
-    for channel, row_list in generic_groups:
+    for channel, row_list in generic.values():
         output[row_list] = channel.apply_batch(output[row_list])
-    if depolarizing_rows:
-        output[depolarizing_rows] = _depolarizing_action(
-            output[depolarizing_rows], depolarizing_strengths, dim
-        )
-    return output.reshape(batch, rows, dim, dim)
+    for name, (row_list, strengths) in families.items():
+        output[row_list] = _CLOSED_FORMS[name](output[row_list], strengths, dim)
+    return output.reshape(densities.shape)
 
 
 def apply_channels_adjoint(

@@ -28,6 +28,43 @@ def _random_rho(dim, seed=0):
 ALL_BUILDERS = list(CHANNEL_FAMILIES.values())
 
 
+def _superoperator_is_identity(channel) -> bool:
+    """The definition of an identity channel: its Kraus-built superoperator is I."""
+    stack = np.stack(channel.kraus)
+    dim = channel.dim
+    superoperator = np.einsum("kac,kbd->abcd", stack, stack.conj()).reshape(dim**2, dim**2)
+    return bool(np.allclose(superoperator, np.eye(dim**2), rtol=0.0, atol=1e-12))
+
+
+#: Every family x dimension x strength (1e-9: a weak channel is not the
+#: identity), plus generic channels that are, or are not, the identity.
+IDENTITY_CASES = [
+    pytest.param(lambda b=build, p=strength, d=dim: b(p, d), id=f"{name}-d{dim}-p{strength:g}")
+    for name, build in CHANNEL_FAMILIES.items()
+    for dim in (1, 2, 3, 5)
+    for strength in (0.0, 1e-9, 0.3, 1.0)
+] + [
+    pytest.param(lambda: identity_channel(3), id="identity-d3"),
+    pytest.param(
+        lambda: dephasing_channel(0.3, 3).then(amplitude_damping_channel(0.2, 3)),
+        id="composed-noisy",
+    ),
+    pytest.param(
+        lambda: depolarizing_channel(0.0, 3).then(bit_flip_channel(0.0, 3)),
+        id="composed-noiseless",
+    ),
+    pytest.param(
+        lambda: KrausChannel("split", (np.sqrt(0.5) * np.eye(3), np.sqrt(0.5) * np.eye(3))),
+        id="split-identity",
+    ),
+    pytest.param(lambda: KrausChannel("phase", (np.exp(0.7j) * np.eye(3),)), id="global-phase"),
+    pytest.param(
+        lambda: KrausChannel("weak-phase", (np.diag(np.exp([0.0, 1e-9j, 0.0])),)),
+        id="weak-relative-phase",
+    ),
+]
+
+
 class TestKrausStructure:
     @pytest.mark.parametrize("build", ALL_BUILDERS)
     @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -75,10 +112,11 @@ class TestKrausStructure:
             composed.apply(rho), second.apply(first.apply(rho)), atol=1e-12
         )
 
-    def test_identity_detection(self):
-        assert identity_channel(4).is_identity
-        assert depolarizing_channel(0.0, 4).is_identity
-        assert not depolarizing_channel(0.1, 4).is_identity
+    @pytest.mark.parametrize("make", IDENTITY_CASES)
+    def test_identity_detection(self, make):
+        """``is_identity`` agrees with the superoperator definition, case by case."""
+        channel = make()
+        assert channel.is_identity == _superoperator_is_identity(channel)
 
     def test_apply_to_state(self):
         psi = haar_random_state(4, rng=2)

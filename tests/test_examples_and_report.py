@@ -8,6 +8,11 @@ import pytest
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 EXAMPLE_FILES = sorted(EXAMPLES_DIR.glob("*.py"))
 
+#: The default (complex128 transfer-matrix) report.  Regenerate it with
+#: ``repro-report tests/golden/report.txt`` only for a change that is meant
+#: to alter the report's numbers or layout.
+GOLDEN_REPORT = pathlib.Path(__file__).resolve().parent / "golden" / "report.txt"
+
 
 def _load_module(path: pathlib.Path):
     spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
@@ -43,13 +48,18 @@ class TestReport:
         ):
             assert marker in report
 
-    def test_report_cli_writes_file(self, tmp_path):
+    def test_report_cli_writes_file(self, tmp_path, monkeypatch):
         from repro.experiments.report import main
 
+        for name in ("REPRO_BACKEND", "REPRO_DTYPE", "REPRO_DEVICE"):
+            monkeypatch.delenv(name, raising=False)
         target = tmp_path / "report.txt"
         exit_code = main([str(target)])
         assert exit_code == 0
         assert "Table 3" in target.read_text(encoding="utf-8")
+        assert target.read_bytes() == GOLDEN_REPORT.read_bytes(), (
+            f"the report no longer matches {GOLDEN_REPORT.name} byte for byte"
+        )
 
     def test_report_cli_scenario_subset(self, tmp_path):
         from repro.experiments.report import main

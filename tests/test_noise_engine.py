@@ -27,6 +27,7 @@ from repro.network.topology import binary_tree_network, path_network, star_netwo
 from repro.protocols.equality import EqualityPathProtocol, EqualityTreeProtocol
 from repro.protocols.relay import RelayEqualityProtocol
 from repro.quantum.channels import (
+    CHANNEL_FAMILIES,
     NoiseModel,
     amplitude_damping_channel,
     dephasing_channel,
@@ -165,19 +166,16 @@ def _star_tree_job(states, link=None, node=None, readout=0.0):
 
 
 class TestNoisyEvaluationParity:
-    """Scalar (Kraus-sum) and batched (superoperator) paths agree under real noise."""
+    """Scalar (Kraus-sum) and batched (closed-form) paths agree under real noise."""
 
     def test_chain_batch_mixed_channels(self):
         rng = np.random.default_rng(3)
         dim = 4
+        families = list(CHANNEL_FAMILIES.values())
         jobs = []
         for index in range(18):
             strength = 0.5 * index / 18
-            channel = [
-                depolarizing_channel(strength, dim),
-                dephasing_channel(strength, dim),
-                amplitude_damping_channel(strength, dim),
-            ][index % 3]
+            channel = families[index % len(families)](strength, dim)
             noise = ChainNoise(
                 edge_channels=(channel,) * 3,
                 node_channels=(dephasing_channel(0.05, dim),) * 2,

@@ -2,7 +2,9 @@
 
 These pin the structural invariants the noisy engine path relies on —
 composition stays CPTP, the superoperator is the vectorized channel and
-preserves trace, ``NoiseModel`` lookups resolve overrides before defaults
+preserves trace, every family's closed-form batched action (alone and in a
+mixed channel grid, in both dtypes) is the definitional Kraus sum,
+``NoiseModel`` lookups resolve overrides before defaults
 symmetrically in the edge orientation, and the Heisenberg-picture
 conjugation :func:`~repro.quantum.channels.apply_channels_adjoint` is the
 exact adjoint of channel application — on randomly generated channels and
@@ -13,9 +15,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import parity_tolerance
 from repro.quantum.channels import (
+    CHANNEL_FAMILIES,
     NoiseModel,
     amplitude_damping_channel,
+    apply_channel_grid,
     apply_channels_adjoint,
     bit_flip_channel,
     channel_family,
@@ -27,12 +32,7 @@ from repro.quantum.random_states import haar_random_state, random_density_matrix
 
 MAX_EXAMPLES = 25
 
-_FAMILIES = (
-    depolarizing_channel,
-    dephasing_channel,
-    amplitude_damping_channel,
-    bit_flip_channel,
-)
+_FAMILIES = tuple(CHANNEL_FAMILIES.values())
 
 channel_builders = st.sampled_from(_FAMILIES)
 strengths = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -89,6 +89,46 @@ class TestSuperoperator:
         superop = builder(p, dim).superoperator()
         identity = np.eye(dim).reshape(-1)
         np.testing.assert_allclose(identity @ superop, identity, atol=1e-9)
+
+
+class TestClosedForms:
+    """The closed-form batched actions against the definitional Kraus sum."""
+
+    @given(
+        builder=channel_builders,
+        p=strengths,
+        dim=st.integers(1, 5),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_batched_actions_match_the_kraus_sum(self, builder, p, dim, seed):
+        rng = np.random.default_rng(seed)
+        channel = builder(p, dim)
+        stack = np.stack([random_density_matrix(dim, rng=rng) for _ in range(3)])
+        batched = channel.apply_batch(stack)
+        for row in range(3):
+            np.testing.assert_allclose(batched[row], channel.apply(stack[row]), atol=1e-10)
+
+        # One grid mixing every family, random strengths, a composed
+        # (superoperator) channel and noiseless entries; one grid where the
+        # drawn family covers every row at per-row strengths.
+        options = [build(rng.uniform(), dim) for build in _FAMILIES]
+        options += [channel.then(options[0]), None]
+        mixed = [[channel] + [options[i] for i in rng.integers(0, len(options), 3)]]
+        mixed += [[options[i] for i in rng.integers(0, len(options), 4)] for _ in range(2)]
+        uniform = [[builder(rng.uniform(), dim) for _ in range(4)] for _ in range(3)]
+        densities = np.stack(
+            [[random_density_matrix(dim, rng=rng) for _ in range(4)] for _ in range(3)]
+        )
+        for grid in (mixed, uniform):
+            expected = [
+                [rho if c is None else c.apply(rho) for c, rho in zip(row, rows)]
+                for row, rows in zip(grid, densities)
+            ]
+            for dtype in (np.complex64, np.complex128):
+                output = apply_channel_grid(grid, densities.astype(dtype))
+                assert output.dtype == dtype
+                np.testing.assert_allclose(output, expected, atol=parity_tolerance(dtype))
 
 
 class TestNoiseModelPrecedence:
