@@ -18,8 +18,8 @@ asks the simulator to evaluate from *how* the evaluation is carried out:
 * :mod:`repro.engine.array_ops` — the :class:`ArrayModule` protocol (a
   minimal numpy-like namespace: ``asarray`` / ``einsum`` / ``matmul`` /
   ``stack`` / ``conj`` / ``to_numpy``) with a numpy default, a
-  transfer-counting mock device, and torch / cupy adapters registered only
-  when those libraries are importable; plus the contraction dtype policy
+  transfer-counting mock device, and a torch adapter registered only when
+  torch is importable; plus the contraction dtype policy
   (``REPRO_DTYPE``, :func:`resolve_dtype`, :func:`parity_tolerance`) and
   device selection (``REPRO_DEVICE``).
 * :mod:`repro.engine.kernels` — the device-agnostic contraction kernels:
@@ -34,9 +34,9 @@ asks the simulator to evaluate from *how* the evaluation is carried out:
   the :class:`DenseBackend` reference implementation (scalar, one job at a
   time) and the :class:`TransferMatrixBackend` which evaluates *batches* of
   chains and trees through the kernel layer (with
-  :class:`MockDeviceTransferMatrixBackend` and — when available —
-  ``transfer-matrix-torch`` / ``transfer-matrix-cupy`` variants), plus a
-  string-keyed backend registry.
+  :class:`MockDeviceTransferMatrixBackend` and — when torch is available —
+  a ``transfer-matrix-torch`` variant), plus a string-keyed backend
+  registry.
 * :mod:`repro.engine.cache` — a bounded :class:`OperatorCache` for SWAP
   projectors, acceptance operators, measurement operators and compiled
   honest-proof programs, keyed by protocol layout and input; its
@@ -66,7 +66,6 @@ from repro.engine.array_ops import (
     to_host,
 )
 from repro.engine.backends import (
-    CupyTransferMatrixBackend,
     DenseBackend,
     MockDeviceTransferMatrixBackend,
     SimulationBackend,
@@ -132,7 +131,6 @@ __all__ = [
     "ChainJob",
     "ChainNoise",
     "ChainProgram",
-    "CupyTransferMatrixBackend",
     "DenseBackend",
     "Engine",
     "LeafMeasurement",

@@ -11,10 +11,10 @@ interface can execute them:
     ``to_numpy`` are free (no transfer), and einsum accepts precomputed
     contraction paths.
 
-:class:`TorchModule` / :class:`CupyModule`
-    Adapters over ``torch`` / ``cupy``, registered only when the library is
-    importable (checked without importing — the import itself is deferred to
-    first use).  ``asarray`` moves host operands to the configured device
+:class:`TorchModule`
+    Adapter over ``torch``, registered only when the library is importable
+    (checked without importing — the import itself is deferred to first
+    use).  ``asarray`` moves host operands to the configured device
     (``REPRO_DEVICE``, e.g. ``cuda`` / ``cuda:1``), ``to_numpy`` brings
     results back.
 
@@ -34,8 +34,8 @@ schedule the parity tests enforce per dtype.
 
 Host-side ownership: operator caches and operator packs always store plain
 frozen numpy arrays.  :func:`to_host` is the single conversion point — it
-accepts arrays from any registered namespace (torch tensors, cupy arrays,
-mock device arrays) and returns the host ``np.ndarray``.
+accepts arrays from any registered namespace (torch tensors, mock device
+arrays) and returns the host ``np.ndarray``.
 """
 
 from __future__ import annotations
@@ -93,11 +93,6 @@ def resolve_dtype(dtype: Union[str, np.dtype, type, None] = None) -> np.dtype:
     return resolved
 
 
-def real_dtype(dtype: Union[np.dtype, type]) -> np.dtype:
-    """The matching real dtype (float32 for complex64, float64 for complex128)."""
-    return np.dtype(np.float32 if np.dtype(dtype) == np.complex64 else np.float64)
-
-
 def parity_tolerance(dtype: Union[np.dtype, type, None] = None) -> float:
     """Absolute tolerance versus the dense complex128 reference for ``dtype``."""
     return DTYPE_TOLERANCES[resolve_dtype(dtype)]
@@ -108,10 +103,10 @@ def to_host(value: Any) -> Any:
 
     Plain numpy arrays (and non-array values) pass through untouched; a
     :class:`MockDeviceArray` is re-viewed as a base ndarray; torch tensors
-    and cupy arrays are copied off their device.  This is the conversion
-    the operator cache applies on insert, so cached operators and exported
-    operator packs always hold host-side numpy arrays regardless of which
-    backend built them.
+    are copied off their device.  This is the conversion the operator cache
+    applies on insert, so cached operators and exported operator packs
+    always hold host-side numpy arrays regardless of which backend built
+    them.
     """
     if isinstance(value, np.ndarray):
         if type(value) is np.ndarray:
@@ -120,9 +115,6 @@ def to_host(value: Any) -> Any:
     # torch.Tensor: detach from autograd and leave the device.
     if hasattr(value, "detach") and hasattr(value, "cpu"):
         return value.detach().cpu().numpy()
-    # cupy.ndarray: explicit device->host copy.
-    if hasattr(value, "get") and hasattr(value, "__cuda_array_interface__"):
-        return np.asarray(value.get())
     return value
 
 
@@ -309,56 +301,6 @@ class TorchModule(ArrayModule):
         return a.to(dtype=self._dtype(dtype))
 
 
-class CupyModule(ArrayModule):
-    """Adapter over ``cupy``; ``REPRO_DEVICE`` may pin a GPU (``cuda:N``)."""
-
-    name = "cupy"
-    supports_einsum_path = True
-
-    def __init__(self, device: Optional[str] = None):
-        try:
-            import cupy
-        except ImportError as error:  # pragma: no cover - registration is gated
-            raise ProtocolError(
-                "the 'cupy' array module requires cupy to be installed"
-            ) from error
-        self.cupy = cupy
-        spec = device or env_str(DEVICE_ENV_VAR, "cuda")
-        self.device = spec
-        self._device_id = int(spec.split(":", 1)[1]) if ":" in spec else 0
-
-    def asarray(self, value: Any, dtype: Any = None) -> Any:
-        with self.cupy.cuda.Device(self._device_id):
-            return self.cupy.asarray(value, dtype=dtype)
-
-    def to_numpy(self, value: Any) -> np.ndarray:
-        return self.cupy.asnumpy(value)
-
-    def einsum(self, equation: str, *operands: Any, **kwargs: Any) -> Any:
-        return self.cupy.einsum(equation, *operands, **kwargs)
-
-    def matmul(self, a: Any, b: Any) -> Any:
-        return self.cupy.matmul(a, b)
-
-    def stack(self, arrays: Any, axis: int = 0) -> Any:
-        return self.cupy.stack(list(arrays), axis=axis)
-
-    def conj(self, a: Any) -> Any:
-        return self.cupy.conj(a)
-
-    def abs(self, a: Any) -> Any:
-        return self.cupy.abs(a)
-
-    def real(self, a: Any) -> Any:
-        return self.cupy.real(a)
-
-    def transpose(self, a: Any, axes: Any) -> Any:
-        return self.cupy.transpose(a, axes)
-
-    def astype(self, a: Any, dtype: Any) -> Any:
-        return a.astype(dtype, copy=False)
-
-
 _MODULES: Dict[str, Callable[[Optional[str]], ArrayModule]] = {}
 
 _numpy_module = NumpyModule()
@@ -414,5 +356,3 @@ register_array_module("numpy", lambda device=None: NumpyModule())
 register_array_module("mock", lambda device=None: MockDeviceModule())
 if module_available("torch"):
     register_array_module("torch", lambda device=None: TorchModule(device))
-if module_available("cupy"):
-    register_array_module("cupy", lambda device=None: CupyModule(device))

@@ -23,9 +23,9 @@ The transfer-matrix evaluation is parameterized by an
 same grouping/recursion code runs on any registered array namespace:
 
 * ``"transfer-matrix"`` — numpy, the default.
-* ``"transfer-matrix-torch"`` / ``"transfer-matrix-cupy"`` — the torch /
-  cupy adapters, registered only when the library is importable; the device
-  is selected by ``REPRO_DEVICE`` (e.g. ``cuda``).
+* ``"transfer-matrix-torch"`` — the torch adapter, registered only when
+  torch is importable; the device is selected by ``REPRO_DEVICE`` (e.g.
+  ``cuda``).
 * ``"transfer-matrix-mock"`` — the transfer-counting mock device, always
   registered (it is numpy underneath) so adapter plumbing is testable
   without a GPU.
@@ -50,7 +50,7 @@ empty annotation keeps the pure-state fast path bit for bit.
 
 Backends are registered by name so experiment configuration can select them
 with a string (``"dense"`` / ``"transfer-matrix"`` / ``"transfer-matrix-
-torch"``), following the one-interface/many-backends launcher pattern of the
+torch"``), following the one-interface/many-backends pattern of the
 related-work repositories.
 """
 
@@ -164,7 +164,7 @@ class TransferMatrixBackend(SimulationBackend):
     name = "transfer-matrix"
 
     #: Array-module registry name instantiated by default; device subclasses
-    #: (torch / cupy / mock) override this single attribute.
+    #: (torch / mock) override this single attribute.
     array_module = "numpy"
 
     def __init__(
@@ -338,13 +338,6 @@ class TorchTransferMatrixBackend(TransferMatrixBackend):
     array_module = "torch"
 
 
-class CupyTransferMatrixBackend(TransferMatrixBackend):
-    """Transfer-matrix contraction through cupy (CUDA)."""
-
-    name = "transfer-matrix-cupy"
-    array_module = "cupy"
-
-
 BackendFactory = Callable[[], SimulationBackend]
 
 _BACKENDS: Dict[str, BackendFactory] = {}
@@ -389,10 +382,8 @@ def get_backend(backend: Union[str, SimulationBackend, None]) -> SimulationBacke
 register_backend(DenseBackend)
 register_backend(TransferMatrixBackend)
 register_backend(MockDeviceTransferMatrixBackend)
-# Device adapters register only when their library is importable, so the
+# The torch adapter registers only when torch is importable, so the
 # default environment stays dependency-free and ``available_backends()``
 # reflects what can actually run here.
 if module_available("torch"):
     register_backend(TorchTransferMatrixBackend)
-if module_available("cupy"):
-    register_backend(CupyTransferMatrixBackend)

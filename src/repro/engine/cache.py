@@ -144,7 +144,7 @@ class OperatorCache:
         # still owns, and a frozen view would share the buffer — letting the
         # caller mutate the cached entry through its own reference after
         # insertion.  The copy costs one allocation per miss; the hit path
-        # stays copy-free.  Device-resident arrays (torch/cupy tensors, mock
+        # stays copy-free.  Device-resident arrays (torch tensors, mock
         # device arrays) are pulled back to host numpy first: cached
         # operators and exported packs are always plain host-side arrays,
         # whichever backend built them.

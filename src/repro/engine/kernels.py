@@ -7,7 +7,7 @@ application and the signature-grouped tree Gram products — live here as pure
 functions parameterized by ``(xp, dtype)``:
 
 * ``xp`` is an :class:`~repro.engine.array_ops.ArrayModule` (numpy by
-  default; torch / cupy / the transfer-counting mock as drop-ins).  Each
+  default; torch or the transfer-counting mock as drop-ins).  Each
   kernel moves its host operands to the module exactly once (one ``asarray``
   per stacked operand per contraction group), runs the heavy products there,
   and pulls back a constant number of small result tables.

@@ -23,7 +23,7 @@ Two evaluators share the node semantics:
     single batched Gram product per factor (the PR-1 chain trick), and runs
     the same leaf-to-root recursion vectorized over the batch axis.  The
     Gram products route through :mod:`repro.engine.kernels`, so they run on
-    any :class:`~repro.engine.array_ops.ArrayModule` (numpy / torch / cupy /
+    any :class:`~repro.engine.array_ops.ArrayModule` (numpy / torch /
     the transfer-counting mock) in the configured contraction dtype; the
     recursion itself accumulates in host float64.
 

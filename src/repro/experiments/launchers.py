@@ -51,11 +51,10 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
-import subprocess
 import sys
 import threading
 import uuid
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.exceptions import ProtocolError
@@ -289,6 +288,10 @@ class ProcessPoolLauncher(Launcher):
     name = "process-pool"
 
     def __init__(self, max_workers: Optional[int] = None, operator_pack: Optional[Any] = None):
+        # Imported on first use, like ``subprocess`` below, so importing the
+        # report never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         self._pool = ProcessPoolExecutor(
             max_workers=max_workers,
             initializer=init_sweep_worker,
@@ -382,6 +385,8 @@ class SubprocessLauncher(Launcher):
         return env
 
     def _run_child(self, fn: Callable[..., Any], args: tuple, token: str) -> Any:
+        import subprocess
+
         payload = pickle.dumps(
             {"fn": fn, "args": args, "token": token, "pack": self._pack},
             protocol=pickle.HIGHEST_PROTOCOL,

@@ -16,7 +16,8 @@ Usage (command line)::
 
 The exit code reflects the report's health: any scenario that failed (fully
 or in part) makes ``main`` return 1 with a stderr summary, so CI can rely on
-the exit status instead of grepping the rendered text for ``FAILED`` markers.
+the exit status instead of grepping the rendered text for ``FAILED`` markers;
+usage errors, unknown or empty ``--scenarios`` names included, return 2.
 ``--progress`` (implies ``--parallel``) streams one line per completed sweep
 chunk to stderr while the report is being regenerated.
 
@@ -51,7 +52,11 @@ from __future__ import annotations
 import sys
 from typing import List, Optional, Tuple
 
-from repro.experiments.runner import ExperimentRunner, failed_scenarios
+from repro.experiments.runner import (
+    ExperimentRunner,
+    available_scenarios,
+    failed_scenarios,
+)
 from repro.experiments.streaming import PrintProgressListener, Progress
 from repro.utils.env import env_set
 
@@ -204,6 +209,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             sys.stderr.write("--scenarios needs a comma-separated scenario list\n")
             return 2
         scenarios = [name for name in argv.pop(index).split(",") if name]
+        known = available_scenarios()
+        unknown_names = [name for name in scenarios if name not in known]
+        if unknown_names or not scenarios:
+            problem = f"unknown scenarios {unknown_names}" if unknown_names else "no scenario named"
+            sys.stderr.write(f"--scenarios: {problem}; available: {known}\n")
+            return 2
     # --backend / --dtype win over REPRO_BACKEND / REPRO_DTYPE (the same
     # precedence --chunk-size has over the cost model): they are exported to
     # the environment so pool workers inherit the selection.

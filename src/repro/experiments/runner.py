@@ -32,7 +32,6 @@ Usage::
 
 from __future__ import annotations
 
-import asyncio
 import traceback as traceback_module
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -392,6 +391,8 @@ class ExperimentRunner:
             # fail_fast abort), and shutdown(wait=True) would otherwise stall
             # every other coroutine until that chunk finishes.
             if own:
+                import asyncio
+
                 await asyncio.to_thread(
                     lambda: launcher.shutdown(wait=True, cancel_futures=True)
                 )

@@ -26,7 +26,6 @@ and reassemble in grid order, so completion order never shows in the output.
 
 from __future__ import annotations
 
-import asyncio
 import os
 import sys
 import traceback as traceback_module
@@ -351,6 +350,8 @@ async def aiter_chunk_events(
     Pool futures are wrapped into awaitables, so a service can consume a
     sweep without blocking its event loop between chunk completions.
     """
+    import asyncio  # only the async path needs it; keep it off the report's imports
+
     tasks = list(tasks)
     stream = _ChunkEventStream(tasks, progress, fail_fast)
 

@@ -85,31 +85,3 @@ def _matrix_sqrt(matrix: np.ndarray) -> np.ndarray:
     eigenvalues, eigenvectors = np.linalg.eigh(hermitian)
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     return (eigenvectors * np.sqrt(eigenvalues)) @ eigenvectors.conj().T
-
-
-def diamond_norm_upper_bound(kraus_a, kraus_b) -> float:
-    """A simple upper bound on the diamond distance between two channels.
-
-    Used only by diagnostic code; computed as the operator norm of the
-    difference of the Choi matrices times the input dimension, which upper
-    bounds the diamond norm.  This keeps the library free of SDP solvers.
-    """
-    choi_a = _choi(kraus_a)
-    choi_b = _choi(kraus_b)
-    diff = choi_a - choi_b
-    dim_in = int(np.sqrt(choi_a.shape[0]))
-    return float(dim_in * np.linalg.norm(diff, ord=2))
-
-
-def _choi(kraus_ops) -> np.ndarray:
-    """Choi matrix of a channel given by Kraus operators."""
-    kraus_ops = [np.asarray(k, dtype=np.complex128) for k in kraus_ops]
-    dim_out, dim_in = kraus_ops[0].shape
-    choi = np.zeros((dim_in * dim_out, dim_in * dim_out), dtype=np.complex128)
-    for i in range(dim_in):
-        for j in range(dim_in):
-            eij = np.zeros((dim_in, dim_in), dtype=np.complex128)
-            eij[i, j] = 1.0
-            block = sum(k @ eij @ k.conj().T for k in kraus_ops)
-            choi[i * dim_out : (i + 1) * dim_out, j * dim_out : (j + 1) * dim_out] = block
-    return choi

@@ -23,17 +23,6 @@ def haar_random_state(dim: int, rng: RngLike = None) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def haar_random_unitary(dim: int, rng: RngLike = None) -> np.ndarray:
-    """A Haar-random unitary via QR decomposition of a Ginibre matrix."""
-    if dim <= 0:
-        raise DimensionMismatchError("dimension must be positive")
-    generator = ensure_rng(rng)
-    ginibre = generator.normal(size=(dim, dim)) + 1j * generator.normal(size=(dim, dim))
-    q, r = np.linalg.qr(ginibre)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
-
-
 def random_density_matrix(dim: int, rank: int | None = None, rng: RngLike = None) -> np.ndarray:
     """A random density matrix of the given dimension and rank (default: full rank)."""
     if dim <= 0:
@@ -46,12 +35,3 @@ def random_density_matrix(dim: int, rank: int | None = None, rng: RngLike = None
     ginibre = generator.normal(size=(dim, rank)) + 1j * generator.normal(size=(dim, rank))
     rho = ginibre @ ginibre.conj().T
     return rho / np.trace(rho).real
-
-
-def random_product_state(dims, rng: RngLike = None) -> np.ndarray:
-    """Tensor product of independent Haar-random states on the given dimensions."""
-    generator = ensure_rng(rng)
-    state = np.array([1.0 + 0.0j])
-    for dim in dims:
-        state = np.kron(state, haar_random_state(int(dim), generator))
-    return state

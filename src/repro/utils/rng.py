@@ -7,7 +7,7 @@ simulations are reproducible.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -25,8 +25,3 @@ def spawn(rng: np.random.Generator, count: int) -> list:
     """Spawn ``count`` statistically independent child generators."""
     seeds = rng.integers(0, 2**63 - 1, size=count)
     return [np.random.default_rng(int(seed)) for seed in seeds]
-
-
-def maybe_seeded(seed: Optional[int]) -> np.random.Generator:
-    """Alias of :func:`ensure_rng` kept for readability at call sites."""
-    return ensure_rng(seed)

@@ -62,8 +62,7 @@ class TestRegistry:
 
     def test_optional_modules_listed_only_when_importable(self):
         names = available_array_modules()
-        for library in ("torch", "cupy"):
-            assert (library in names) == module_available(library)
+        assert ("torch" in names) == module_available("torch")
 
     def test_register_custom_module(self):
         class _Custom(NumpyModule):

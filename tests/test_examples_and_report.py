@@ -72,10 +72,20 @@ class TestReport:
         assert "Theorem 2 — fixed-path crossover sweep" in text
         assert "Table 3" not in text
 
-    def test_report_cli_scenarios_flag_needs_a_value(self):
+    @pytest.mark.parametrize(
+        "value", [None, "bogus,table1", ","], ids=["missing", "unknown", "empty"]
+    )
+    def test_report_cli_scenarios_flag_needs_a_value(self, value, capsys):
         from repro.experiments.report import main
 
-        assert main(["--scenarios"]) == 2
+        assert main(["--scenarios"] + ([] if value is None else [value])) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, "expected a one-line usage message"
+        if value is not None:
+            problem, available = err.split("available:")
+            assert "'table1'" in available
+            assert ("'bogus'" in problem) == (value == "bogus,table1")
+            assert "'table1'" not in problem
 
     def test_report_cli_exits_nonzero_on_failed_section(self, tmp_path, capsys):
         from repro.experiments.report import main

@@ -1,5 +1,10 @@
 """Tests for the unified experiment runner and its scenario registry."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.exceptions import ProtocolError
@@ -22,6 +27,9 @@ from repro.experiments.sweep import (
 from repro.experiments.table1 import table1_default_grid, table1_rows
 from repro.experiments.table2 import table2_rows
 from repro.experiments.table3 import table3_rows, upper_vs_lower_consistency
+
+#: The default (complex128 transfer-matrix) report, generated serially.
+GOLDEN_REPORT = pathlib.Path(__file__).resolve().parent / "golden" / "report.txt"
 
 
 class TestRegistry:
@@ -200,15 +208,28 @@ class TestSweepSpecs:
 
 
 class TestShardedParity:
-    """Sharded execution must be invisible in the rows it returns."""
+    """Sharded execution must be invisible in the rows and in the report."""
 
-    def test_every_registered_scenario_sharded_matches_serial(self):
-        serial = ExperimentRunner().run()
-        runner = ExperimentRunner(parallel=True, max_workers=4)
+    def test_every_registered_scenario_sharded_matches_serial(self, monkeypatch):
+        from repro.experiments.report import (
+            NOISE_SCENARIOS,
+            REPORT_SCENARIOS,
+            SOUNDNESS_SCENARIOS,
+        )
+
+        for name in ("REPRO_BACKEND", "REPRO_DTYPE", "REPRO_DEVICE"):
+            monkeypatch.delenv(name, raising=False)
+        names = REPORT_SCENARIOS + SOUNDNESS_SCENARIOS + NOISE_SCENARIOS
+        assert sorted(names) == sorted(available_scenarios())
+        serial = ExperimentRunner(names).run()
+        runner = ExperimentRunner(names, parallel=True, max_workers=2)
         sharded = runner.run()
-        assert list(serial) == list(sharded)
+        assert list(serial) == list(sharded) == names
         for name in serial:
             assert serial[name] == sharded[name], f"{name} rows differ under sharding"
+        assert runner.render(sharded).encode("utf-8") == GOLDEN_REPORT.read_bytes(), (
+            "the pooled report drifted from tests/golden/report.txt"
+        )
         # Pool-wide merged per-worker cache stats are recorded and internally
         # consistent: every cache entry was inserted on a miss.
         stats = runner.cache_stats
@@ -231,6 +252,24 @@ class TestShardedParity:
     def test_run_sweep_sharded_rejects_unswept_scenarios(self):
         with pytest.raises(ProtocolError, match="declares no sweep grid"):
             run_sweep_sharded("table1-measured")
+
+
+def test_report_import_loads_no_process_machinery():
+    """``import repro.experiments.report`` must not pull in pool machinery."""
+    import repro
+
+    source_root = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, repro.experiments.report; "
+        "print([m for m in ('asyncio', 'multiprocessing', 'subprocess', "
+        "'concurrent.futures.process') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestReportRoutesThroughRunner:
