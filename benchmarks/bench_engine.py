@@ -19,8 +19,11 @@ workers) must beat scenario-level parallelism by at least 2x with 1e-12 row
 parity; a cost-model-planned run of a skewed sweep (warm cost book) must
 beat the static equal-count plan by at least 1.3x with byte-identical rows;
 and a pack-seeded pool must show nonzero ``pack_hits`` and strictly fewer
-aggregate misses than an unseeded one.  The remaining benchmarks time the
-backends head to head and the engine's operator-cache hit path.
+aggregate misses than an unseeded one.  The sharded, streaming and adaptive
+checks time and record their rows on any machine, but assert their targets
+only with at least 4 cores (counted by the cgroup-aware
+``effective_cpu_count``).  The remaining benchmarks time the backends head
+to head and the engine's operator-cache hit path.
 """
 
 from __future__ import annotations
@@ -408,9 +411,8 @@ def test_sharded_sweep_vs_scenario_parallelism(benchmark):
     with 1e-12 parity against the serial sweep, and the merged per-worker
     cache counters land in the benchmark metadata.
     """
-    import os
-
     from repro.experiments.runner import run_scenario
+    from repro.experiments.streaming import effective_cpu_count
     from repro.experiments.sweep import run_sweep_sharded
 
     strengths = tuple(np.linspace(0.0, 0.5, SHARD_POINTS))
@@ -442,13 +444,6 @@ def test_sharded_sweep_vs_scenario_parallelism(benchmark):
 
     if not timing_assertions_enabled(benchmark):
         return  # functional smoke pass: skip wall-clock comparisons
-    if (os.cpu_count() or 1) < SHARD_WORKERS:
-        emit_table(
-            "Engine — sharded sweep (skipped timing: needs >= 4 cores)",
-            [ExperimentRow("engine-shard", "cores available", {"count": os.cpu_count()})],
-            artifact="engine",
-        )
-        return  # 4 workers on fewer cores cannot show a parallel speedup
 
     scenario_level_time = best_of(
         lambda: run_scenario("noise-robustness-path", **overrides), repeats=3
@@ -460,6 +455,7 @@ def test_sharded_sweep_vs_scenario_parallelism(benchmark):
         repeats=3,
     )
     speedup = scenario_level_time / sharded_time
+    cores = effective_cpu_count()
     emit_table(
         "Engine — sharded vs scenario-level sweep execution (256 noise points)",
         [
@@ -474,10 +470,12 @@ def test_sharded_sweep_vs_scenario_parallelism(benchmark):
                 {"seconds": sharded_time},
             ),
             ExperimentRow("engine-shard", "speedup", {"ratio": speedup, "target": ">= 2x"}),
+            ExperimentRow("engine-shard", "cores available", {"count": cores}),
         ],
         artifact="engine",
     )
-    assert speedup >= 2.0, f"sharded sweep only {speedup:.1f}x faster"
+    if cores >= SHARD_WORKERS:  # 4 workers on fewer cores cannot show a parallel speedup
+        assert speedup >= 2.0, f"sharded sweep only {speedup:.1f}x faster"
 
 
 def test_streaming_overhead_vs_blocking_dispatch(benchmark):
@@ -490,10 +488,10 @@ def test_streaming_overhead_vs_blocking_dispatch(benchmark):
     pre-streaming semantics.  Rows must stay byte-identical, and every chunk
     must fire exactly one progress event.
     """
-    import os
     from concurrent.futures import ProcessPoolExecutor
 
     from repro.experiments.runner import get_scenario
+    from repro.experiments.streaming import effective_cpu_count
     from repro.experiments.sweep import (
         _init_sweep_worker,
         next_pool_generation,
@@ -538,17 +536,11 @@ def test_streaming_overhead_vs_blocking_dispatch(benchmark):
 
     if not timing_assertions_enabled(benchmark):
         return  # functional smoke pass: skip wall-clock comparisons
-    if (os.cpu_count() or 1) < SHARD_WORKERS:
-        emit_table(
-            "Engine — streaming overhead (skipped timing: needs >= 4 cores)",
-            [ExperimentRow("engine-stream", "cores available", {"count": os.cpu_count()})],
-            artifact="engine",
-        )
-        return
 
     blocking_time = best_of(blocking_dispatch, repeats=3)
     streaming_time = best_of(streaming_dispatch, repeats=3)
     overhead = streaming_time / blocking_time - 1.0
+    cores = effective_cpu_count()
     emit_table(
         "Engine — streaming vs blocking chunk dispatch (256 noise points)",
         [
@@ -565,10 +557,12 @@ def test_streaming_overhead_vs_blocking_dispatch(benchmark):
                 "overhead",
                 {"ratio": overhead, "target": "<= 5%"},
             ),
+            ExperimentRow("engine-stream", "cores available", {"count": cores}),
         ],
         artifact="engine",
     )
-    assert overhead <= 0.05, f"streaming dispatch {overhead:.1%} slower than blocking"
+    if cores >= SHARD_WORKERS:  # an oversubscribed pool times scheduler noise
+        assert overhead <= 0.05, f"streaming dispatch {overhead:.1%} slower than blocking"
 
 
 ADAPTIVE_POINTS = 64
@@ -640,10 +634,9 @@ def test_adaptive_vs_static_chunk_scheduling(benchmark, tmp_path):
     equalizing predicted wall time.  Rows must stay byte-identical to the
     serial sweep under either plan.
     """
-    import os
-
     from repro.experiments.costmodel import CostModel
     from repro.experiments.runner import run_scenario
+    from repro.experiments.streaming import effective_cpu_count
     from repro.experiments.sweep import run_sweep_sharded
 
     book = str(tmp_path / "costbook.json")
@@ -667,13 +660,6 @@ def test_adaptive_vs_static_chunk_scheduling(benchmark, tmp_path):
 
     if not timing_assertions_enabled(benchmark):
         return  # functional smoke pass: skip wall-clock comparisons
-    if (os.cpu_count() or 1) < SHARD_WORKERS:
-        emit_table(
-            "Engine — adaptive scheduling (skipped timing: needs >= 4 cores)",
-            [ExperimentRow("engine-adaptive", "cores available", {"count": os.cpu_count()})],
-            artifact="engine",
-        )
-        return  # an oversubscribed pool cannot show a balancing speedup
 
     static_time = best_of(
         lambda: run_sweep_sharded(
@@ -691,6 +677,7 @@ def test_adaptive_vs_static_chunk_scheduling(benchmark, tmp_path):
         repeats=3,
     )
     speedup = static_time / adaptive_time
+    cores = effective_cpu_count()
     emit_table(
         "Engine — adaptive vs static chunk scheduling (64-point skewed sweep)",
         [
@@ -705,10 +692,12 @@ def test_adaptive_vs_static_chunk_scheduling(benchmark, tmp_path):
             ExperimentRow(
                 "engine-adaptive", "speedup", {"ratio": speedup, "target": ">= 1.3x"}
             ),
+            ExperimentRow("engine-adaptive", "cores available", {"count": cores}),
         ],
         artifact="engine",
     )
-    assert speedup >= 1.3, f"adaptive scheduling only {speedup:.2f}x faster"
+    if cores >= SHARD_WORKERS:  # an oversubscribed pool cannot show a balancing speedup
+        assert speedup >= 1.3, f"adaptive scheduling only {speedup:.2f}x faster"
 
 
 def test_warm_start_operator_pack(benchmark, tmp_path):

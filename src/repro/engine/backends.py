@@ -10,13 +10,15 @@ Two evaluation strategies ship with the library:
     :func:`repro.engine.tree_contraction.tree_acceptance_probability`.
 
 :class:`TransferMatrixBackend`
-    Groups chain jobs by shape ``(m, d)`` and tree jobs by structure
-    signature, and evaluates each group through the device-agnostic
-    contraction kernels of :mod:`repro.engine.kernels`: all SWAP-test
-    overlaps of a group are computed in a couple of batched Gram products,
-    the symmetrization recursion runs vectorized over the batch, and
-    measurement expectations are one more einsum.  This is the fast path
-    behind ``DQMAProtocol.acceptance_probabilities``.
+    Groups chain jobs by shape ``(m, d, kind, noisy)`` and tree jobs by
+    structure signature, and evaluates each group through the
+    device-agnostic contraction kernels of :mod:`repro.engine.kernels`: all
+    SWAP-test overlaps of a group come from one batched Gram product (or,
+    for noisy groups, one gathered trace einsum), the symmetrization
+    recursion runs vectorized over the batch, and measurement expectations
+    are one more einsum.  Every chain group goes through the single kernel
+    :func:`~repro.engine.kernels.chain_probabilities`.  This is the fast
+    path behind ``DQMAProtocol.acceptance_probabilities``.
 
 The transfer-matrix evaluation is parameterized by an
 :class:`~repro.engine.array_ops.ArrayModule` and a contraction dtype, so the
@@ -37,16 +39,17 @@ the parity tests enforce the per-dtype tolerance schedule of
 :func:`~repro.engine.array_ops.parity_tolerance`.
 
 Jobs carrying a :class:`~repro.engine.jobs.ChainNoise` / :class:`~repro.
-engine.jobs.TreeNoise` channel annotation evaluate on a density-matrix
-variant of each path: registers become densities pushed through their
-link/node channels, squared overlaps become Hilbert-Schmidt traces (the same
-stacked Gram matmul, on vectorized densities) and each test factor passes
-the readout-error flip.  The dense backend routes noisy chains through the
+engine.jobs.TreeNoise` channel annotation evaluate on the density-matrix
+generalization of each path: registers become densities pushed through
+their link/node channels, squared overlaps become Hilbert-Schmidt traces
+and each test factor passes the readout-error flip.  A clean chain is the
+noisy one with no channels and perfect readout; it keeps the Gram product
+of its state rows.  The dense backend routes noisy chains through the
 degenerate-path tree of :meth:`ChainJob.to_tree_job` (the scalar density
 recursion); the transfer-matrix backend contracts whole noisy groups —
 including sweeps where every job carries a different noise strength — in
-one stacked product.  Clean jobs are untouched: an absent or structurally
-empty annotation keeps the pure-state fast path bit for bit.
+one stacked product.  An absent or structurally empty annotation keeps the
+pure-state path bit for bit.
 
 Backends are registered by name so experiment configuration can select them
 with a string (``"dense"`` / ``"transfer-matrix"`` / ``"transfer-matrix-
@@ -189,134 +192,43 @@ class TransferMatrixBackend(SimulationBackend):
     def tree_probabilities(self, jobs: Sequence[TreeJob]) -> np.ndarray:
         return tree_probabilities_batched(jobs, xp=self.xp, dtype=self.dtype)
 
-    #: Chains whose state stack fits in this many rows use the one-shot Gram
-    #: product; longer chains switch to per-step adjacent contractions, since
-    #: the full Gram matrix costs O(m^2) entries of which only O(m) are read.
-    GRAM_MAX_ROWS = 34
-
     def chain_probabilities(self, jobs: Sequence[ChainJob]) -> np.ndarray:
+        """Contract each ``(m, d, kind, noisy)`` group in one kernel call.
+
+        Row 0 of a group's state stack is the left state, rows 1 .. 2m the
+        intermediate pairs, and (structured ends) the measurement vector
+        last — stacked straight into place on the host.  A noisy group turns
+        its rows into densities first; both run through
+        :func:`repro.engine.kernels.chain_probabilities` on this backend's
+        array module.
+        """
         results = np.empty(len(jobs), dtype=np.float64)
-        for (num_intermediate, dim, right_kind, noisy), indices in group_jobs_by_shape(
-            jobs
-        ).items():
-            if noisy:
-                values = self._contract_group_noisy(
-                    jobs, indices, num_intermediate, dim, right_kind
+        for (m, dim, right_kind, noisy), indices in group_jobs_by_shape(jobs).items():
+            group = [jobs[i] for i in indices]
+            batch = len(group)
+            dense_end = right_kind == RIGHT_DENSE
+            rows = np.empty((batch, 1 + 2 * m + (0 if dense_end else 1), dim), dtype=np.complex128)
+            np.stack([job.left for job in group], out=rows[:, 0])
+            if m:
+                np.stack(
+                    [job.pairs for job in group],
+                    out=rows[:, 1 : 1 + 2 * m].reshape(batch, m, 2, dim),
                 )
-            elif num_intermediate == 0:
-                values = kernels.chain_terminal_probabilities(
-                    self.xp,
-                    self.dtype,
-                    np.stack([jobs[i].left for i in indices]),
-                    np.stack([jobs[i].right_operator for i in indices]),
-                    right_kind,
-                )
-            elif 2 * num_intermediate + 2 <= self.GRAM_MAX_ROWS:
-                values = self._contract_group(jobs, indices, num_intermediate, dim, right_kind)
+            rights = None
+            if dense_end:
+                rights = np.stack([job.right_operator for job in group])
             else:
-                values = kernels.chain_adjacent_probabilities(
-                    self.xp,
-                    self.dtype,
-                    np.stack([jobs[i].left for i in indices]),
-                    np.stack([jobs[i].pairs for i in indices]),
-                    np.stack([jobs[i].right_operator for i in indices]),
-                    num_intermediate,
-                    right_kind,
-                )
+                np.stack([job.right_operator for job in group], out=rows[:, -1])
+            eps = None
+            if noisy:
+                noises = [job.noise for job in group]
+                rows = kernels.chain_density_rows(self.dtype, rows, noises, m, right_kind)
+                eps = np.array([noise.readout_error for noise in noises])
+            values = kernels.chain_probabilities(
+                self.xp, self.dtype, rows, rights, eps, m, right_kind
+            )
             results[indices] = np.clip(values, 0.0, 1.0)
         return results
-
-    def _contract_group(
-        self,
-        jobs: Sequence[ChainJob],
-        indices: Sequence[int],
-        num_intermediate: int,
-        dim: int,
-        right_kind: str,
-    ) -> np.ndarray:
-        """Assemble one ``(m, d, kind)`` group's host stacks and contract.
-
-        Row 0 of the state stack is the left state, rows 1 .. 2m the
-        intermediate pairs, and (structured ends) the measurement vector
-        last — stacked straight into place on the host; the Gram product
-        and transfer recursion run in :func:`repro.engine.kernels.
-        chain_gram_probabilities` on this backend's array module.
-        """
-        batch = len(indices)
-        dense_end = right_kind == RIGHT_DENSE
-        num_rows = 2 * num_intermediate + (1 if dense_end else 2)
-        stacked = np.empty((batch, num_rows, dim), dtype=np.complex128)
-        np.stack([jobs[i].left for i in indices], out=stacked[:, 0])
-        np.stack(
-            [jobs[i].pairs for i in indices],
-            out=stacked[:, 1 : 2 * num_intermediate + 1].reshape(
-                batch, num_intermediate, 2, dim
-            ),
-        )
-        rights = None
-        if dense_end:
-            rights = np.stack([jobs[i].right_operator for i in indices])
-        else:
-            np.stack([jobs[i].right_operator for i in indices], out=stacked[:, -1])
-        return kernels.chain_gram_probabilities(
-            self.xp, self.dtype, stacked, rights, num_intermediate, right_kind
-        )
-
-    def _contract_group_noisy(
-        self,
-        jobs: Sequence[ChainJob],
-        indices: Sequence[int],
-        num_intermediate: int,
-        dim: int,
-        right_kind: str,
-    ) -> np.ndarray:
-        """Assemble one noisy group's states and channel grids, then contract.
-
-        The pure states and per-job channel grids are gathered here (jobs of
-        one group may carry arbitrary per-job channels — a noise-strength
-        sweep is one stack); the density build, grid application, trace
-        gathering and flipped transfer recursion are
-        :func:`repro.engine.kernels.noisy_chain_probabilities`.
-        """
-        batch = len(indices)
-        m = num_intermediate
-        dense_end = right_kind == RIGHT_DENSE
-        states = np.empty((batch, 1 + 2 * m, dim), dtype=np.complex128)
-        np.stack([jobs[i].left for i in indices], out=states[:, 0])
-        if m:
-            np.stack(
-                [jobs[i].pairs for i in indices],
-                out=states[:, 1:].reshape(batch, m, 2, dim),
-            )
-        kept_grid = []
-        sent_grid = []
-        for index in indices:
-            noise = jobs[index].noise
-            kept_grid.append(
-                [noise.left_channel]
-                + [noise.node_channels[node] for node in range(m) for _ in range(2)]
-            )
-            sent_grid.append(
-                [noise.edge_channels[0]]
-                + [noise.edge_channels[node + 1] for node in range(m) for _ in range(2)]
-            )
-        right_grid = None
-        if not dense_end:
-            right_grid = [[jobs[i].noise.right_channel] for i in indices]
-        rights = np.stack([jobs[i].right_operator for i in indices])
-        eps = np.array([jobs[i].noise.readout_error for i in indices])
-        return kernels.noisy_chain_probabilities(
-            self.xp,
-            self.dtype,
-            states,
-            kept_grid,
-            sent_grid,
-            right_grid,
-            rights,
-            eps,
-            m,
-            right_kind,
-        )
 
 
 class MockDeviceTransferMatrixBackend(TransferMatrixBackend):

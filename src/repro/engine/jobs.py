@@ -4,10 +4,13 @@ The engine evaluates protocols through two job types and one program type:
 
 :class:`ChainJob`
     One instance of the symmetrized SWAP-test chain shared by Algorithms 3, 6,
-    7 and 10 of the paper: a fixed left state, ``m`` intermediate register
-    pairs and a right-end accept operator.  Chains are kept as a dedicated
-    flat-array job because they are by far the hottest shape; semantically a
-    chain is the degenerate *path* tree (see :meth:`ChainJob.to_tree_job`).
+    7 and 10 of the paper: a fixed left state, ``m >= 0`` intermediate
+    register pairs and a right-end accept operator.  Chains are kept as a
+    dedicated flat-array job because they are by far the hottest shape; the
+    batched backend evaluates every group of them, clean or noisy and of any
+    length, with one kernel (:func:`repro.engine.kernels.
+    chain_probabilities`).  Semantically a chain is the degenerate *path*
+    tree (see :meth:`ChainJob.to_tree_job`).
 
 :class:`TreeJob`
     One instance of a tree-structured verification: a rooted tree whose nodes

@@ -1,10 +1,11 @@
 """Device-agnostic contraction kernels behind the batched backends.
 
 The hot paths of :class:`~repro.engine.backends.TransferMatrixBackend` and
-:mod:`repro.engine.tree_contraction` — the stacked chain-Gram product, the
-vectorized symmetrization recursion, the noisy superoperator grid
-application and the signature-grouped tree Gram products — live here as pure
-functions parameterized by ``(xp, dtype)``:
+:mod:`repro.engine.tree_contraction` — the one chain kernel
+:func:`chain_probabilities` (clean and noisy groups of any length), the
+vectorized symmetrization recursion, the channel grid application and the
+signature-grouped tree Gram products — live here as pure functions
+parameterized by ``(xp, dtype)``:
 
 * ``xp`` is an :class:`~repro.engine.array_ops.ArrayModule` (numpy by
   default; torch or the transfer-counting mock as drop-ins).  Each
@@ -33,7 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.array_ops import ArrayModule
-from repro.engine.jobs import RIGHT_DENSE, RIGHT_PROJECTOR
+from repro.engine.jobs import RIGHT_DENSE, RIGHT_PROJECTOR, ChainNoise
 from repro.quantum.channels import KrausChannel, apply_channel_grid, flip_probability
 
 # --------------------------------------------------------------------------
@@ -125,138 +126,8 @@ def transfer_recursion(weights: np.ndarray, transfer: np.ndarray) -> np.ndarray:
     return weights
 
 
-@lru_cache(maxsize=128)
-def transfer_indices(num_intermediate: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gram-row indices of (incoming, target) states for every chain step.
-
-    Row 0 of the stacked state matrix is the left state; rows ``1 + 2j``
-    and ``2 + 2j`` are slots 0/1 of intermediate node ``j``.  Step ``j``
-    (``j >= 1``) tests the register forwarded by node ``j - 1`` under
-    symmetrization bit ``s`` (its slot ``1 - s``) against slot ``n`` of
-    node ``j``.
-    """
-    steps = np.arange(1, num_intermediate)
-    incoming = 1 + 2 * (steps - 1)[:, None] + (1 - np.arange(2))[None, :]
-    targets = 1 + 2 * steps[:, None] + np.arange(2)[None, :]
-    return incoming, targets
-
-
 # --------------------------------------------------------------------------
-# Clean chain kernels
-# --------------------------------------------------------------------------
-
-
-def chain_gram_probabilities(
-    xp: ArrayModule,
-    dtype: np.dtype,
-    stacked: np.ndarray,
-    rights: Optional[np.ndarray],
-    num_intermediate: int,
-    right_kind: str,
-) -> np.ndarray:
-    """One-shot Gram evaluation of one ``(m, d, kind)`` chain group.
-
-    ``stacked`` is the host-side ``(B, R, d)`` state stack (left state,
-    intermediate pairs, and — structured right ends — the measurement
-    vector as the last row); ``rights`` is the ``(B, d, d)`` operator stack
-    for dense ends, else ``None``.  All SWAP-test overlaps of the group
-    come from one batched Gram product on the module; the transfer
-    recursion then folds them in host float64.
-    """
-    dense_end = right_kind == RIGHT_DENSE
-    states = xp.asarray(stacked, dtype=dtype)
-    gram_c = xp.matmul(xp.conj(states), xp.transpose(states, (0, 2, 1)))
-    gram = _accumulate(xp, xp.abs(gram_c) ** 2)
-    if dense_end:
-        operators = xp.asarray(rights, dtype=dtype)
-        final_states = states[:, [2 * num_intermediate, 2 * num_intermediate - 1]]
-        accepts = _accumulate(
-            xp,
-            xp.real(
-                (xp.matmul(xp.conj(final_states), operators) * final_states).sum(-1)
-            ),
-        )
-    else:
-        phi_row = 2 * num_intermediate + 1
-        overlaps = gram[:, phi_row, [2 * num_intermediate, 2 * num_intermediate - 1]]
-        accepts = overlaps if right_kind == RIGHT_PROJECTOR else 0.5 + 0.5 * overlaps
-    # Step 1: SWAP test of the left state against both slots of node 1.
-    weights = 0.5 * (0.5 + 0.5 * gram[:, 0, 1:3])  # (B, 2)
-    if num_intermediate > 1:
-        incoming, targets = transfer_indices(num_intermediate)
-        step_overlaps = gram[:, incoming[:, :, None], targets[:, None, :]]
-        weights = transfer_recursion(weights, 0.5 * (0.5 + 0.5 * step_overlaps))
-    return np.sum(weights * accepts, axis=1)
-
-
-def chain_terminal_probabilities(
-    xp: ArrayModule,
-    dtype: np.dtype,
-    lefts: np.ndarray,
-    rights: np.ndarray,
-    right_kind: str,
-) -> np.ndarray:
-    """Zero-intermediate chains: the left state straight into the right end."""
-    states = xp.asarray(lefts, dtype=dtype)
-    operators = xp.asarray(rights, dtype=dtype)
-    if right_kind == RIGHT_DENSE:
-        values = xp.real(
-            (xp.conj(states) * xp.matmul(operators, states[..., None])[..., 0]).sum(-1)
-        )
-        return _accumulate(xp, values)
-    overlaps = _accumulate(xp, xp.abs((xp.conj(operators) * states).sum(-1)) ** 2)
-    return overlaps if right_kind == RIGHT_PROJECTOR else 0.5 + 0.5 * overlaps
-
-
-def chain_adjacent_probabilities(
-    xp: ArrayModule,
-    dtype: np.dtype,
-    lefts: np.ndarray,
-    pairs: np.ndarray,
-    rights: np.ndarray,
-    num_intermediate: int,
-    right_kind: str,
-) -> np.ndarray:
-    """Long-chain path: batched overlaps of adjacent nodes only, O(m d) per job."""
-    lefts_dev = xp.asarray(lefts, dtype=dtype)
-    pairs_dev = xp.asarray(pairs, dtype=dtype)  # (B, m, 2, d)
-    rights_dev = xp.asarray(rights, dtype=dtype)
-    first_overlaps = _accumulate(
-        xp,
-        xp.abs(xp.matmul(xp.conj(pairs_dev[:, 0]), lefts_dev[..., None])[..., 0]) ** 2,
-    )
-    weights = 0.5 * (0.5 + 0.5 * first_overlaps)  # (B, 2)
-    if num_intermediate > 1:
-        # incoming[b, j, s]: the state node j+1 receives when node j's
-        # symmetrization bit is s (node j's reversed slot order).
-        incoming = pairs_dev[:, : num_intermediate - 1][:, :, [1, 0]]
-        targets = pairs_dev[:, 1:]
-        step_overlaps = _accumulate(
-            xp,
-            xp.abs(xp.matmul(xp.conj(incoming), xp.transpose(targets, (0, 1, 3, 2))))
-            ** 2,
-        )
-        weights = transfer_recursion(weights, 0.5 * (0.5 + 0.5 * step_overlaps))
-    final_states = pairs_dev[:, -1][:, [1, 0]]  # (B, 2, d)
-    if right_kind == RIGHT_DENSE:
-        accepts = _accumulate(
-            xp,
-            xp.real(
-                (xp.matmul(xp.conj(final_states), rights_dev) * final_states).sum(-1)
-            ),
-        )
-    else:
-        overlaps = _accumulate(
-            xp,
-            xp.abs(xp.matmul(xp.conj(final_states), rights_dev[..., None])[..., 0])
-            ** 2,
-        )
-        accepts = overlaps if right_kind == RIGHT_PROJECTOR else 0.5 + 0.5 * overlaps
-    return np.sum(weights * accepts, axis=1)
-
-
-# --------------------------------------------------------------------------
-# Noisy (density-matrix) chain kernel
+# Chain kernel
 # --------------------------------------------------------------------------
 
 
@@ -274,122 +145,157 @@ def apply_noise_grid(
     return apply_channel_grid(grid, np.asarray(densities, dtype=dtype))
 
 
-def noisy_chain_probabilities(
-    xp: ArrayModule,
+def chain_density_rows(
     dtype: np.dtype,
     states: np.ndarray,
-    kept_grid: Sequence[Sequence[Optional[KrausChannel]]],
-    sent_grid: Sequence[Sequence[Optional[KrausChannel]]],
-    right_grid: Sequence[Optional[KrausChannel]],
-    rights: np.ndarray,
-    eps: np.ndarray,
+    noises: Sequence[ChainNoise],
     num_intermediate: int,
     right_kind: str,
 ) -> np.ndarray:
-    """Evaluate one noisy ``(m, d, kind)`` group on stacked density rows.
+    """The density rows of one noisy chain group, for :func:`chain_probabilities`.
 
-    ``states`` is the host ``(B, 1 + 2m, d)`` pure-state stack (left state
-    plus intermediate pairs); ``kept_grid`` / ``sent_grid`` are the per-job
-    channel grids for the kept/sent forms; ``right_grid`` the per-job
-    right-end preparation channels (vector ends, else ``None``); ``rights``
-    the right-end operator or vector stack; ``eps`` the per-job readout
-    errors.  Density-row layout per job: row 0 is the left state as *sent*
-    across edge 0; rows ``1 .. 2m`` the intermediate pairs in *kept* form
-    (node channel applied); rows ``2m + 1 .. 4m`` the same pairs in *sent*
-    form (outgoing edge channel on top); the last row (vector right ends)
-    the measurement target.  The contraction is the clean transfer recursion
-    with squared overlaps replaced by Hilbert-Schmidt traces of the
-    densities — only the O(m) traces the recursion reads are gathered, in
-    one einsum on the module — and every test factor passes the readout
-    flip.
+    ``states`` is the host ``(B, R, d)`` pure-state stack of the group in the
+    clean row layout (left state, intermediate pairs, and the measurement
+    target last for vector right ends); ``noises`` the per-job
+    :class:`~repro.engine.jobs.ChainNoise` annotations.  Returns the
+    ``(B, 1 + 4m [+ 1], d, d)`` density stack: row 0 is the left state as
+    *sent* across edge 0, rows ``1 .. 2m`` the pairs in *kept* form (node
+    channel applied), rows ``2m + 1 .. 4m`` the same pairs in *sent* form
+    (outgoing edge channel on top), and the target last with the right
+    end's preparation noise.  Every job may carry its own channels, so a
+    noise-strength sweep is one stack.
     """
     batch, _, dim = states.shape
     m = num_intermediate
-    dense_end = right_kind == RIGHT_DENSE
-    num_rows = 1 + 4 * m + (0 if dense_end else 1)
+    vector_end = right_kind != RIGHT_DENSE
     working = np.asarray(states, dtype=dtype)
-    pure = working[:, :, :, None] * working.conj()[:, :, None, :]
-    kept = apply_noise_grid(kept_grid, pure, dtype)
+
+    def pure(vectors: np.ndarray) -> np.ndarray:
+        return vectors[:, :, :, None] * vectors.conj()[:, :, None, :]
+
+    kept_grid = [
+        [noise.left_channel] + [noise.node_channels[node] for node in range(m) for _ in range(2)]
+        for noise in noises
+    ]
+    sent_grid = [
+        [noise.edge_channels[0]]
+        + [noise.edge_channels[node + 1] for node in range(m) for _ in range(2)]
+        for noise in noises
+    ]
+    kept = apply_noise_grid(kept_grid, pure(working[:, : 1 + 2 * m]), dtype)
     sent = apply_noise_grid(sent_grid, kept, dtype)
-    stacked = np.empty((batch, num_rows, dim, dim), dtype=dtype)
-    stacked[:, 1 : 1 + 2 * m] = kept[:, 1:]
-    stacked[:, 0] = sent[:, 0]
-    if m:
-        stacked[:, 1 + 2 * m : 1 + 4 * m] = sent[:, 1:]
-    if not dense_end:
-        targets = np.asarray(rights, dtype=dtype)
-        target_block = targets[:, :, None] * targets.conj()[:, None, :]
+    rows = np.empty((batch, 1 + 4 * m + int(vector_end), dim, dim), dtype=dtype)
+    rows[:, 0] = sent[:, 0]
+    rows[:, 1 : 1 + 2 * m] = kept[:, 1:]
+    rows[:, 1 + 2 * m : 1 + 4 * m] = sent[:, 1:]
+    if vector_end:
         # Right-end preparation noise acts on the verifier's reference
         # state, i.e. the measurement target density.
-        stacked[:, -1:] = apply_noise_grid(right_grid, target_block[:, None], dtype)
-    if m == 0:
-        device_stack = xp.asarray(stacked, dtype=dtype)
-        if dense_end:
-            operators = xp.asarray(rights, dtype=dtype)
-            accepts = _accumulate(
-                xp,
-                xp.real(cached_einsum(xp, "bij,bji->b", operators, device_stack[:, 0])),
-            )
-        else:
-            overlaps = _accumulate(
-                xp,
-                xp.real(
-                    cached_einsum(
-                        xp, "bij,bji->b", device_stack[:, -1], device_stack[:, 0]
-                    )
-                ),
-            )
-            accepts = (
-                overlaps if right_kind == RIGHT_PROJECTOR else 0.5 + 0.5 * overlaps
-            )
-        return flip_probability(accepts, eps)
-    # Only O(m) Hilbert-Schmidt traces are read by the transfer recursion,
-    # so gather exactly those pairs into one einsum instead of forming the
-    # full row-by-row trace Gram.
-    rows_a: List[int] = [0, 0]
-    rows_b: List[int] = [1, 2]
+        right_grid = [[noise.right_channel] for noise in noises]
+        rows[:, -1:] = apply_noise_grid(right_grid, pure(working[:, -1:]), dtype)
+    return rows
+
+
+@lru_cache(maxsize=128)
+def _chain_row_pairs(
+    num_intermediate: int, sent: int, target: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows_a, rows_b, final_rows)`` of the chain kernel's row layout.
+
+    Pair ``k`` is the squared overlap of rows ``rows_a[k]`` and
+    ``rows_b[k]``: step 1 tests the left row against both kept slots of
+    node 1; then node ``j`` forwards its sent slot ``1 - s`` (``sent`` is
+    the offset of a pair row's sent form) and node ``j + 1`` tests its kept
+    slot ``s'``; a vector right end (``target >= 0``) matches its target row
+    against ``final_rows``, what the last node forwards under bits 0 and 1.
+    """
+    m = num_intermediate
+    final_rows = [sent + 2 * m, sent + 2 * m - 1] if m else [0, 0]
+    rows_a, rows_b = ([0, 0], [1, 2]) if m else ([], [])
     for step in range(m - 1):
-        # Node j forwards its sent slot 1 - s; node j + 1 tests its kept slot s'.
         for s in (0, 1):
             for s_next in (0, 1):
-                rows_a.append(2 * m + 1 + 2 * step + (1 - s))
+                rows_a.append(sent + 1 + 2 * step + (1 - s))
                 rows_b.append(1 + 2 * (step + 1) + s_next)
-    # Right end: the last node's sent slots, reversed (bit s forwards 1 - s).
-    final_rows = [4 * m, 4 * m - 1]
-    if not dense_end:
-        rows_a += [num_rows - 1, num_rows - 1]
+    if target >= 0:
+        rows_a += [target, target]
         rows_b += final_rows
-    device_stack = xp.asarray(stacked, dtype=dtype)
-    traces = _accumulate(
-        xp,
-        xp.real(
-            cached_einsum(
-                xp, "bkij,bkji->bk", device_stack[:, rows_a], device_stack[:, rows_b]
-            )
-        ),
+    indices = (
+        np.array(rows_a, dtype=np.intp),
+        np.array(rows_b, dtype=np.intp),
+        np.array(final_rows, dtype=np.intp),
     )
-    # Step 1: SWAP test of the transmitted left state against the kept
-    # forms of node 1 (rows 1, 2), each flipped by the readout error.
-    weights = 0.5 * flip_probability(0.5 + 0.5 * traces[:, 0:2], eps[:, None])
-    if m > 1:
-        step_overlaps = traces[:, 2 : 2 + 4 * (m - 1)].reshape(batch, m - 1, 2, 2)
-        weights = transfer_recursion(
-            weights, 0.5 * flip_probability(0.5 + 0.5 * step_overlaps, eps[:, None, None, None])
-        )
-    if dense_end:
-        operators = xp.asarray(rights, dtype=dtype)
-        accepts = _accumulate(
+    for array in indices:
+        array.flags.writeable = False  # shared by every caller of the cache
+    return indices
+
+
+def chain_probabilities(
+    xp: ArrayModule,
+    dtype: np.dtype,
+    rows: np.ndarray,
+    rights: Optional[np.ndarray],
+    eps: Optional[np.ndarray],
+    num_intermediate: int,
+    right_kind: str,
+) -> np.ndarray:
+    """Evaluate one ``(m, d, kind, noisy)`` chain group.
+
+    ``rows`` is the host row stack: ``(B, 1 + 2m [+ 1], d)`` pure states for
+    a clean group (left state, intermediate pairs, and the measurement
+    target last for vector right ends), or the ``(B, 1 + 4m [+ 1], d, d)``
+    densities of :func:`chain_density_rows` for a noisy one, whose extra
+    rows are the pairs' *sent* forms (a clean register is sent as kept).
+    ``rights`` is the ``(B, d, d)`` operator stack of a dense right end, else
+    ``None``; ``eps`` the per-job readout errors, or ``None`` for perfect
+    readout.
+
+    The transfer recursion reads O(m) squared overlaps, one per row pair of
+    a single list that serves step 1, the transfer steps and a vector right
+    end.  A clean group reads them out of one batched Gram product of its
+    state rows; a noisy group gathers exactly those pairs of densities into
+    one Hilbert-Schmidt trace einsum.  Every test factor passes the readout
+    flip, and the recursion folds the factors in host float64.  A chain
+    without intermediate nodes forwards row 0 under both bits, with weight
+    1/2 each.
+    """
+    batch = rows.shape[0]
+    m = num_intermediate
+    noisy = rows.ndim == 4
+    dense_end = right_kind == RIGHT_DENSE
+    rows_a, rows_b, final_rows = _chain_row_pairs(
+        m, 2 * m if noisy else 0, -1 if dense_end else rows.shape[1] - 1
+    )
+    states = xp.asarray(rows, dtype=dtype)
+    if noisy:
+        overlaps = _accumulate(
             xp,
-            xp.real(
-                cached_einsum(
-                    xp, "bij,bsji->bs", operators, device_stack[:, final_rows]
-                )
-            ),
+            xp.real(cached_einsum(xp, "bkij,bkji->bk", states[:, rows_a], states[:, rows_b])),
         )
     else:
-        overlaps = traces[:, -2:]
-        accepts = overlaps if right_kind == RIGHT_PROJECTOR else 0.5 + 0.5 * overlaps
-    accepts = flip_probability(accepts, eps[:, None])
+        gram = xp.matmul(xp.conj(states), xp.transpose(states, (0, 2, 1)))
+        overlaps = _accumulate(xp, xp.abs(gram) ** 2)[:, rows_a, rows_b]
+    num_tests = 4 * m - 2 if m else 0
+    tests = 0.5 + 0.5 * overlaps[:, :num_tests]
+    if eps is not None:
+        tests = flip_probability(tests, eps[:, None])
+    weights = 0.5 * tests[:, :2] if m else np.full((batch, 2), 0.5)
+    if m > 1:
+        weights = transfer_recursion(weights, 0.5 * tests[:, 2:].reshape(batch, m - 1, 2, 2))
+    if dense_end:
+        operators = xp.asarray(rights, dtype=dtype)
+        final_states = states[:, final_rows]
+        if noisy:
+            values = cached_einsum(xp, "bij,bsji->bs", operators, final_states)
+        else:
+            values = (xp.matmul(xp.conj(final_states), operators) * final_states).sum(-1)
+        accepts = _accumulate(xp, xp.real(values))
+    else:
+        accepts = overlaps[:, num_tests:]
+        if right_kind != RIGHT_PROJECTOR:
+            accepts = 0.5 + 0.5 * accepts
+    if eps is not None:
+        accepts = flip_probability(accepts, eps[:, None])
     return np.sum(weights * accepts, axis=1)
 
 

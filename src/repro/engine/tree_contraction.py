@@ -46,7 +46,7 @@ from functools import lru_cache
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 from math import factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,7 +159,18 @@ def _measure_value(job: TreeJob, measurement: LeafMeasurement, row: int) -> floa
     return float(_threshold_tail(np.array(matches), measurement.threshold))
 
 
-def _up_scalar(job: TreeJob) -> float:
+def _up_scalar(
+    job: TreeJob,
+    measure: Callable[[int, int], float],
+    perm_accept: Callable[[Sequence[int]], float],
+) -> float:
+    """Leaf-to-root recursion of an up-family job.
+
+    ``measure(node, row)`` is the accept factor of ``node``'s measurement on
+    the register row its child forwards; ``perm_accept(rows)`` that of a
+    permutation test of the kept row ``rows[0]`` against the forwarded rows
+    ``rows[1:]``.  The clean and noisy references differ only in these two.
+    """
     children = job.children
     choices = [_up_choices(job, node) for node in range(job.num_nodes)]
     weights: List[Optional[List[float]]] = [None] * job.num_nodes
@@ -176,10 +187,7 @@ def _up_scalar(job: TreeJob) -> float:
                 c = ch[0]
                 total = 0.0
                 for j, (_, _, forwarded) in enumerate(choices[c]):
-                    total += (
-                        _measure_value(job, job.measurements[node], _require_row(forwarded, c))
-                        * weights[c][j]
-                    )
+                    total += measure(node, _require_row(forwarded, c)) * weights[c][j]
                 value = probability * total
             else:  # TEST_PERM
                 total = 0.0
@@ -190,7 +198,7 @@ def _up_scalar(job: TreeJob) -> float:
                         rows.append(_require_row(choices[c][j][2], c))
                         term *= weights[c][j]
                     if term != 0.0:
-                        term *= _perm_accept(job, rows)
+                        term *= perm_accept(rows)
                     total += term
                 value = probability * total
             node_weights.append(value)
@@ -362,48 +370,18 @@ def _noisy_measure_value(
 
 def _up_scalar_noisy(job: TreeJob) -> float:
     """Scalar reference for noisy up-family jobs: densities plus readout flips."""
-    kept_densities, sent_densities = _scalar_noisy_densities(job)
+    kept, sent = _scalar_noisy_densities(job)
     error = job.noise.readout_error
-    children = job.children
-    choices = [_up_choices(job, node) for node in range(job.num_nodes)]
-    weights: List[Optional[List[float]]] = [None] * job.num_nodes
-    for node in range(job.num_nodes - 1, -1, -1):
-        ch = children[node]
-        test = job.tests[node]
-        node_weights: List[float] = []
-        for probability, kept, _ in choices[node]:
-            if not ch or test == TEST_NONE:
-                value = probability
-                for c in ch:
-                    value *= sum(weights[c])
-            elif test == TEST_MEASURE:
-                c = ch[0]
-                total = 0.0
-                for j, (_, _, forwarded) in enumerate(choices[c]):
-                    accept = _noisy_measure_value(
-                        job.measurements[node],
-                        sent_densities[_require_row(forwarded, c)],
-                        kept_densities,
-                    )
-                    total += flip_probability(accept, error) * weights[c][j]
-                value = probability * total
-            else:  # TEST_PERM
-                total = 0.0
-                for combo in iter_product(*[range(len(choices[c])) for c in ch]):
-                    matrices = [kept_densities[_require_row(kept, node)]]
-                    term = 1.0
-                    for c, j in zip(ch, combo):
-                        matrices.append(
-                            sent_densities[_require_row(choices[c][j][2], c)]
-                        )
-                        term *= weights[c][j]
-                    if term != 0.0:
-                        term *= flip_probability(_mixed_perm_accept(matrices), error)
-                    total += term
-                value = probability * total
-            node_weights.append(value)
-        weights[node] = node_weights
-    return float(min(max(sum(weights[0]), 0.0), 1.0))
+
+    def measure(node: int, row: int) -> float:
+        accept = _noisy_measure_value(job.measurements[node], sent[row], kept)
+        return flip_probability(accept, error)
+
+    def perm_accept(rows: Sequence[int]) -> float:
+        matrices = [kept[rows[0]]] + [sent[row] for row in rows[1:]]
+        return flip_probability(_mixed_perm_accept(matrices), error)
+
+    return _up_scalar(job, measure, perm_accept)
 
 
 def tree_acceptance_probability(job: TreeJob) -> float:
@@ -413,7 +391,11 @@ def tree_acceptance_probability(job: TreeJob) -> float:
         return _up_scalar_noisy(job)
     if _is_down_family(job):
         return _down_scalar(job)
-    return _up_scalar(job)
+    return _up_scalar(
+        job,
+        lambda node, row: _measure_value(job, job.measurements[node], row),
+        lambda rows: _perm_accept(job, rows),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.core import Engine, default_engine
+from repro.engine.core import default_engine
 from repro.exceptions import ProtocolError
 from repro.experiments.records import ExperimentRow
 from repro.network.topology import star_network
@@ -66,17 +66,15 @@ def _sweep_rows(
     strengths: Sequence[float],
     yes_inputs: Sequence[str],
     no_inputs: Sequence[str],
-    backend: Optional[str] = None,
 ) -> List[ExperimentRow]:
     """Evaluate completeness and no-instance acceptance for every noise point.
 
     All programs (every strength, both instances) are compiled first and
-    handed to the engine in a single ``evaluate_programs`` batch.  Without an
-    explicit ``backend`` the sweep runs on the process-wide default engine,
-    so pool workers evaluating many chunks reuse one operator cache instead
-    of rebuilding it per chunk.
+    handed to the engine in a single ``evaluate_programs`` batch.  The sweep
+    runs on the process-wide default engine, so pool workers evaluating many
+    chunks reuse one operator cache instead of rebuilding it per chunk.
     """
-    engine = default_engine() if backend is None else Engine(backend=backend)
+    engine = default_engine()
     programs = []
     for protocol in protocols:
         protocol.use_engine(engine)
@@ -115,7 +113,6 @@ def path_noise_sweep(
     channel: str = "depolarizing",
     strengths: Sequence[float] = DEFAULT_STRENGTHS,
     readout_error: float = 0.0,
-    backend: Optional[str] = None,
 ) -> List[ExperimentRow]:
     """Algorithm 3 equality on a path under uniform link noise."""
     fingerprints = ExactCodeFingerprint(input_length, rng=7)
@@ -134,7 +131,7 @@ def path_noise_sweep(
     yes = "1" * input_length
     no = "0" + "1" * (input_length - 1)
     return _sweep_rows(
-        "noise-path", protocols, strengths, (yes, yes), (yes, no), backend
+        "noise-path", protocols, strengths, (yes, yes), (yes, no)
     )
 
 
@@ -144,7 +141,6 @@ def tree_noise_sweep(
     channel: str = "depolarizing",
     strengths: Sequence[float] = DEFAULT_STRENGTHS,
     readout_error: float = 0.0,
-    backend: Optional[str] = None,
 ) -> List[ExperimentRow]:
     """Algorithm 5 equality on a star network under uniform link noise."""
     fingerprints = ExactCodeFingerprint(input_length, rng=7)
@@ -165,7 +161,7 @@ def tree_noise_sweep(
     yes_inputs = tuple([yes] * num_terminals)
     no_inputs = tuple([yes] * (num_terminals - 1) + [no])
     return _sweep_rows(
-        "noise-tree", protocols, strengths, yes_inputs, no_inputs, backend
+        "noise-tree", protocols, strengths, yes_inputs, no_inputs
     )
 
 
@@ -176,7 +172,6 @@ def relay_noise_sweep(
     channel: str = "depolarizing",
     strengths: Sequence[float] = DEFAULT_STRENGTHS,
     readout_error: float = 0.0,
-    backend: Optional[str] = None,
 ) -> List[ExperimentRow]:
     """Algorithm 6 relay equality under uniform link noise on its fingerprint legs."""
     fingerprints = ExactCodeFingerprint(input_length, rng=7)
@@ -197,7 +192,7 @@ def relay_noise_sweep(
     yes = "1" * input_length
     no = "0" + "1" * (input_length - 1)
     return _sweep_rows(
-        "noise-relay", protocols, strengths, (yes, yes), (yes, no), backend
+        "noise-relay", protocols, strengths, (yes, yes), (yes, no)
     )
 
 
@@ -206,7 +201,6 @@ def channel_comparison(
     path_length: int = 4,
     strength: float = 0.2,
     channels: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
 ) -> List[ExperimentRow]:
     """Every channel family at one fixed strength, on the path protocol."""
     if channels is None:
@@ -218,7 +212,6 @@ def channel_comparison(
             path_length,
             channel=name,
             strengths=(strength,),
-            backend=backend,
         )
         values = dict(sweep[0].values)
         rows.append(ExperimentRow("noise-channels", name, values))

@@ -125,12 +125,11 @@ def channel_family_soundness_sweep(
     path_length: int = 3,
     readout_error: float = 0.0,
     points: Optional[Sequence[Tuple[str, float]]] = None,
-    backend: Optional[str] = None,
 ) -> List[ExperimentRow]:
     """Best structured cheat versus noise strength, per Kraus channel family."""
     if points is None:
         points = default_channel_strength_points()
-    engine = default_engine() if backend is None else Engine(backend=backend)
+    engine = default_engine()
     fingerprints = ExactCodeFingerprint(input_length, rng=7)
     inputs = _no_instance(input_length)
     rows = []
@@ -155,12 +154,11 @@ def path_length_soundness_sweep(
     strength: float = 0.15,
     readout_error: float = 0.0,
     path_lengths: Optional[Sequence[int]] = None,
-    backend: Optional[str] = None,
 ) -> List[ExperimentRow]:
     """Best structured cheat across path lengths at one fixed noise point."""
     if path_lengths is None:
         path_lengths = default_noisy_path_lengths()
-    engine = default_engine() if backend is None else Engine(backend=backend)
+    engine = default_engine()
     fingerprints = ExactCodeFingerprint(input_length, rng=7)
     inputs = _no_instance(input_length)
     noise = NoiseModel.uniform_link(
@@ -194,7 +192,6 @@ def gap_collapse_sweep(
     channel: str = "depolarizing",
     readout_error: float = 0.0,
     strengths: Optional[Sequence[float]] = None,
-    backend: Optional[str] = None,
 ) -> List[ExperimentRow]:
     """Honest-vs-cheat gap collapse: when does the cheat cross the paper bound?
 
@@ -205,7 +202,7 @@ def gap_collapse_sweep(
     """
     if strengths is None:
         strengths = default_collapse_strengths()
-    engine = default_engine() if backend is None else Engine(backend=backend)
+    engine = default_engine()
     fingerprints = ExactCodeFingerprint(input_length, rng=7)
     inputs = _no_instance(input_length)
     build = channel_family(channel)

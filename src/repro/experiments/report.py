@@ -17,7 +17,8 @@ Usage (command line)::
 The exit code reflects the report's health: any scenario that failed (fully
 or in part) makes ``main`` return 1 with a stderr summary, so CI can rely on
 the exit status instead of grepping the rendered text for ``FAILED`` markers;
-usage errors, unknown or empty ``--scenarios`` names included, return 2.
+usage errors, unknown or empty ``--scenarios`` names and an output path
+that cannot be written included, return 2.
 ``--progress`` (implies ``--parallel``) streams one line per completed sweep
 chunk to stderr while the report is being regenerated.
 
@@ -49,6 +50,7 @@ notebooks or CI artifacts.
 
 from __future__ import annotations
 
+import os
 import sys
 from typing import List, Optional, Tuple
 
@@ -166,6 +168,18 @@ def generate_report(
     return report
 
 
+def _unwritable_output(path: str) -> Optional[str]:
+    """Why the report cannot be written to ``path``, or ``None`` when it can."""
+    if os.path.isdir(path):
+        return "is a directory"
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        return "is in a directory that does not exist"
+    if not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        return "is not writable"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Command-line entry point.
 
@@ -277,6 +291,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"[--launcher NAME] [output-file]; "
             f"unrecognized arguments: {unknown or argv[1:]}\n"
         )
+        return 2
+    # Check the output path before computing anything: a report that cannot
+    # be written is a usage error, not a failed section.
+    problem = _unwritable_output(argv[0]) if argv else None
+    if problem:
+        sys.stderr.write(f"repro-report: output path {argv[0]!r} {problem}\n")
         return 2
     report, failed = generate_report_status(
         parallel=parallel,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.soundness import fingerprint_strategy_soundness, paper_bound_slack
-from repro.engine.core import Engine, default_engine
+from repro.engine.core import default_engine
 from repro.exceptions import ProtocolError, TopologyError
 from repro.experiments.records import ExperimentRow
 from repro.network.topology import (
@@ -151,7 +151,6 @@ def topology_noise_sweep(
     strength: float = 0.15,
     readout_error: float = 0.0,
     topologies: Optional[Sequence[TopologyDescriptor]] = None,
-    backend: Optional[str] = None,
 ) -> List[ExperimentRow]:
     """Completeness and decision gap of Algorithm 5 across noisy topologies.
 
@@ -169,7 +168,7 @@ def topology_noise_sweep(
     yes_inputs = tuple([yes] * num_terminals)
     no_inputs = _no_instance(input_length, num_terminals)
 
-    engine = default_engine() if backend is None else Engine(backend=backend)
+    engine = default_engine()
     programs = []
     networks = []
     for descriptor in topologies:

@@ -17,12 +17,15 @@ pattern on a path ``v_0, ..., v_r``:
 For product proofs the joint acceptance probability factorises over the
 symmetrization pattern into a product of nearest-neighbour terms, so it can be
 computed exactly with a transfer-matrix contraction in ``O(r)`` SWAP-test
-evaluations — this is what :func:`chain_acceptance_probability` does.
+evaluations — this is what :func:`chain_acceptance_probability_factored`
+does, with :func:`chain_acceptance_probability` its one-factor case.
 
 For entangled proofs, :func:`chain_acceptance_operator` constructs the exact
 acceptance operator on the proof space (feasible for small register dimension
 and path length); its largest eigenvalue is the optimal cheating probability,
-realising the supremum in the soundness definition.
+realising the supremum in the soundness definition.  Given a
+:class:`~repro.engine.jobs.ChainNoise` annotation it builds the operator of
+the noisy chain instead; without one it is the clean chain.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from repro.exceptions import DimensionMismatchError, ProtocolError
 from repro.quantum.gates import swap_unitary
-from repro.quantum.swap_test import swap_test_accept_probability_pure, swap_test_projector
+from repro.quantum.swap_test import swap_test_projector
 
 
 def _as_ket(state: np.ndarray) -> np.ndarray:
@@ -68,6 +71,8 @@ def chain_acceptance_probability(
 ) -> float:
     """Exact acceptance probability of the symmetrized chain on a product proof.
 
+    The one-factor case of :func:`chain_acceptance_probability_factored`.
+
     Parameters
     ----------
     left_state:
@@ -87,36 +92,11 @@ def chain_acceptance_probability(
             raise DimensionMismatchError("all chain registers must share one dimension")
     if operator.shape != (left.size, left.size):
         raise DimensionMismatchError("right accept operator has the wrong dimension")
-
-    if not pairs:
-        # Path of length 1: the left end's state goes straight to the right end.
-        return swap_accept_with_operator(left, operator)
-
-    # weights[s] = joint weight of all symmetrization patterns whose last bit is s,
-    # times the product of SWAP-test acceptance probabilities so far.
-    # s = 0: node kept a (forwards b); s = 1: node kept b (forwards a).
-    first_a, first_b = pairs[0]
-    weights = np.array(
-        [
-            0.5 * swap_test_accept_probability_pure(left, first_a),
-            0.5 * swap_test_accept_probability_pure(left, first_b),
-        ]
+    return chain_acceptance_probability_factored(
+        [left],
+        [([a], [b]) for a, b in pairs],
+        lambda factors: swap_accept_with_operator(factors[0], operator),
     )
-    forwarded = [first_b, first_a]
-
-    for a, b in pairs[1:]:
-        new_weights = np.zeros(2)
-        for previous in range(2):
-            incoming = forwarded[previous]
-            new_weights[0] += weights[previous] * 0.5 * swap_test_accept_probability_pure(incoming, a)
-            new_weights[1] += weights[previous] * 0.5 * swap_test_accept_probability_pure(incoming, b)
-        weights = new_weights
-        forwarded = [b, a]
-
-    probability = 0.0
-    for previous in range(2):
-        probability += weights[previous] * swap_accept_with_operator(forwarded[previous], operator)
-    return float(min(max(probability, 0.0), 1.0))
 
 
 def chain_acceptance_probability_factored(
@@ -131,8 +111,13 @@ def chain_acceptance_probability_factored(
     state is infeasible.  SWAP tests between product states factorise:
     ``P = 1/2 + (1/2) prod_i |<a_i|b_i>|^2``.  The right end's acceptance is
     computed by the supplied callable ``right_accept_from_factors(factors)``.
+
+    The probability is a transfer-matrix contraction over the symmetrization
+    pattern: ``weights[s]`` is the joint weight of all patterns whose latest
+    bit is ``s`` (``s = 0``: the node kept ``a``, forwards ``b``), times the
+    product of SWAP-test acceptance probabilities so far.
     """
-    left = [ _as_ket(f) for f in left_factors ]
+    left = [_as_ket(f) for f in left_factors]
     pairs = [([_as_ket(f) for f in a], [_as_ket(f) for f in b]) for a, b in node_pairs]
 
     def swap_product(first: Sequence[np.ndarray], second: Sequence[np.ndarray]) -> float:
@@ -144,6 +129,7 @@ def chain_acceptance_probability_factored(
         return 0.5 + 0.5 * overlap_sq
 
     if not pairs:
+        # Path of length 1: the left end's state goes straight to the right end.
         return float(min(max(right_accept_from_factors(left), 0.0), 1.0))
 
     first_a, first_b = pairs[0]
@@ -163,11 +149,21 @@ def chain_acceptance_probability_factored(
     return float(min(max(probability, 0.0), 1.0))
 
 
+def _compose_channels(first, second):
+    """``second`` after ``first`` where either may be ``None`` (identity)."""
+    if first is None:
+        return second
+    if second is None:
+        return first
+    return first.then(second)
+
+
 def chain_acceptance_operator(
     left_state: np.ndarray,
     register_dim: int,
     num_intermediate: int,
     right_accept_operator: np.ndarray,
+    noise=None,
 ) -> np.ndarray:
     """The exact acceptance operator of the chain on the proof space.
 
@@ -184,7 +180,24 @@ def chain_acceptance_operator(
     the ``2^{r-1}`` swap patterns.  Memory grows as
     ``register_dim^(2 * num_intermediate + 1)``, so this is intended for the
     small instances used in the soundness experiments.
+
+    With a :class:`~repro.engine.jobs.ChainNoise` annotation ``noise`` the
+    operator is that of the *noisy* chain: every register passes its
+    channels before the tests and every test outcome is flipped with the
+    annotation's readout error.  Per symmetrization pattern the pattern
+    projector becomes a tensor product of *flipped* accept elements
+    (``(1-2e) P + e I`` per SWAP test, likewise for the right measurement),
+    conjugated by the adjoint of each register's channel chain — the
+    Heisenberg picture of the engine's density-matrix evaluation, so
+    ``tr(E rho)`` matches the scalar Kraus-sum reference on every product
+    proof while remaining valid for entangled ones.  ``right_accept_operator``
+    is then the right end's accept element *after* reference preparation:
+    fold any ``right_channel`` into it before calling (the operator acts on
+    the incoming register, so preparation noise of the reference state
+    cannot be applied here).
     """
+    from repro.quantum.channels import apply_channels_adjoint
+
     left = _as_ket(left_state)
     dim = int(register_dim)
     if left.size != dim:
@@ -194,7 +207,16 @@ def chain_acceptance_operator(
         raise DimensionMismatchError("right accept operator has the wrong dimension")
     if num_intermediate < 0:
         raise ProtocolError("number of intermediate nodes must be non-negative")
-    if num_intermediate == 0:
+    left_chain = None
+    if noise is not None:
+        noise.validate(num_intermediate, dim)
+        if noise.right_channel is not None:
+            raise ProtocolError(
+                "fold the right end's preparation channel into the accept element "
+                "before building the noisy acceptance operator"
+            )
+        left_chain = _compose_channels(noise.left_channel, noise.edge_channels[0])
+    if num_intermediate == 0 and noise is None:
         # No proof registers; acceptance is a scalar.
         return np.array([[swap_accept_with_operator(left, operator)]], dtype=np.complex128)
 
@@ -211,6 +233,10 @@ def chain_acceptance_operator(
     swap = swap_unitary(dim)
     eye_pair = np.eye(dim * dim, dtype=np.complex128)
     eye_single = np.eye(dim, dtype=np.complex128)
+    if noise is not None:
+        error = noise.readout_error
+        swap_projector = (1.0 - 2.0 * error) * swap_projector + error * eye_pair
+        operator = (1.0 - 2.0 * error) * operator + error * eye_single
 
     # Accept projector for the identity (no-swap) pattern: SWAP-test projectors
     # on the interleaved pairs (L, a_1), (b_1, a_2), ..., (b_{r-2}, a_{r-1})
@@ -225,103 +251,6 @@ def chain_acceptance_operator(
     # Symmetrization pattern unitaries: a SWAP (or identity) on each pair
     # (a_j, b_j), which in the same register order are also adjacent blocks,
     # offset by the single left register.
-    full = np.zeros((total_dim, total_dim), dtype=np.complex128)
-    for pattern in iter_product((0, 1), repeat=num_intermediate):
-        unitary = np.array([[1.0 + 0.0j]])
-        unitary = np.kron(unitary, eye_single)
-        for bit in pattern:
-            unitary = np.kron(unitary, swap if bit else eye_pair)
-        full += unitary.conj().T @ accept_base @ unitary
-    full /= 2**num_intermediate
-
-    # Contract the fixed left register with |psi_L>.
-    proof_dim = dim ** (2 * num_intermediate)
-    tensor = full.reshape(dim, proof_dim, dim, proof_dim)
-    reduced = np.einsum("i,ijbk,b->jk", np.conj(left), tensor, left)
-    return reduced
-
-
-def _compose_channels(first, second):
-    """``second`` after ``first`` where either may be ``None`` (identity)."""
-    if first is None:
-        return second
-    if second is None:
-        return first
-    return first.then(second)
-
-
-def noisy_chain_acceptance_operator(
-    left_state: np.ndarray,
-    register_dim: int,
-    num_intermediate: int,
-    right_accept_operator: np.ndarray,
-    noise,
-) -> np.ndarray:
-    """The exact acceptance operator of the *noisy* chain on the proof space.
-
-    Same proof space and register order as :func:`chain_acceptance_operator`,
-    but every register passes its :class:`~repro.engine.jobs.ChainNoise`
-    channels before the tests and every test outcome is flipped with the
-    annotation's readout error: per symmetrization pattern the clean pattern
-    projector is replaced by a tensor product of *flipped* accept elements
-    (``(1-2e) P + e I`` per SWAP test, likewise for the right measurement)
-    and conjugated by the adjoint of each register's channel chain — the
-    Heisenberg picture of the engine's density-matrix evaluation, so
-    ``tr(E rho)`` matches the scalar Kraus-sum reference on every product
-    proof while remaining valid for entangled ones.
-
-    ``right_accept_operator`` is the right end's accept element *after*
-    reference preparation; fold any ``right_channel`` into it before calling
-    (the operator acts on the incoming register, so preparation noise of the
-    reference state cannot be applied here).
-    """
-    from repro.quantum.channels import apply_channels_adjoint, flip_probability
-
-    left = _as_ket(left_state)
-    dim = int(register_dim)
-    if left.size != dim:
-        raise DimensionMismatchError("left state dimension must equal the register dimension")
-    operator = np.asarray(right_accept_operator, dtype=np.complex128)
-    if operator.shape != (dim, dim):
-        raise DimensionMismatchError("right accept operator has the wrong dimension")
-    if num_intermediate < 0:
-        raise ProtocolError("number of intermediate nodes must be non-negative")
-    noise.validate(num_intermediate, dim)
-    if noise.right_channel is not None:
-        raise ProtocolError(
-            "fold the right end's preparation channel into the accept element "
-            "before building the noisy acceptance operator"
-        )
-    error = noise.readout_error
-    left_chain = _compose_channels(noise.left_channel, noise.edge_channels[0])
-
-    if num_intermediate == 0:
-        rho = np.outer(left, np.conj(left))
-        if left_chain is not None:
-            rho = left_chain.apply(rho)
-        accept = float(np.trace(operator @ rho).real)
-        return np.array([[flip_probability(accept, error)]], dtype=np.complex128)
-
-    total_registers = 2 * num_intermediate + 1
-    total_dim = dim**total_registers
-    if total_dim > 4096:
-        raise ProtocolError(
-            f"noisy chain acceptance operator would have dimension {total_dim}; "
-            "restrict to smaller instances (the memory and time costs grow as "
-            "the cube of this dimension)"
-        )
-
-    swap = swap_unitary(dim)
-    eye_pair = np.eye(dim * dim, dtype=np.complex128)
-    eye_single = np.eye(dim, dtype=np.complex128)
-    flipped_swap = (1.0 - 2.0 * error) * swap_test_projector(dim) + error * eye_pair
-    flipped_right = (1.0 - 2.0 * error) * operator + error * eye_single
-
-    accept_base = np.array([[1.0 + 0.0j]])
-    for _ in range(num_intermediate):
-        accept_base = np.kron(accept_base, flipped_swap)
-    accept_base = np.kron(accept_base, flipped_right)
-
     dims = [dim] * total_registers
     full = np.zeros((total_dim, total_dim), dtype=np.complex128)
     for pattern in iter_product((0, 1), repeat=num_intermediate):
@@ -330,18 +259,22 @@ def noisy_chain_acceptance_operator(
         for bit in pattern:
             unitary = np.kron(unitary, swap if bit else eye_pair)
         conjugated = unitary.conj().T @ accept_base @ unitary
-        # Physical register order (L, a_1, b_1, ..., a_m, b_m): node j's
-        # delivery channel hits both of its registers, the forwarded one
-        # (slot 1 when the pattern keeps slot 0, and vice versa) additionally
-        # crosses the next edge; the left register always crosses edge 0.
-        channels = [left_chain]
-        for index, bit in enumerate(pattern):
-            kept = noise.node_channels[index]
-            forwarded = _compose_channels(kept, noise.edge_channels[index + 1])
-            channels += [forwarded, kept] if bit else [kept, forwarded]
-        full += apply_channels_adjoint(conjugated, dims, channels)
+        if noise is not None:
+            # Physical register order (L, a_1, b_1, ..., a_m, b_m): node j's
+            # delivery channel hits both of its registers, the forwarded one
+            # (slot 1 when the pattern keeps slot 0, and vice versa)
+            # additionally crosses the next edge; the left register always
+            # crosses edge 0.
+            channels = [left_chain]
+            for index, bit in enumerate(pattern):
+                kept = noise.node_channels[index]
+                forwarded = _compose_channels(kept, noise.edge_channels[index + 1])
+                channels += [forwarded, kept] if bit else [kept, forwarded]
+            conjugated = apply_channels_adjoint(conjugated, dims, channels)
+        full += conjugated
     full /= 2**num_intermediate
 
+    # Contract the fixed left register with |psi_L>.
     proof_dim = dim ** (2 * num_intermediate)
     tensor = full.reshape(dim, proof_dim, dim, proof_dim)
     return np.einsum("i,ijbk,b->jk", np.conj(left), tensor, left)

@@ -12,10 +12,10 @@ Both protocols accept an optional :class:`~repro.quantum.channels.NoiseModel`
 assigning Kraus channels to the network's links (registers in transit) and
 nodes (proof delivery / input preparation) plus a measurement readout error;
 a non-empty model switches the compiled jobs onto the engine's
-density-matrix path.  The entangled-adversary analyses
-(:meth:`EqualityPathProtocol.acceptance_operator` and friends) remain
-noiseless by design: they characterise the ideal protocol the noisy runs are
-compared against.
+density-matrix path.  :meth:`EqualityPathProtocol.acceptance_operator`
+stays noiseless by design (it characterises the ideal protocol the noisy
+runs are compared against); :meth:`EqualityPathProtocol.
+noisy_acceptance_operator` is the same build with the path's channels.
 """
 
 from __future__ import annotations
@@ -53,11 +53,7 @@ from repro.engine import (
 )
 from repro.quantum.channels import NoiseModel
 from repro.engine.jobs import MAX_PERM_TEST_ARITY
-from repro.protocols.chain import (
-    chain_acceptance_operator,
-    noisy_chain_acceptance_operator,
-    optimal_entangled_acceptance,
-)
+from repro.protocols.chain import chain_acceptance_operator, optimal_entangled_acceptance
 from repro.quantum.fingerprint import ExactCodeFingerprint, FingerprintScheme
 from repro.quantum.permutation_test import permutation_test_accept_probability_product
 from repro.quantum.states import outer
@@ -260,54 +256,46 @@ class EqualityPathProtocol(DQMAProtocol):
         Cached on the engine's operator cache: soundness sweeps evaluate the
         same layout/input combination many times.
         """
-        inputs = self.problem.validate_inputs(inputs)
-
-        def build() -> np.ndarray:
-            left_state = self.fingerprints.state(inputs[0])
-            return chain_acceptance_operator(
-                left_state, self.fingerprints.dim, self.path_length - 1, self._right_operator(inputs[1])
-            )
-
-        return self.engine.cached_operator(
-            ("eq-chain-operator", self.fingerprints.cache_token, self.path_length, tuple(inputs)),
-            build,
-        )
+        return self._chain_operator(inputs, None)
 
     def noisy_acceptance_operator(self, inputs: Sequence[str]) -> np.ndarray:
         """Acceptance operator of the *noisy* protocol (small instances).
 
-        Falls back to :meth:`acceptance_operator` when the protocol carries
-        no noise; otherwise the chain's channels are folded into the clean
-        operator in the Heisenberg picture (see
-        :func:`repro.protocols.chain.noisy_chain_acceptance_operator`), the
-        right end's preparation channel acting on its reference projector.
-        Its largest eigenvalue is the optimal *entangled* cheating
-        probability under the noise model.
+        Equals :meth:`acceptance_operator` when the protocol carries no
+        noise; otherwise the chain's channels are folded into the operator
+        in the Heisenberg picture (see :func:`repro.protocols.chain.
+        chain_acceptance_operator`), the right end's preparation channel
+        acting on its reference projector.  Its largest eigenvalue is the
+        optimal *entangled* cheating probability under the noise model.
         """
-        if self._chain_noise is None:
-            return self.acceptance_operator(inputs)
+        return self._chain_operator(inputs, self._chain_noise)
+
+    def _chain_operator(
+        self, inputs: Sequence[str], annotation: Optional[ChainNoise]
+    ) -> np.ndarray:
+        """The cached chain operator under ``annotation`` (``None``: noiseless)."""
         inputs = self.problem.validate_inputs(inputs)
 
         def build() -> np.ndarray:
-            right = outer(self.fingerprints.state(inputs[1]))
-            annotation = self._chain_noise
-            if annotation.right_channel is not None:
-                right = annotation.right_channel.apply(right)
-                annotation = dataclass_replace(annotation, right_channel=None)
-            return noisy_chain_acceptance_operator(
+            right = self._right_operator(inputs[1])
+            noise = annotation
+            if noise is not None and noise.right_channel is not None:
+                right = noise.right_channel.apply(right)
+                noise = dataclass_replace(noise, right_channel=None)
+            return chain_acceptance_operator(
                 self.fingerprints.state(inputs[0]),
                 self.fingerprints.dim,
                 self.path_length - 1,
                 right,
-                annotation,
+                noise=noise,
             )
 
         return self.engine.cached_operator(
             (
-                "eq-chain-noisy-operator",
+                "eq-chain-operator",
                 self.fingerprints.cache_token,
                 self.path_length,
-                self._noise_key,
+                None if annotation is None else annotation.key,
                 tuple(inputs),
             ),
             build,

@@ -62,8 +62,8 @@ class TestBackendRegistry:
 
 class TestChainJobsAndPrograms:
     def test_backends_agree_on_random_chains(self, rng):
-        # num_intermediate = 20 exceeds GRAM_MAX_ROWS and exercises the
-        # long-chain adjacent-contraction branch of the transfer backend.
+        # num_intermediate = 0 forwards the left state straight to the right
+        # end; 20 is a long chain whose 42-row Gram product is read in O(m).
         dense, transfer = DenseBackend(), TransferMatrixBackend()
         jobs = []
         for num_intermediate in (0, 1, 2, 4, 20):

@@ -61,6 +61,55 @@ class TestReport:
             f"the report no longer matches {GOLDEN_REPORT.name} byte for byte"
         )
 
+    def test_complex64_report_matches_complex128(self):
+        """The 22 report sections agree across contraction dtypes.
+
+        Numeric cells agree within the complex64 parity tolerance; boolean
+        and text cells are equal, except ``best_strategy``: it is an argmax
+        over strategies whose acceptances tie in exact arithmetic, so the
+        complex64 rounding may pick another member of the tied set (seven
+        labels do).
+        """
+        import numbers
+
+        from repro.engine import Engine, TransferMatrixBackend, parity_tolerance
+        from repro.engine.core import set_default_engine
+        from repro.experiments.report import (
+            NOISE_SCENARIOS,
+            REPORT_SCENARIOS,
+            SOUNDNESS_SCENARIOS,
+        )
+        from repro.experiments.runner import run_scenario
+
+        names = REPORT_SCENARIOS + SOUNDNESS_SCENARIOS + NOISE_SCENARIOS
+        assert len(names) == 22
+
+        def report_rows(dtype):
+            set_default_engine(Engine(backend=TransferMatrixBackend(dtype=dtype)))
+            try:
+                return [row for name in names for row in run_scenario(name)]
+            finally:
+                set_default_engine(None)
+
+        tolerance = parity_tolerance("complex64")
+        worst = 0.0
+        for exact, fast in zip(
+            report_rows("complex128"), report_rows("complex64"), strict=True
+        ):
+            assert (fast.experiment, fast.label) == (exact.experiment, exact.label)
+            assert fast.values.keys() == exact.values.keys()
+            for column, value in exact.values.items():
+                where = f"{exact.experiment} / {exact.label} / {column}"
+                if column == "best_strategy":
+                    continue
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    assert fast.values[column] == value, where
+                    continue
+                difference = abs(float(fast.values[column]) - float(value))
+                assert difference <= tolerance, f"{where}: off by {difference:.2e}"
+                worst = max(worst, difference)
+        assert worst > 0.0, "the complex64 engine never ran"
+
     def test_report_cli_scenario_subset(self, tmp_path):
         from repro.experiments.report import main
 
@@ -86,6 +135,23 @@ class TestReport:
             assert "'table1'" in available
             assert ("'bogus'" in problem) == (value == "bogus,table1")
             assert "'table1'" not in problem
+
+    @pytest.mark.parametrize("kind", ["missing-dir", "directory"])
+    def test_report_cli_rejects_unwritable_output(self, kind, tmp_path, capsys, monkeypatch):
+        from repro.experiments import report as report_module
+
+        target = tmp_path / "no" / "such" / "out.txt" if kind == "missing-dir" else tmp_path
+        runs = []
+        monkeypatch.setattr(
+            report_module,
+            "generate_report_status",
+            lambda **kwargs: runs.append(kwargs) or ("", []),
+        )
+        assert report_module.main(["--scenarios", "table1", str(target)]) == 2
+        assert runs == [], "no scenario may run before the output path is checked"
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, "expected a one-line usage message"
+        assert str(target) in err
 
     def test_report_cli_exits_nonzero_on_failed_section(self, tmp_path, capsys):
         from repro.experiments.report import main

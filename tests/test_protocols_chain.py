@@ -142,6 +142,33 @@ class TestChainAcceptanceOperator:
         assert operator.shape == (1, 1)
         assert np.isclose(operator[0, 0].real, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("num_intermediate", [0, 1, 2])
+    def test_noisy_operator_matches_dense_backend(self, num_intermediate):
+        # With a ChainNoise annotation the operator is the Heisenberg picture
+        # of the noisy chain: on every product proof it must reproduce the
+        # dense backend's Kraus-sum evaluation of the same job.
+        from repro.engine import ChainJob, ChainNoise, DenseBackend
+        from repro.quantum.channels import dephasing_channel, depolarizing_channel
+
+        rng = np.random.default_rng(num_intermediate)
+        left = haar_random_state(2, rng)
+        right_op = 0.8 * _povm_for(haar_random_state(2, rng)) + 0.1 * np.eye(2)
+        noise = ChainNoise(
+            edge_channels=(depolarizing_channel(0.2, 2),) * (num_intermediate + 1),
+            node_channels=(dephasing_channel(0.3, 2),) * num_intermediate,
+            left_channel=dephasing_channel(0.1, 2),
+            readout_error=0.05,
+        )
+        operator = chain_acceptance_operator(left, 2, num_intermediate, right_op, noise=noise)
+        for _ in range(3):
+            pairs = [(haar_random_state(2, rng), haar_random_state(2, rng)) for _ in range(num_intermediate)]
+            product = np.array([1.0 + 0.0j])
+            for a, b in pairs:
+                product = np.kron(product, np.kron(a, b))
+            via_operator = float(np.real(np.vdot(product, operator @ product)))
+            job = ChainJob.from_states(left, pairs, right_op, noise=noise)
+            assert np.isclose(via_operator, DenseBackend().chain_probability(job), atol=1e-12)
+
     def test_size_guard(self):
         with pytest.raises(ProtocolError):
             chain_acceptance_operator(basis_state(4, 0), 4, 5, np.eye(4))
