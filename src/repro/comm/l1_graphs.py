@@ -17,12 +17,11 @@ verifier for the scale-embedding property on small graphs, and the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Sequence, Tuple
-
-import networkx as nx
+from typing import Any, Dict, Hashable, Sequence, Tuple
 
 from repro.comm.problems import Problem
 from repro.exceptions import EncodingError, ProtocolError
+from repro.network.graph import Graph, hypercube_graph, path_graph
 from repro.utils.bitstrings import hamming_distance, validate_bitstring
 
 
@@ -32,9 +31,11 @@ class HypercubeEmbedding:
 
     ``codes[node]`` is the bit string assigned to each node; ``scale`` is the
     factor ``k`` such that Hamming distance equals ``k`` times graph distance.
+    ``graph`` is a :class:`~repro.network.graph.Graph` or any graph read
+    through ``nodes()`` and ``neighbors()``, such as a networkx graph.
     """
 
-    graph: nx.Graph
+    graph: Any
     codes: Dict[Hashable, str]
     scale: int
 
@@ -62,13 +63,20 @@ class HypercubeEmbedding:
         return self.codes[node]
 
     def verify(self) -> bool:
-        """Exhaustively check the scale-embedding property (small graphs only)."""
+        """Exhaustively check the scale-embedding property (small graphs only).
+
+        A disconnected graph has no scale embedding (some distance is
+        infinite), so it fails the check.
+        """
         nodes = list(self.graph.nodes())
         if len(nodes) > 64:
             raise EncodingError("exhaustive verification is limited to 64-node graphs")
-        distances = dict(nx.all_pairs_shortest_path_length(self.graph))
+        graph = Graph.from_graph(self.graph)
+        distances = {node: graph.distances(node) for node in nodes}
         for a in nodes:
             for b in nodes:
+                if b not in distances[a]:
+                    return False
                 expected = self.scale * distances[a][b]
                 if hamming_distance(self.codes[a], self.codes[b]) != expected:
                     return False
@@ -79,7 +87,7 @@ def hypercube_embedding(dimension: int) -> HypercubeEmbedding:
     """The identity embedding of the ``dimension``-dimensional hypercube (scale 1)."""
     if dimension < 1:
         raise EncodingError("hypercube dimension must be at least 1")
-    graph = nx.hypercube_graph(dimension)
+    graph = hypercube_graph(dimension)
     codes = {
         node: "".join(str(bit) for bit in node)
         for node in graph.nodes()
@@ -102,8 +110,7 @@ def hamming_graph_embedding(alphabet_sizes: Sequence[int]) -> HypercubeEmbedding
     from itertools import product as iter_product
 
     vertices = list(iter_product(*[range(q) for q in sizes]))
-    graph = nx.Graph()
-    graph.add_nodes_from(vertices)
+    graph = Graph(vertices)
     for a in vertices:
         for b in vertices:
             if a < b and sum(1 for x, y in zip(a, b) if x != y) == 1:
@@ -123,7 +130,7 @@ def path_graph_embedding(length: int) -> HypercubeEmbedding:
     """A 1-scale (unary) embedding of the path graph on ``length + 1`` nodes."""
     if length < 1:
         raise EncodingError("path length must be at least 1")
-    graph = nx.path_graph(length + 1)
+    graph = path_graph(length + 1)
     codes = {node: "1" * node + "0" * (length - node) for node in graph.nodes()}
     return HypercubeEmbedding(graph=graph, codes=codes, scale=1)
 

@@ -1,11 +1,13 @@
 """Network substrate: topologies, spanning trees and distributed bookkeeping.
 
 Networks in the paper are simple connected graphs whose nodes are verifiers;
-a subset of *terminal* nodes hold the distributed inputs.  This package wraps
-:mod:`networkx` with the quantities the protocols need (radius, eccentricity,
-most-central terminal, path extraction) and implements the spanning-tree
-construction of Section 3.3 with terminal truncation, so that every terminal
-becomes a leaf of the verification tree.
+a subset of *terminal* nodes hold the distributed inputs.  This package keeps
+its own small graph core (:mod:`repro.network.graph`: adjacency dicts whose
+traversal orders match networkx's), derives from it the quantities the
+protocols need (radius, eccentricity, most-central terminal, path
+extraction), and implements the spanning-tree construction of Section 3.3
+with terminal truncation, so that every terminal becomes a leaf of the
+verification tree.
 """
 
 from repro.network.topology import (

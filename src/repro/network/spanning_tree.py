@@ -8,6 +8,8 @@ with no terminal descendants, and finally re-attaches any internal terminal
 ``u_i`` as a fresh leaf ``u_i'`` so that every terminal has degree one in the
 verification tree.  (The paper notes a deterministic dMA protocol, Lemma 18,
 certifies the tree; here the tree is constructed honestly by the library.)
+Node and child orders follow the BFS discovery order of
+:meth:`repro.network.graph.Graph.bfs_tree`, which the tree protocols compile in.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import networkx as nx
-
 from repro.exceptions import TopologyError
+from repro.network.graph import RootedTree
 from repro.network.topology import Network, NodeId
 
 
@@ -28,7 +29,7 @@ class VerificationTree:
     Attributes
     ----------
     tree:
-        A directed graph with edges pointing from parent to child.
+        The rooted tree as parent and children maps.
     root:
         The root node (the most central terminal by default).
     terminal_leaves:
@@ -38,7 +39,7 @@ class VerificationTree:
         Mapping from shadow leaves back to the original terminal they mirror.
     """
 
-    tree: nx.DiGraph
+    tree: RootedTree
     root: NodeId
     terminal_leaves: Dict[NodeId, NodeId]
     shadow_of: Dict[NodeId, NodeId] = field(default_factory=dict)
@@ -46,37 +47,33 @@ class VerificationTree:
     @property
     def nodes(self) -> List[NodeId]:
         """All nodes of the verification tree."""
-        return list(self.tree.nodes())
+        return list(self.tree.children)
 
     def children(self, node: NodeId) -> List[NodeId]:
         """Children of a node."""
-        return list(self.tree.successors(node))
+        return list(self.tree.children[node])
 
     def parent(self, node: NodeId) -> Optional[NodeId]:
         """Parent of a node (``None`` for the root)."""
-        parents = list(self.tree.predecessors(node))
-        if not parents:
-            return None
-        return parents[0]
+        return self.tree.parent[node]
 
     def is_leaf(self, node: NodeId) -> bool:
         """True when the node has no children."""
-        return self.tree.out_degree(node) == 0
+        return not self.tree.children[node]
 
     @property
     def leaves(self) -> List[NodeId]:
         """All leaves of the tree."""
-        return [node for node in self.tree.nodes() if self.is_leaf(node)]
+        return [node for node, children in self.tree.children.items() if not children]
 
     @property
     def depth(self) -> int:
         """Length (in edges) of the longest root-to-leaf path."""
-        lengths = nx.single_source_shortest_path_length(self.tree, self.root)
-        return max(lengths.values()) if lengths else 0
+        return max(self.tree.depths.values())
 
     def path_from_root(self, node: NodeId) -> List[NodeId]:
         """The unique path from the root to the given node."""
-        return nx.shortest_path(self.tree, self.root, node)
+        return self.tree.path_from_root(node)
 
     def path_between(self, leaf: NodeId) -> List[NodeId]:
         """Alias of :meth:`path_from_root`, named for call-site readability."""
@@ -84,8 +81,7 @@ class VerificationTree:
 
     def max_children(self) -> int:
         """Maximum number of children over internal nodes."""
-        degrees = [self.tree.out_degree(node) for node in self.tree.nodes()]
-        return max(degrees) if degrees else 0
+        return max(map(len, self.tree.children.values()))
 
     def topological_order(self) -> List[NodeId]:
         """All nodes, every parent before its children (root first).
@@ -94,7 +90,7 @@ class VerificationTree:
         :class:`~repro.engine.jobs.TreeJob` requires parents to precede their
         children so the leaf-to-root contraction can run index-reversed.
         """
-        return list(nx.topological_sort(self.tree))
+        return self.tree.topological_order()
 
     def terminal_path(self, terminal: NodeId) -> List[NodeId]:
         """Physical nodes on the tree path from the root to a terminal.
@@ -113,9 +109,14 @@ class VerificationTree:
         return path
 
     def validate(self) -> None:
-        """Check the structural invariants promised by the construction."""
-        if not nx.is_arborescence(self.tree):
-            raise TopologyError("verification tree is not an arborescence")
+        """Check the structural invariants promised by the construction.
+
+        The tree itself is an arborescence by construction
+        (:meth:`~repro.network.graph.RootedTree.add_child` attaches only new
+        nodes under known ones); this checks where the terminals sit.
+        """
+        if self.root != self.tree.root:
+            raise TopologyError(f"root {self.root!r} is not the root of the tree")
         for terminal, leaf in self.terminal_leaves.items():
             if leaf == self.root:
                 # The root terminal keeps its input and plays both the root
@@ -139,22 +140,22 @@ def build_verification_tree(
     """
     if root is None:
         root = network.most_central_terminal()
-    if root not in network.graph:
+    if root not in network.topology:
         raise TopologyError(f"root {root!r} is not a node of the network")
 
-    bfs_tree = nx.bfs_tree(network.graph, root)
-    terminals = set(network.terminals)
+    bfs_tree = network.topology.bfs_tree(root)
 
-    # Iteratively truncate leaves that are neither terminals nor ancestors of
-    # terminals; this realises the truncation step of the paper's construction.
-    keep = _nodes_on_terminal_paths(bfs_tree, root, terminals)
-    pruned = bfs_tree.subgraph(keep).copy()
+    # Truncate every branch that holds no terminal: keep exactly the nodes on
+    # root-to-terminal paths, in BFS discovery order (the truncation step of
+    # the paper's construction).
+    keep = {node for terminal in network.terminals for node in bfs_tree.path_from_root(terminal)}
+    tree = RootedTree(root)
+    for node, parent in bfs_tree.parent.items():
+        if parent is not None and node in keep:
+            tree.add_child(parent, node)
 
     terminal_leaves: Dict[NodeId, NodeId] = {}
     shadow_of: Dict[NodeId, NodeId] = {}
-    tree = nx.DiGraph()
-    tree.add_nodes_from(pruned.nodes())
-    tree.add_edges_from(pruned.edges())
 
     for terminal in network.terminals:
         if terminal == root:
@@ -162,11 +163,11 @@ def build_verification_tree(
             # terminal role, as in the paper's protocols.
             terminal_leaves[terminal] = terminal
             continue
-        if tree.out_degree(terminal) == 0:
+        if not tree.children[terminal]:
             terminal_leaves[terminal] = terminal
         else:
             shadow = (terminal, "shadow")
-            tree.add_edge(terminal, shadow)
+            tree.add_child(terminal, shadow)
             terminal_leaves[terminal] = shadow
             shadow_of[shadow] = terminal
 
@@ -174,14 +175,3 @@ def build_verification_tree(
     result.validate()
     return result
 
-
-def _nodes_on_terminal_paths(tree: nx.DiGraph, root: NodeId, terminals: set) -> set:
-    """Nodes lying on a path from the root to some terminal."""
-    keep = set()
-    for terminal in terminals:
-        if terminal not in tree:
-            raise TopologyError(f"terminal {terminal!r} missing from BFS tree")
-        path = nx.shortest_path(tree, root, terminal)
-        keep.update(path)
-    keep.add(root)
-    return keep

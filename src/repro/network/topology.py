@@ -3,60 +3,90 @@
 A :class:`Network` is a simple connected graph together with an ordered list
 of *terminals* — the nodes that hold the distributed inputs ``x_1, ..., x_t``.
 Node identifiers are arbitrary hashable values; the constructors below use
-strings such as ``"v0"`` for paths and ``"leaf3"`` for stars.
+strings such as ``"v0"`` for paths and ``"leaf3"`` for stars.  The graph lives
+in a :class:`~repro.network.graph.Graph`, whose traversal orders match
+networkx's (see :mod:`repro.network.graph`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import TopologyError
+from repro.network.graph import (
+    Graph,
+    balanced_binary_tree,
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+)
 from repro.utils.rng import RngLike, ensure_rng
 
 NodeId = Hashable
 
 
-@dataclass
 class Network:
-    """A connected verification network with designated terminal nodes."""
+    """A connected verification network with designated terminal nodes.
 
-    graph: nx.Graph
-    terminals: Tuple[NodeId, ...]
+    ``graph`` is any simple undirected graph read through ``nodes()`` and
+    ``neighbors()`` — a :class:`~repro.network.graph.Graph` or a networkx
+    graph; it is copied into :attr:`topology`, keeping its node and neighbour
+    orders.
+    """
 
-    def __post_init__(self) -> None:
-        if self.graph.number_of_nodes() == 0:
+    def __init__(self, graph: Any, terminals: Sequence[NodeId]) -> None:
+        if getattr(graph, "is_directed", lambda: False)():
+            raise TopologyError("network must be an undirected graph")
+        self.topology = Graph.from_graph(graph)
+        if not self.topology.nodes():
             raise TopologyError("network must contain at least one node")
-        if not nx.is_connected(self.graph):
+        loops = [node for node in self.topology.nodes() if self.topology.has_edge(node, node)]
+        if loops:
+            raise TopologyError(f"network must be a simple graph: self-loops at {loops}")
+        if not self.topology.is_connected():
             raise TopologyError("network must be connected")
-        terminals = tuple(self.terminals)
+        terminals = tuple(terminals)
         if len(terminals) == 0:
             raise TopologyError("network must have at least one terminal")
         if len(set(terminals)) != len(terminals):
             raise TopologyError(f"duplicate terminals: {terminals}")
         for terminal in terminals:
-            if terminal not in self.graph:
+            if terminal not in self.topology:
                 raise TopologyError(f"terminal {terminal!r} is not a node of the graph")
-        self.terminals = terminals
+        self.terminals: Tuple[NodeId, ...] = terminals
+        self._networkx: Any = None
+
+    @property
+    def graph(self) -> Any:
+        """The network as a networkx graph, built on first access (needs networkx).
+
+        Library code reads :attr:`topology`; this copy serves callers that want
+        networkx's algorithms.
+        """
+        if self._networkx is None:
+            import networkx
+
+            self._networkx = networkx.Graph()
+            self._networkx.add_nodes_from(self.topology.nodes())
+            self._networkx.add_edges_from(self.topology.edges())
+        return self._networkx
 
     # ------------------------------------------------------------- queries
 
     @property
     def nodes(self) -> List[NodeId]:
         """All nodes of the network."""
-        return list(self.graph.nodes())
+        return self.topology.nodes()
 
     @property
     def edges(self) -> List[Tuple[NodeId, NodeId]]:
         """All edges of the network."""
-        return list(self.graph.edges())
+        return self.topology.edges()
 
     @property
     def num_nodes(self) -> int:
         """Number of nodes."""
-        return self.graph.number_of_nodes()
+        return len(self.topology.nodes())
 
     @property
     def num_terminals(self) -> int:
@@ -65,26 +95,26 @@ class Network:
 
     def distance(self, u: NodeId, v: NodeId) -> int:
         """Graph distance between two nodes."""
-        return int(nx.shortest_path_length(self.graph, u, v))
+        return len(self.topology.shortest_path(u, v)) - 1
 
     def eccentricity(self, node: NodeId) -> int:
         """Maximum distance from ``node`` to any other node."""
-        return int(nx.eccentricity(self.graph, node))
+        return self.topology.eccentricity(node)
 
     @property
     def radius(self) -> int:
         """The network radius ``r = min_u max_v dist(u, v)`` (Section 2)."""
-        return int(nx.radius(self.graph))
+        return self.topology.radius()
 
     @property
     def diameter(self) -> int:
         """The network diameter."""
-        return int(nx.diameter(self.graph))
+        return self.topology.diameter()
 
     @property
     def max_degree(self) -> int:
         """Maximum degree ``d_max`` (used by the LOCC conversion, Lemma 20)."""
-        return max(dict(self.graph.degree()).values())
+        return max(map(self.topology.degree, self.topology.nodes()))
 
     def most_central_terminal(self) -> NodeId:
         """The terminal minimising its maximum distance to the other terminals.
@@ -107,11 +137,11 @@ class Network:
 
     def shortest_path(self, u: NodeId, v: NodeId) -> List[NodeId]:
         """A shortest path between two nodes, inclusive of both endpoints."""
-        return list(nx.shortest_path(self.graph, u, v))
+        return self.topology.shortest_path(u, v)
 
     def neighbors(self, node: NodeId) -> List[NodeId]:
         """Neighbours of a node."""
-        return list(self.graph.neighbors(node))
+        return self.topology.neighbors(node)
 
     def is_terminal(self, node: NodeId) -> bool:
         """True when the node holds an input."""
@@ -119,7 +149,7 @@ class Network:
 
     def with_terminals(self, terminals: Sequence[NodeId]) -> "Network":
         """The same graph with a different set of terminals."""
-        return Network(self.graph.copy(), tuple(terminals))
+        return Network(self.topology, tuple(terminals))
 
 
 def path_network(length: int, terminals: Optional[Sequence[NodeId]] = None) -> Network:
@@ -129,11 +159,8 @@ def path_network(length: int, terminals: Optional[Sequence[NodeId]] = None) -> N
     """
     if length < 1:
         raise TopologyError("a path network needs length (number of edges) >= 1")
-    graph = nx.Graph()
     names = [f"v{i}" for i in range(length + 1)]
-    graph.add_nodes_from(names)
-    for i in range(length):
-        graph.add_edge(names[i], names[i + 1])
+    graph = Graph(names, zip(names, names[1:]))
     if terminals is None:
         terminals = (names[0], names[-1])
     return Network(graph, tuple(terminals))
@@ -143,12 +170,9 @@ def star_network(num_leaves: int, terminals: Optional[Sequence[NodeId]] = None) 
     """A star with a centre node and ``num_leaves`` leaves; leaves are terminals."""
     if num_leaves < 1:
         raise TopologyError("a star network needs at least one leaf")
-    graph = nx.Graph()
     centre = "centre"
     leaves = [f"leaf{i}" for i in range(num_leaves)]
-    graph.add_node(centre)
-    for leaf in leaves:
-        graph.add_edge(centre, leaf)
+    graph = Graph([centre], ((centre, leaf) for leaf in leaves))
     if terminals is None:
         terminals = tuple(leaves)
     return Network(graph, tuple(terminals))
@@ -160,9 +184,7 @@ def complete_network(num_nodes: int, num_terminals: int) -> Network:
         raise TopologyError("a complete network needs at least one node")
     if num_terminals < 1 or num_terminals > num_nodes:
         raise TopologyError("number of terminals must be between 1 and the node count")
-    graph = nx.complete_graph(num_nodes)
-    relabel = {i: f"n{i}" for i in range(num_nodes)}
-    graph = nx.relabel_nodes(graph, relabel)
+    graph = Graph.from_graph(complete_graph(num_nodes), name=lambda i: f"n{i}")
     terminals = tuple(f"n{i}" for i in range(num_terminals))
     return Network(graph, terminals)
 
@@ -173,9 +195,7 @@ def cycle_network(num_nodes: int, num_terminals: int = 2) -> Network:
         raise TopologyError("a cycle needs at least three nodes")
     if num_terminals < 1 or num_terminals > num_nodes:
         raise TopologyError("number of terminals must be between 1 and the node count")
-    graph = nx.cycle_graph(num_nodes)
-    relabel = {i: f"c{i}" for i in range(num_nodes)}
-    graph = nx.relabel_nodes(graph, relabel)
+    graph = Graph.from_graph(cycle_graph(num_nodes), name=lambda i: f"c{i}")
     stride = num_nodes // num_terminals
     terminals = tuple(f"c{(i * stride) % num_nodes}" for i in range(num_terminals))
     return Network(graph, terminals)
@@ -189,9 +209,7 @@ def binary_tree_network(depth: int, num_terminals: Optional[int] = None) -> Netw
     """
     if depth < 1:
         raise TopologyError("a binary tree network needs depth >= 1")
-    graph = nx.balanced_tree(2, depth)
-    relabel = {i: f"b{i}" for i in graph.nodes()}
-    graph = nx.relabel_nodes(graph, relabel)
+    graph = Graph.from_graph(balanced_binary_tree(depth), name=lambda i: f"b{i}")
     leaves = sorted(
         (node for node in graph.nodes() if graph.degree(node) == 1),
         key=lambda name: int(name[1:]),
@@ -220,9 +238,7 @@ def grid_network(
         raise TopologyError("a grid network needs at least one row and one column")
     if rows * cols < 2:
         raise TopologyError("a grid network needs at least two nodes")
-    graph = nx.grid_2d_graph(rows, cols)
-    relabel = {(i, j): f"g{i}_{j}" for i, j in graph.nodes()}
-    graph = nx.relabel_nodes(graph, relabel)
+    graph = Graph.from_graph(grid_graph(rows, cols), name=lambda node: f"g{node[0]}_{node[1]}")
     corner_coords = [(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)]
     corners = []
     for coordinate in corner_coords:
@@ -259,8 +275,7 @@ def random_graph_network(
     if not 0.0 <= extra_edge_probability <= 1.0:
         raise TopologyError("extra-edge probability must lie in [0, 1]")
     generator = ensure_rng(rng)
-    graph = nx.Graph()
-    graph.add_node("t0")
+    graph = Graph(["t0"])
     for index in range(1, num_nodes):
         parent = int(generator.integers(0, index))
         graph.add_edge(f"t{parent}", f"t{index}")
@@ -286,8 +301,7 @@ def random_tree_network(
     generator = ensure_rng(rng)
     # Build a random tree by attaching each new node to a uniformly random
     # earlier node (random recursive tree); connectedness is guaranteed.
-    graph = nx.Graph()
-    graph.add_node("t0")
+    graph = Graph(["t0"])
     for index in range(1, num_nodes):
         parent = int(generator.integers(0, index))
         graph.add_edge(f"t{parent}", f"t{index}")

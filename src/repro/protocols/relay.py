@@ -65,7 +65,7 @@ class RelayEqualityProtocol(DQMAProtocol):
             if {path_nodes[0], path_nodes[-1]} != terminals:
                 raise ProtocolError("the relay path must join the two terminals")
             for left, right in zip(path_nodes, path_nodes[1:]):
-                if not network.graph.has_edge(left, right):
+                if not network.topology.has_edge(left, right):
                     raise ProtocolError(
                         f"relay path step ({left!r}, {right!r}) is not a network edge"
                     )

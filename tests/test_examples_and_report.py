@@ -1,7 +1,10 @@
 """Smoke tests: every example script runs end to end, and the report generator works."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -59,6 +62,34 @@ class TestReport:
         assert "Table 3" in target.read_text(encoding="utf-8")
         assert target.read_bytes() == GOLDEN_REPORT.read_bytes(), (
             f"the report no longer matches {GOLDEN_REPORT.name} byte for byte"
+        )
+
+    def test_report_runs_without_networkx(self, tmp_path):
+        """The whole report, in a fresh interpreter that cannot import networkx.
+
+        The path, tree, relay, ranking, topology and noise sections all build
+        their networks through the graph layer, so a byte-identical report
+        proves no networkx import is left on any of those paths.
+        """
+        import repro
+
+        source_root = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = {
+            name: value
+            for name, value in os.environ.items()
+            if name not in ("REPRO_BACKEND", "REPRO_DTYPE", "REPRO_DEVICE")
+        }
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+        target = tmp_path / "report.txt"
+        code = (
+            "import sys; sys.modules['networkx'] = None; "
+            "from repro.experiments.report import main; "
+            f"sys.exit(main([{str(target)!r}]))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert target.read_bytes() == GOLDEN_REPORT.read_bytes(), (
+            f"the report without networkx no longer matches {GOLDEN_REPORT.name} byte for byte"
         )
 
     def test_complex64_report_matches_complex128(self):

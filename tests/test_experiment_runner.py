@@ -255,7 +255,7 @@ class TestShardedParity:
 
 
 def test_report_import_loads_no_process_machinery():
-    """``import repro.experiments.report`` must not pull in pool machinery."""
+    """``import repro.experiments.report`` must not pull in pool machinery or graph/science stacks."""
     import repro
 
     source_root = str(pathlib.Path(repro.__file__).resolve().parent.parent)
@@ -264,7 +264,7 @@ def test_report_import_loads_no_process_machinery():
     code = (
         "import sys, repro.experiments.report; "
         "print([m for m in ('asyncio', 'multiprocessing', 'subprocess', "
-        "'concurrent.futures.process') if m in sys.modules])"
+        "'concurrent.futures.process', 'networkx', 'scipy') if m in sys.modules])"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

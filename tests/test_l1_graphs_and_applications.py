@@ -47,6 +47,19 @@ class TestEmbeddings:
         # dist(0, 2) = 2 but Hamming("00", "10") = 1, so verification fails.
         assert not bad.verify()
 
+    def test_disconnected_graph_fails_verification(self):
+        # dist(0, 2) is infinite, so no scale embedding exists.
+        graph = nx.Graph()
+        graph.add_nodes_from([0, 1, 2])
+        graph.add_edge(0, 1)
+        embedding = HypercubeEmbedding(graph=graph, codes={0: "00", 1: "01", 2: "11"}, scale=1)
+        assert not embedding.verify()
+
+    def test_hypercube_embedding_of_dimension_one(self):
+        embedding = hypercube_embedding(1)
+        assert embedding.encode((1,)) == "1"
+        assert embedding.verify()
+
     def test_inconsistent_code_lengths_rejected(self):
         graph = nx.path_graph(2)
         with pytest.raises(EncodingError):

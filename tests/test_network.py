@@ -123,6 +123,17 @@ class TestNetworkValidation:
         with pytest.raises(TopologyError):
             Network(graph, (0, 0))
 
+    @pytest.mark.parametrize(
+        "graph",
+        [nx.Graph([("a", "a"), ("a", "b")]), nx.DiGraph([("a", "b"), ("b", "a")])],
+        ids=["self-loop", "directed"],
+    )
+    def test_non_simple_graphs_rejected(self, graph):
+        # A self-loop would count twice in max_degree, the d_max of Lemma 20;
+        # a directed graph would silently be read as undirected.
+        with pytest.raises(TopologyError):
+            Network(graph, ("a", "b"))
+
     def test_with_terminals(self):
         network = path_network(3)
         renamed = network.with_terminals(("v1", "v2"))
