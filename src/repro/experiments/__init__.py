@@ -1,7 +1,8 @@
 """Experiment harness: regenerate every table of the paper and the scaling figures.
 
 Each module produces structured row records (see :mod:`repro.experiments.records`)
-that the ``benchmarks/`` harness prints and that ``EXPERIMENTS.md`` documents.
+that the report generator (:mod:`repro.experiments.report`) renders and the
+``benchmarks/`` harness prints.
 
 * :mod:`repro.experiments.table1` — the prior-work baselines of Table 1.
 * :mod:`repro.experiments.table2` — the paper's upper bounds (Table 2), each
@@ -24,11 +25,15 @@ that the ``benchmarks/`` harness prints and that ``EXPERIMENTS.md`` documents.
   the report generator and the benchmark harness route through.
 * :mod:`repro.experiments.sweep` — the sweep-sharding layer:
   :class:`SweepSpec` grid declarations, chunk planning, per-worker engine
-  reuse and merged cache statistics.
+  reuse, merged cache statistics, and ``PoolRun``, the one pooled dispatch
+  core (launcher, operator pack, planning, draining, cost book) behind the
+  runner's pooled/async paths and :func:`run_sweep_sharded`.
 * :mod:`repro.experiments.streaming` — streaming chunk consumption:
   per-chunk progress events, chunk-level failure isolation and fail-fast
-  cancellation shared by the runner's pooled/async paths and
-  :func:`run_sweep_sharded`.
+  cancellation.
+* :mod:`repro.experiments.launchers` — where chunks run (``serial``,
+  ``threads``, ``process-pool``, ``subprocess``);
+  :mod:`repro.experiments.costmodel` — the measured per-point cost book.
 * :mod:`repro.experiments.catalog` — the registry rendered as the README's
   scenario table (``python -m repro.experiments.catalog``).
 """

@@ -170,18 +170,14 @@ class Launcher:
 
     Implementations own worker lifecycle (:meth:`shutdown`), worker-token
     minting (so :func:`~repro.experiments.sweep.merge_worker_stats` never
-    sees aliased snapshot keys), and operator-pack delivery.
-    :attr:`pack_delivered` reports whether the pack handed to the
-    constructor reaches workers through the launcher itself (initializer /
-    per-chunk payload); when ``False`` the caller must ship the pack with
-    every chunk, which is how caller-supplied raw executors behave.
+    sees aliased snapshot keys), and delivery of the operator pack handed
+    to the constructor (initializer / per-chunk payload).  A launcher the
+    caller constructed without that pack gets it with every task instead
+    (:class:`~repro.experiments.sweep.PoolRun`).
     """
 
     #: Registry name (``"?"`` for adapters constructed outside the registry).
     name: str = "?"
-    #: Whether the constructor's ``operator_pack`` reaches every worker
-    #: without the caller shipping it per chunk.
-    pack_delivered: bool = True
 
     def submit_chunk(self, fn: Callable[..., Any], *args: Any) -> Future:
         """Dispatch one chunk entry-point call; returns its future."""
@@ -312,12 +308,11 @@ class ExecutorLauncher(Launcher):
     """Adapter for a caller-supplied executor (the launcher owns nothing).
 
     The caller controls the executor's lifecycle and worker initialization,
-    so :meth:`shutdown` is a no-op and :attr:`pack_delivered` is ``False``
-    — an operator pack must ride along with every chunk instead.
+    so :meth:`shutdown` is a no-op and an operator pack must ride along with
+    every chunk instead.
     """
 
     name = "executor"
-    pack_delivered = False
 
     def __init__(self, executor: Any):
         self._pool = executor

@@ -8,7 +8,10 @@ display title).  Scenarios that are parameter sweeps additionally declare a
 compiled into chunks, chunks are dispatched across a process pool whose
 workers each keep one engine (and operator cache) alive for their lifetime,
 and rows are reassembled in deterministic grid order — so a single 256-point
-sweep saturates the pool instead of pinning one core.
+sweep saturates the pool instead of pinning one core.  The pooled path runs
+on :class:`~repro.experiments.sweep.PoolRun`, which owns the launcher, the
+operator pack, chunk planning and the cost book; the runner only submits
+each scenario, drains the events and assembles per-scenario results.
 
 Failures are isolated per *chunk* on the pooled path: a crashing chunk is
 recorded as a :class:`~repro.experiments.streaming.ChunkFailure` while its
@@ -38,17 +41,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ProtocolError
-from repro.experiments.launchers import Launcher, get_launcher
-from repro.experiments.streaming import (
-    ChunkCollector,
-    ChunkEvent,
-    ChunkFailure,
-    ChunkTask,
-    Progress,
-    aiter_chunk_events,
-    iter_chunk_events,
-    pool_worker_count,
-)
+from repro.experiments.launchers import Launcher
+from repro.experiments.streaming import ChunkFailure, Progress
 from repro.experiments.crossover import (
     crossover_default_lengths,
     crossover_sweep,
@@ -79,19 +73,12 @@ from repro.experiments.soundness_scaling import (
     repetition_curve,
     soundness_scaling_sweep,
 )
-from repro.experiments.costmodel import CostModel
-from repro.lint.sanitize import maybe_probe
 from repro.experiments.sweep import (
-    CHUNKS_PER_WORKER,
-    MIN_POINTS_PER_CHUNK,
-    ChunkResult,
+    PoolRun,
     SweepSpec,
+    _accepted_kwargs,
+    check_pool_sizes,
     merge_worker_stats,
-    partition_points,
-    plan_chunks,
-    resolve_chunk_size,
-    run_scenario_task,
-    submit_sweep_chunks,
 )
 from repro.experiments.topologies import (
     default_noise_topologies,
@@ -144,6 +131,19 @@ class Scenario:
         if self.sweep is None:
             return None
         return self.sweep.points({**dict(self.kwargs), **overrides})
+
+    def check_overrides(self, overrides: Mapping) -> None:
+        """Raise :class:`ProtocolError` naming override keywords the builder rejects.
+
+        Every entry point calls this before dispatching any work, so a bad
+        keyword fails the call instead of every chunk; a builder taking
+        ``**kwargs`` accepts any keyword.
+        """
+        unknown = sorted(set(overrides) - set(_accepted_kwargs(self.builder, overrides)))
+        if unknown:
+            raise ProtocolError(
+                f"scenario {self.name!r} does not accept override keyword(s) {unknown}"
+            )
 
 
 @dataclass(frozen=True)
@@ -243,6 +243,7 @@ class ExperimentRunner:
 
     With ``parallel=True`` every swept scenario is split into grid chunks and
     every unswept scenario becomes one dispatch task; all tasks share one
+    :class:`~repro.experiments.sweep.PoolRun` and its
     :class:`~repro.experiments.launchers.Launcher` (``launcher`` names a
     registered backend — ``serial`` / ``threads`` / ``process-pool`` /
     ``subprocess`` — or passes a caller-owned instance; ``None`` resolves
@@ -258,7 +259,10 @@ class ExperimentRunner:
     ``overrides`` maps scenario names to builder keyword overrides (the
     sweep service's submission payload rides this): they reach serial runs,
     grid planning, and dispatched chunks alike, so an overridden grid is
-    chunked exactly like a declared one.
+    chunked exactly like a declared one.  Unknown scenario names, override
+    keywords the builder does not accept, and a ``chunk_size`` or
+    ``max_workers`` below 1 raise :class:`~repro.exceptions.ProtocolError`
+    here, before any work is dispatched.
 
     The pooled path is *streaming*: chunk futures are consumed as they
     complete, every settled chunk fires a
@@ -292,6 +296,7 @@ class ExperimentRunner:
         self.names = list(scenarios) if scenarios is not None else available_scenarios()
         for name in self.names:
             get_scenario(name)  # fail fast on unknown names
+        check_pool_sizes(chunk_size, max_workers)
         self.parallel = bool(parallel)
         self.max_workers = max_workers
         self.chunk_size = chunk_size
@@ -302,8 +307,8 @@ class ExperimentRunner:
         self.overrides: Dict[str, Dict] = {
             name: dict(value) for name, value in dict(overrides or {}).items()
         }
-        for name in self.overrides:
-            get_scenario(name)  # fail fast on unknown override targets
+        for name, keywords in self.overrides.items():
+            get_scenario(name).check_overrides(keywords)
         #: Chunk-event listener (or bare callable) for pooled runs.
         self.progress = progress
         #: Cancel outstanding chunks and raise on the first chunk failure.
@@ -317,18 +322,15 @@ class ExperimentRunner:
         #: var, then ``.repro_costbook.json`` in the working directory).
         self.cost_book = cost_book
         #: Optional :class:`~repro.engine.cache.OperatorPack` seeding every
-        #: pool worker's operator cache at initialization.
+        #: pool worker's operator cache.
         self.operator_pack = operator_pack
         #: Pool-wide merged per-worker operator-cache counters of the last
         #: parallel run (empty after serial runs).
         self.cache_stats: Dict = {}
         #: Results of the last :meth:`stream`/:meth:`run_async` execution.
         self.last_results: Optional["OrderedDict[str, ScenarioResult]"] = None
-        #: Grid chunks planned for each swept scenario in the last pooled
-        #: run (scenario name -> list of point chunks); cost observations
-        #: are attributed through it.
-        self._chunk_plans: Dict[str, List[list]] = {}
-        self._cost_model: Optional[CostModel] = None
+        #: The pooled run in flight; :meth:`_plan` plans through it.
+        self._pool: Optional[PoolRun] = None
 
     def run(self) -> "OrderedDict[str, ScenarioResult]":
         """Regenerate every selected scenario; results keep the selection order.
@@ -338,29 +340,19 @@ class ExperimentRunner:
         """
         self.cache_stats = {}
         if self.parallel and self.names:
-            return self._run_pooled()
+            pool = self._open_pool()
+            try:
+                prefailed = self._submit(pool)
+                pool.drain()
+            finally:
+                pool.close()
+            return self._assemble(pool, prefailed)
         results: "OrderedDict[str, ScenarioResult]" = OrderedDict()
         for name in self.names:
             try:
                 results[name] = run_scenario(name, **self.overrides.get(name, {}))
             except Exception as exc:  # broad by design: isolation is the point
                 results[name] = _failure(name, exc)
-        return results
-
-    def _run_pooled(self) -> "OrderedDict[str, ScenarioResult]":
-        launcher, own = self._make_launcher()
-        try:
-            tasks, prefailed = self._submit(launcher)
-            assembly = _PoolAssembly(tasks, prefailed)
-            for event in iter_chunk_events(
-                tasks, progress=self.progress, fail_fast=self.fail_fast
-            ):
-                assembly.record(event)
-            results, self.cache_stats = assembly.finish(self.names)
-        finally:
-            if own:
-                launcher.shutdown(wait=True, cancel_futures=True)
-        self._record_costs(assembly)
         return results
 
     async def stream(self):
@@ -375,27 +367,14 @@ class ExperimentRunner:
         """
         self.cache_stats = {}
         self.last_results = None
-        launcher, own = self._make_launcher()
+        pool = self._open_pool()
         try:
-            tasks, prefailed = self._submit(launcher)
-            assembly = _PoolAssembly(tasks, prefailed)
-            async for event in aiter_chunk_events(
-                tasks, progress=self.progress, fail_fast=self.fail_fast
-            ):
-                assembly.record(event)
+            prefailed = self._submit(pool)
+            async for event in pool.aevents():
                 yield event
-            self.last_results, self.cache_stats = assembly.finish(self.names)
-            self._record_costs(assembly)
+            self.last_results = self._assemble(pool, prefailed)
         finally:
-            # Shut down off-loop: a chunk may still be running (early break,
-            # fail_fast abort), and shutdown(wait=True) would otherwise stall
-            # every other coroutine until that chunk finishes.
-            if own:
-                import asyncio
-
-                await asyncio.to_thread(
-                    lambda: launcher.shutdown(wait=True, cancel_futures=True)
-                )
+            await pool.aclose()
 
     async def run_async(self) -> "OrderedDict[str, ScenarioResult]":
         """Awaitable pooled run: drains :meth:`stream`, returns the results."""
@@ -404,114 +383,85 @@ class ExperimentRunner:
         assert self.last_results is not None  # stream() assembled on exhaustion
         return self.last_results
 
-    def _make_launcher(self) -> Tuple[Launcher, bool]:
-        """The run's launcher plus whether this runner owns its shutdown."""
-        if isinstance(self.launcher, Launcher):
-            return self.launcher, False
-        return (
-            get_launcher(
-                self.launcher,
-                max_workers=self.max_workers,
-                operator_pack=self.operator_pack,
-            ),
-            True,
+    def _open_pool(self) -> PoolRun:
+        self._pool = PoolRun(
+            self.launcher,
+            max_workers=self.max_workers,
+            operator_pack=self.operator_pack,
+            adaptive=self.adaptive,
+            cost_book=self.cost_book,
+            progress=self.progress,
+            fail_fast=self.fail_fast,
         )
+        return self._pool
 
-    def _submit(self, pool: Launcher):
-        """Submit every scenario's chunks; returns (tasks, planning failures).
+    def _submit(self, pool: PoolRun) -> Dict[str, ScenarioFailure]:
+        """Submit every scenario; returns the ones whose grid planning failed.
 
-        Chunk planning derives its worker count from the launcher actually
-        constructed (not ``os.cpu_count()``): a pool's default can differ
-        under cgroup limits or newer interpreters, and mis-planned chunks
-        would over- or under-shard the grid.  With :attr:`adaptive` on,
-        scenarios with cost-book history get variable-width chunks of
-        roughly equal predicted wall time; the rest get the static plan
-        (the shared launcher submits everything up front, so the in-run
-        probe mode is :func:`~repro.experiments.sweep.run_sweep_sharded`'s
-        — here a cold scenario is simply measured for the next run).
+        A swept scenario planned into several chunks is submitted chunk by
+        chunk; every other scenario rides as one whole-scenario task.  All
+        scenarios are submitted up front on one shared launcher, so there
+        is no probe wave: a cold scenario gets the static plan and its
+        measured chunks warm the cost book for the next run.
         """
-        workers = pool_worker_count(pool)
-        self._cost_model = CostModel.load(self.cost_book) if self.adaptive else None
-        self._chunk_plans = {}
-        tasks: List[ChunkTask] = []
         prefailed: Dict[str, ScenarioFailure] = {}
         for name in self.names:
-            scenario = get_scenario(name)
             overrides = self.overrides.get(name)
             try:
-                chunks, predicted = self._plan(scenario, workers)
+                chunks, predicted = self._plan(get_scenario(name), pool.workers)
             except Exception as exc:  # broad by design: grid planning failed
                 prefailed[name] = _failure(name, exc)
                 continue
             if chunks is not None and len(chunks) > 1:
-                self._chunk_plans[name] = chunks
-                tasks.extend(
-                    submit_sweep_chunks(
-                        pool, name, chunks, overrides, predicted=predicted
-                    )
-                )
+                pool.submit_chunks(name, chunks, overrides, predicted)
             else:
-                maybe_probe(
-                    (run_scenario_task, name, overrides),
-                    context=f"scenario {name!r} task payload",
-                )
-                tasks.append(
-                    ChunkTask(
-                        future=pool.submit_chunk(run_scenario_task, name, overrides),
-                        scenario=name,
-                        chunk_index=0,
-                        num_chunks=1,
-                        num_points=sum(len(chunk) for chunk in chunks or []),
-                    )
-                )
-        return tasks, prefailed
+                pool.submit_scenario(name, overrides, sum(map(len, chunks or [])))
+        return prefailed
 
     def _plan(self, scenario: Scenario, workers: int):
-        """(chunks, predicted wall times) of a swept scenario's grid.
-
-        Returns ``(None, None)`` for unswept scenarios.  Precedence: an
-        explicit chunk size (constructor or SweepSpec) pins the static
-        equal-count plan; otherwise cost-book history drives variable-width
-        chunks; a scenario with no history falls back to the static plan.
-        """
+        """(chunks, predicted seconds) of a swept scenario; ``(None, None)`` unswept."""
         if scenario.sweep is None:
             return None, None
-        points = scenario.sweep.points(
-            {**dict(scenario.kwargs), **self.overrides.get(scenario.name, {})}
+        assert self._pool is not None  # set by _open_pool before any planning
+        points = scenario.grid_points(**self.overrides.get(scenario.name, {}))
+        return self._pool.plan(
+            scenario.name, scenario.sweep, points, workers, self.chunk_size
         )
-        pinned = self.chunk_size is not None or scenario.sweep.chunk_size is not None
-        model = self._cost_model
-        if not pinned and model is not None:
-            costs = model.predict_points(scenario.name, points)
-            if costs is not None:
-                chunks = plan_chunks(
-                    points,
-                    costs,
-                    target_chunks=max(workers, 1) * CHUNKS_PER_WORKER,
-                    min_points=MIN_POINTS_PER_CHUNK,
-                )
-                predicted = [
-                    sum(model.predict(scenario.name, point) or 0.0 for point in chunk)
-                    for chunk in chunks
-                ]
-                return chunks, predicted
-        size = resolve_chunk_size(scenario.sweep, len(points), workers, self.chunk_size)
-        return partition_points(points, size), None
 
-    def _record_costs(self, assembly: "_PoolAssembly") -> None:
-        """Feed measured chunk wall times back into the cost book."""
-        model = self._cost_model
-        if model is None:
-            return
-        observed = 0
-        for scenario, chunk_index, seconds in assembly.timings:
-            chunks = self._chunk_plans.get(scenario)
-            if chunks is None or not 0 <= chunk_index < len(chunks):
+    def _assemble(
+        self, pool: PoolRun, prefailed: Mapping[str, ScenarioFailure]
+    ) -> "OrderedDict[str, ScenarioResult]":
+        """Per-scenario results in selection order, from a drained pool run.
+
+        Completion order is irrelevant: each collector keys results by chunk
+        index, so rows come back in grid order.  Cache snapshots merge over
+        *every* completed task, survivors of partially-failed scenarios
+        included, so pool work is never undercounted.
+        """
+        pool.save_costs()
+        results: "OrderedDict[str, ScenarioResult]" = OrderedDict()
+        for name in self.names:
+            collector = pool.collectors.get(name)
+            if collector is None:
+                results[name] = prefailed[name]
                 continue
-            model.observe(scenario, chunks[chunk_index], seconds)
-            observed += 1
-        if observed:
-            model.save(self.cost_book)
+            failures = tuple(collector.failures)
+            if not failures:
+                results[name] = collector.rows()
+            elif collector.completed:
+                results[name] = PartialScenarioResult(
+                    name=name, rows=collector.rows(), failures=failures
+                )
+            else:
+                results[name] = ScenarioFailure(
+                    name=name,
+                    error=failures[0].error,
+                    traceback=failures[0].traceback,
+                    chunk_failures=failures,
+                )
+        parts = pool.completed()
+        self.cache_stats = merge_worker_stats(parts) if parts else {}
+        return results
 
     def render(self, results: Optional[Mapping[str, ScenarioResult]] = None) -> str:
         """Format results (running them first when not supplied) as text tables.
@@ -544,62 +494,6 @@ def _failure(name: str, exc: Exception) -> ScenarioFailure:
         error=f"{type(exc).__name__}: {exc}",
         traceback=traceback_module.format_exc(),
     )
-
-
-class _PoolAssembly:
-    """Accumulates chunk events into per-scenario results, in grid order.
-
-    Completion order is irrelevant: every completed chunk lands in its
-    scenario's indexed slot, and :meth:`finish` concatenates the slots in
-    chunk order — so streaming reassembly is byte-identical to the blocking
-    path (and to serial runs).  Cache snapshots are merged over *every*
-    completed chunk, including survivors of partially-failed scenarios, so
-    pool work is never undercounted.
-    """
-
-    def __init__(self, tasks: Sequence[ChunkTask], prefailed: Mapping[str, ScenarioFailure]):
-        self._collectors: Dict[str, ChunkCollector] = {}
-        self._prefailed = dict(prefailed)
-        #: Measured ``(scenario, chunk_index, seconds)`` of completed sweep
-        #: chunks, for cost-book feedback after the run.
-        self.timings: List[Tuple[str, int, float]] = []
-        for task in tasks:
-            self._collectors.setdefault(task.scenario, ChunkCollector(task.num_chunks))
-
-    def record(self, event: ChunkEvent) -> None:
-        self._collectors[event.scenario].record(event)
-        if event.ok and event.num_chunks > 1 and event.seconds > 0.0:
-            self.timings.append((event.scenario, event.chunk_index, event.seconds))
-
-    def finish(self, names: Sequence[str]):
-        """The (results, merged cache stats) of the run, in selection order."""
-        results: "OrderedDict[str, ScenarioResult]" = OrderedDict()
-        parts: List[ChunkResult] = []
-        for name in names:
-            if name in self._prefailed:
-                results[name] = self._prefailed[name]
-                continue
-            collector = self._collectors.get(name)
-            if collector is None:
-                continue
-            completed = collector.completed
-            parts.extend(completed)
-            failures = tuple(collector.failures)
-            if not failures:
-                results[name] = collector.rows()
-            elif completed:
-                results[name] = PartialScenarioResult(
-                    name=name, rows=collector.rows(), failures=failures
-                )
-            else:
-                results[name] = ScenarioFailure(
-                    name=name,
-                    error=failures[0].error,
-                    traceback=failures[0].traceback,
-                    chunk_failures=failures,
-                )
-        cache_stats = merge_worker_stats(parts) if parts else {}
-        return results, cache_stats
 
 
 # -- built-in scenarios -------------------------------------------------------

@@ -214,28 +214,28 @@ def pool_worker_count(pool: Any) -> int:
 
 
 class ChunkCollector:
-    """Accumulates one scenario's chunk events: indexed slots plus failures.
+    """Accumulates one scenario's chunk events: results by chunk index plus failures.
 
-    Completed chunks land in their chunk-index slot, so :meth:`rows`
-    concatenates in grid order no matter when the chunks finished — the
-    primitive both :func:`~repro.experiments.sweep.run_sweep_sharded` and
-    the runner's pooled assembly build on.
+    Completed chunks are keyed by chunk index, so :meth:`rows` concatenates
+    in grid order no matter when the chunks finished — or in how many
+    submission waves they arrived (a probe wave, then the rest).  This is
+    the per-scenario accumulator of :class:`~repro.experiments.sweep.PoolRun`.
     """
 
-    def __init__(self, num_chunks: int):
-        self.slots: list = [None] * num_chunks
+    def __init__(self) -> None:
+        self.results: Dict[int, Any] = {}
         self.failures: list = []
 
     def record(self, event: "ChunkEvent") -> None:
         if event.failure is not None:
             self.failures.append(event.failure)
         else:
-            self.slots[event.chunk_index] = event.result
+            self.results[event.chunk_index] = event.result
 
     @property
     def completed(self) -> list:
         """The completed :class:`ChunkResult`-likes, in chunk order."""
-        return [result for result in self.slots if result is not None]
+        return [self.results[index] for index in sorted(self.results)]
 
     def rows(self) -> list:
         """Surviving rows in grid order (failed chunks' spans missing)."""

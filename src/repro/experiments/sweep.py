@@ -20,15 +20,18 @@ point* the unit instead:
   every chunk the worker receives, timing the builder call so measured
   per-point costs flow back into the cost book
   (:mod:`repro.experiments.costmodel`);
-* :func:`run_sweep_sharded` plans (from cost-book history, from in-run probe
-  chunks on cold grids, or statically), dispatches the chunks, consumes them
-  as they complete (streaming progress events, per-chunk failure isolation
-  and optional fail-fast abort via :mod:`repro.experiments.streaming`),
-  reassembles the rows in deterministic grid order, and merges the
-  per-worker operator-cache counters into one auditable stats block; an
-  :class:`~repro.engine.cache.OperatorPack` can warm-start every worker's
-  cache so the pool stops re-warming identical hot operators once per
-  worker.
+* :class:`PoolRun` is the one pooled dispatch core behind both
+  :class:`~repro.experiments.runner.ExperimentRunner` (``parallel=True`` and
+  ``stream()``) and :func:`run_sweep_sharded`: it resolves and owns the
+  launcher, delivers the operator pack, plans every grid in one precedence
+  order (pinned size, then cost-book history, then the static plan), submits
+  chunks and whole-scenario tasks, drains their events (sync or async) into
+  per-scenario collectors, and feeds measured chunk times back into the cost
+  book;
+* :func:`run_sweep_sharded` runs one swept scenario on its own
+  :class:`PoolRun`, probing a cold grid with one small chunk per worker
+  before planning the rest, and merges the per-worker operator-cache
+  counters into one auditable stats block.
 
 Because chunks are evaluated by the same builder that serial runs call —
 and chunks are always *contiguous grid slices* regardless of which planner
@@ -60,9 +63,11 @@ from repro.experiments.records import ExperimentRow
 from repro.lint.sanitize import maybe_probe
 from repro.experiments.streaming import (
     ChunkCollector,
+    ChunkEvent,
     ChunkFailure,
     ChunkTask,
     Progress,
+    aiter_chunk_events,
     iter_chunk_events,
     pool_worker_count,
 )
@@ -77,9 +82,11 @@ __all__ = [  # noqa: F822 - re-exports keep the pre-launcher import surface
     "MIN_POINTS_PER_CHUNK",
     "PROBE_CHUNK_POINTS",
     "ChunkResult",
+    "PoolRun",
     "ShardedSweepResult",
     "SweepSpec",
     "_init_sweep_worker",
+    "check_pool_sizes",
     "merge_worker_stats",
     "next_pool_generation",
     "partition_points",
@@ -107,6 +114,15 @@ MIN_POINTS_PER_CHUNK = 2
 PROBE_CHUNK_POINTS = 2
 
 
+def check_pool_sizes(
+    chunk_size: Optional[int] = None, max_workers: Optional[int] = None
+) -> None:
+    """Reject a chunk size or worker count below 1 (``None`` lets the pool choose)."""
+    for label, value in (("chunk_size", chunk_size), ("max_workers", max_workers)):
+        if value is not None and value < 1:
+            raise ProtocolError(f"{label} must be at least 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Declares a scenario's parameter grid for sharded execution.
@@ -123,13 +139,17 @@ class SweepSpec:
         accepts, so defaults may depend on other parameters (e.g. the
         tree-soundness network zoo depends on ``num_terminals``).
     chunk_size:
-        Optional fixed chunk size; when ``None`` the planner sizes chunks to
-        the worker count (:data:`CHUNKS_PER_WORKER` chunks per worker).
+        Optional fixed chunk size (at least 1); when ``None`` the planner
+        sizes chunks to the worker count (:data:`CHUNKS_PER_WORKER` chunks
+        per worker).
     """
 
     grid_param: str
     grid: Callable[..., Sequence[Any]]
     chunk_size: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        check_pool_sizes(chunk_size=self.chunk_size)
 
     def points(self, kwargs: Mapping[str, Any]) -> List[Any]:
         """The grid points this scenario will sweep under ``kwargs``.
@@ -176,9 +196,9 @@ def resolve_chunk_size(
     caller that pins 1-point chunks gets 1-point chunks.
     """
     if override is not None:
-        return max(int(override), 1)
+        return int(override)
     if spec.chunk_size is not None:
-        return max(int(spec.chunk_size), 1)
+        return int(spec.chunk_size)
     target_chunks = max(int(num_workers), 1) * CHUNKS_PER_WORKER
     floor = min(MIN_POINTS_PER_CHUNK, max(int(num_points), 1))
     return max(floor, -(-num_points // target_chunks))
@@ -267,10 +287,8 @@ class ChunkResult:
     pid — can never alias each other's snapshots.
 
     ``seconds`` is the in-worker wall time of the builder call (the cost
-    model's raw measurement — pool dispatch overhead excluded by design);
-    ``num_points`` the number of grid points the chunk carried; ``pack`` an
-    operator pack exported after the chunk ran, when the caller requested
-    one (probe chunks under warm-start).
+    model's raw measurement — pool dispatch overhead excluded by design) and
+    ``num_points`` the number of grid points the chunk carried.
     """
 
     rows: List[ExperimentRow]
@@ -278,7 +296,6 @@ class ChunkResult:
     cache_stats: Dict[str, Any]
     seconds: float = 0.0
     num_points: int = 0
-    pack: Optional[OperatorPack] = None
 
 
 @dataclass(frozen=True)
@@ -303,12 +320,34 @@ class ShardedSweepResult:
         return not self.failures
 
 
+def _evaluate(
+    build: Callable[[], Sequence[ExperimentRow]],
+    pack: Optional[OperatorPack],
+    num_points: int = 0,
+) -> ChunkResult:
+    """Run one pool task on the worker's engine: seed, time, snapshot."""
+    from repro.engine.core import default_engine
+
+    engine = default_engine()
+    if pack is not None:
+        engine.cache.preload(pack)
+    start = time.perf_counter()
+    rows = list(build())
+    seconds = time.perf_counter() - start
+    return ChunkResult(
+        rows=rows,
+        worker_id=worker_token(),
+        cache_stats=engine.cache.stats().as_dict(),
+        seconds=seconds,
+        num_points=num_points,
+    )
+
+
 def run_sweep_chunk(
     name: str,
     points: Sequence[Any],
     overrides: Optional[Mapping[str, Any]] = None,
     pack: Optional[OperatorPack] = None,
-    export_pack: bool = False,
 ) -> ChunkResult:
     """Evaluate one chunk of a swept scenario (the process-pool entry point).
 
@@ -316,15 +355,10 @@ def run_sweep_chunk(
     restricted to ``points``, evaluating on the worker's process-wide engine
     so repeated chunks in one worker share the operator cache.  The builder
     call is timed (in-worker wall time, the cost model's raw measurement).
-
     A ``pack`` argument seeds the worker's cache before the builder runs
-    (keys the worker already owns are skipped) — the mid-run shipping path
-    for pools whose workers were initialized before the pack existed; with
-    ``export_pack=True`` the worker snapshots its cache *after* the chunk
-    into ``ChunkResult.pack`` (how probe chunks produce the warm-start pack
-    for the rest of the sweep).
+    (keys the worker already owns are skipped) — how a caller-owned
+    launcher, initialized before the pack existed, receives it.
     """
-    from repro.engine.core import default_engine
     from repro.experiments.runner import get_scenario
 
     scenario = get_scenario(name)
@@ -332,21 +366,18 @@ def run_sweep_chunk(
         raise ProtocolError(f"scenario {name!r} declares no sweep grid")
     kwargs = {**dict(scenario.kwargs), **dict(overrides or {})}
     kwargs[scenario.sweep.grid_param] = list(points)
-    engine = default_engine()
-    if pack is not None:
-        engine.cache.preload(pack)
-    start = time.perf_counter()
-    rows = list(scenario.builder(**kwargs))
-    seconds = time.perf_counter() - start
-    stats = engine.cache.stats().as_dict()
-    return ChunkResult(
-        rows=rows,
-        worker_id=worker_token(),
-        cache_stats=stats,
-        seconds=seconds,
-        num_points=len(list(points)),
-        pack=engine.cache.export_pack(source=worker_token()) if export_pack else None,
-    )
+    return _evaluate(lambda: scenario.builder(**kwargs), pack, len(list(points)))
+
+
+def run_scenario_task(
+    name: str,
+    overrides: Optional[Mapping[str, Any]] = None,
+    pack: Optional[OperatorPack] = None,
+) -> ChunkResult:
+    """Evaluate a whole scenario as a single pool task (``pack`` as for chunks)."""
+    from repro.experiments.runner import get_scenario
+
+    return _evaluate(lambda: get_scenario(name).run(**dict(overrides or {})), pack)
 
 
 def submit_sweep_chunks(
@@ -356,7 +387,6 @@ def submit_sweep_chunks(
     overrides: Optional[Mapping[str, Any]] = None,
     predicted: Optional[Sequence[Optional[float]]] = None,
     pack: Optional[OperatorPack] = None,
-    export_pack: bool = False,
     index_offset: int = 0,
     total_chunks: Optional[int] = None,
 ) -> List[ChunkTask]:
@@ -375,14 +405,12 @@ def submit_sweep_chunks(
     # submission, naming the scenario, instead of deep inside a pool worker.
     for index, chunk in enumerate(chunks):
         maybe_probe(
-            (run_sweep_chunk, name, chunk, overrides, pack, export_pack),
+            (run_sweep_chunk, name, chunk, overrides, pack),
             context=f"scenario {name!r} chunk {index_offset + index}",
         )
     return [
         ChunkTask(
-            future=launcher.submit_chunk(
-                run_sweep_chunk, name, chunk, overrides, pack, export_pack
-            ),
+            future=launcher.submit_chunk(run_sweep_chunk, name, chunk, overrides, pack),
             scenario=name,
             chunk_index=index_offset + index,
             num_chunks=total,
@@ -391,20 +419,6 @@ def submit_sweep_chunks(
         )
         for index, chunk in enumerate(chunks)
     ]
-
-
-def run_scenario_task(name: str, overrides: Optional[Mapping[str, Any]] = None) -> ChunkResult:
-    """Evaluate a whole (non-swept) scenario as a single pool task."""
-    from repro.engine.core import default_engine
-    from repro.experiments.runner import get_scenario
-
-    start = time.perf_counter()
-    rows = list(get_scenario(name).run(**dict(overrides or {})))
-    seconds = time.perf_counter() - start
-    stats = default_engine().cache.stats().as_dict()
-    return ChunkResult(
-        rows=rows, worker_id=worker_token(), cache_stats=stats, seconds=seconds
-    )
 
 
 def _progress(stats: Mapping[str, Any]) -> int:
@@ -440,15 +454,161 @@ def merge_worker_stats(results: Sequence[ChunkResult]) -> Dict[str, Any]:
     return merged
 
 
-def _predicted_chunk_costs(
-    model: Optional[CostModel], name: str, chunks: Sequence[Sequence[Any]]
-) -> Optional[List[Optional[float]]]:
-    """Per-chunk predicted wall times (``None`` without any history)."""
-    if model is None or not model.has_history(name):
-        return None
-    return [
-        sum(model.predict(name, point) or 0.0 for point in chunk) for chunk in chunks
-    ]
+class PoolRun:
+    """One pooled execution: the decisions every pooled entry point makes.
+
+    * **Launcher** — a registry name (or ``None``: ``REPRO_LAUNCHER``, then
+      the process pool) builds a launcher this run owns and shuts down in
+      :meth:`close`; a :class:`~repro.experiments.launchers.Launcher`
+      instance stays the caller's.
+    * **Operator pack** — a launcher built here receives the pack at
+      construction; a caller-owned one was initialized without it, so the
+      pack rides every task, chunk or whole scenario (workers adopt it once;
+      later preloads skip keys already present).
+    * **Planning** — :meth:`plan`, the one precedence order.
+    * **Draining** — :meth:`drain` / :meth:`aevents` settle the tasks
+      submitted since the last drain into one
+      :class:`~repro.experiments.streaming.ChunkCollector` per scenario.
+    * **Cost feedback** — each completed sweep chunk's measured seconds feed
+      the cost model as it settles (so a probe wave informs the next plan);
+      :meth:`save_costs` persists the book once the caller's run succeeded,
+      so a ``fail_fast`` abort saves nothing.
+    """
+
+    def __init__(
+        self,
+        launcher: Union[str, Launcher, None] = None,
+        max_workers: Optional[int] = None,
+        operator_pack: Optional[OperatorPack] = None,
+        adaptive: bool = True,
+        cost_book: Optional[str] = None,
+        progress: Progress = None,
+        fail_fast: bool = False,
+    ):
+        self.owned = not isinstance(launcher, Launcher)
+        self.launcher = get_launcher(launcher, max_workers=max_workers, operator_pack=operator_pack)
+        self.pack = None if self.owned else operator_pack
+        #: Width of the launcher actually constructed: its default can differ
+        #: from os.cpu_count() (cgroup limits, 3.13's process_cpu_count), and
+        #: a supplied executor has its own.
+        self.workers = pool_worker_count(self.launcher)
+        self.model = CostModel.load(cost_book) if adaptive else None
+        self.cost_book = cost_book
+        self.progress = progress
+        self.fail_fast = bool(fail_fast)
+        self.collectors: Dict[str, ChunkCollector] = {}
+        self._pending: List[ChunkTask] = []
+        self._chunk_points: Dict[Tuple[str, int], List[Any]] = {}
+        self._observed = 0
+
+    def plan(
+        self,
+        name: str,
+        spec: SweepSpec,
+        points: Sequence[Any],
+        workers: int,
+        chunk_size: Optional[int] = None,
+        probes: int = 0,
+    ) -> Tuple[List[List[Any]], Optional[List[float]]]:
+        """``(chunks, predicted seconds)`` of a grid: the one planning order.
+
+        A pinned size (``chunk_size`` or ``spec.chunk_size``) gives the
+        static equal-count plan; otherwise cost-book history cuts
+        variable-width chunks of equal predicted wall time, aiming at
+        ``max(workers, workers * CHUNKS_PER_WORKER - probes)`` chunks
+        (``probes`` counts chunks already run by a probe wave); a grid with
+        no history gets the static plan.  Predictions ride whenever the book
+        has history for ``name``, pinned plans included.
+        """
+        costs = None if self.model is None else self.model.predict_points(name, points)
+        if costs is None or _pinned(spec, chunk_size):
+            chunks = partition_points(points, resolve_chunk_size(spec, len(points), workers, chunk_size))
+        else:
+            target = max(workers, workers * CHUNKS_PER_WORKER - probes)
+            chunks = plan_chunks(points, costs, target, MIN_POINTS_PER_CHUNK)
+        if costs is None:
+            return chunks, None
+        unplanned = iter(costs)
+        return chunks, [sum(next(unplanned) for _ in chunk) for chunk in chunks]
+
+    def submit_chunks(
+        self,
+        name: str,
+        chunks: Sequence[Sequence[Any]],
+        overrides: Optional[Mapping[str, Any]] = None,
+        predicted: Optional[Sequence[Optional[float]]] = None,
+        index_offset: int = 0,
+        total_chunks: Optional[int] = None,
+    ) -> None:
+        """Submit a swept scenario's chunks (see :func:`submit_sweep_chunks`)."""
+        self.collectors.setdefault(name, ChunkCollector())
+        tasks = submit_sweep_chunks(
+            self.launcher, name, chunks, overrides, predicted, self.pack, index_offset, total_chunks
+        )
+        for task, chunk in zip(tasks, chunks):
+            self._chunk_points[name, task.chunk_index] = list(chunk)
+        self._pending.extend(tasks)
+
+    def submit_scenario(
+        self, name: str, overrides: Optional[Mapping[str, Any]] = None, num_points: int = 0
+    ) -> None:
+        """Submit a whole scenario as one task (measured, but not cost-booked)."""
+        self.collectors.setdefault(name, ChunkCollector())
+        maybe_probe(
+            (run_scenario_task, name, overrides, self.pack),
+            context=f"scenario {name!r} task payload",
+        )
+        future = self.launcher.submit_chunk(run_scenario_task, name, overrides, self.pack)
+        self._pending.append(ChunkTask(future, name, chunk_index=0, num_chunks=1, num_points=num_points))
+
+    def drain(self) -> None:
+        """Settle the tasks submitted since the last drain (``fail_fast`` aborts raise)."""
+        tasks, self._pending = self._pending, []
+        for event in iter_chunk_events(tasks, progress=self.progress, fail_fast=self.fail_fast):
+            self._record(event)
+
+    async def aevents(self):
+        """Async :meth:`drain` yielding each event (the event loop stays free in between)."""
+        tasks, self._pending = self._pending, []
+        async for event in aiter_chunk_events(tasks, progress=self.progress, fail_fast=self.fail_fast):
+            self._record(event)
+            yield event
+
+    def _record(self, event: ChunkEvent) -> None:
+        self.collectors[event.scenario].record(event)
+        points = self._chunk_points.get((event.scenario, event.chunk_index))
+        if event.ok and self.model is not None and points is not None:
+            self.model.observe(event.scenario, points, event.seconds)
+            self._observed += 1
+
+    def completed(self) -> List[ChunkResult]:
+        """Every completed task's result: scenarios in submission order, chunks in order."""
+        return [result for collector in self.collectors.values() for result in collector.completed]
+
+    def save_costs(self) -> None:
+        """Persist the cost book when this run measured anything."""
+        if self.model is not None and self._observed:
+            self.model.save(self.cost_book)
+
+    def close(self) -> None:
+        """Shut the launcher down if this run built it (outstanding tasks cancelled)."""
+        if self.owned:
+            self.launcher.shutdown(wait=True, cancel_futures=True)
+
+    async def aclose(self) -> None:
+        """:meth:`close` off the event loop.
+
+        A chunk may still be running (early break, ``fail_fast`` abort), and
+        a blocking shutdown would stall every other coroutine until it ends.
+        """
+        import asyncio
+
+        await asyncio.to_thread(self.close)
+
+
+def _pinned(spec: SweepSpec, chunk_size: Optional[int]) -> bool:
+    """Whether an explicit chunk size (argument or spec) pins the static plan."""
+    return chunk_size is not None or spec.chunk_size is not None
 
 
 def run_sweep_sharded(
@@ -462,43 +622,36 @@ def run_sweep_sharded(
     adaptive: bool = True,
     cost_book: Optional[str] = None,
     operator_pack: Optional[OperatorPack] = None,
-    warm_start: bool = False,
     **overrides,
 ) -> ShardedSweepResult:
     """Run one swept scenario with its grid chunked across a launcher.
 
     ``overrides`` reach the builder exactly as in
     :func:`~repro.experiments.runner.run_scenario` (an explicit grid override
-    is honoured and then chunked).
+    is honoured and then chunked); a keyword the builder does not accept, or
+    a ``chunk_size``/``max_workers`` below 1, raises
+    :class:`~repro.exceptions.ProtocolError` before anything is dispatched.
 
-    **Dispatch** goes through a
-    :class:`~repro.experiments.launchers.Launcher`: ``launcher`` names a
+    **Dispatch** goes through a :class:`PoolRun`: ``launcher`` names a
     registered backend (``serial`` / ``threads`` / ``process-pool`` /
     ``subprocess``; ``None`` falls back to ``REPRO_LAUNCHER`` then the
     process-pool default) or passes an already-constructed instance, whose
     lifecycle then stays with the caller.  The legacy ``executor`` argument
     still accepts a caller-owned pool — it must have been created with
     :func:`_init_sweep_worker` as initializer for per-worker stats to start
-    from zero — and is mutually exclusive with ``launcher``.
+    from zero — and is mutually exclusive with ``launcher``.  An
+    ``operator_pack`` seeds every worker's operator cache (at construction
+    for a launcher built here, with every chunk for a caller-owned one).
 
-    **Planning** follows a strict precedence: an explicit ``chunk_size``
-    argument or a pinned ``SweepSpec.chunk_size`` forces the static
-    equal-count plan (reproducible pinned runs); otherwise, with
-    ``adaptive=True`` (the default), the cost book supplies measured
-    per-point costs and :func:`plan_chunks` sizes variable-width chunks of
-    roughly equal predicted wall time.  A cold grid (no cost-book history)
-    first dispatches a wave of small *probe* chunks — one per worker — and
-    re-plans the remaining points from the measured rates; grids too small
-    to be worth probing, and runs with ``adaptive=False``, use the static
-    plan.  Every completed chunk's measured wall time feeds back into the
-    cost book (EWMA per scenario + point signature), so the *next* run
-    plans from history immediately.
-
-    **Warm start**: an ``operator_pack`` seeds every pool worker's operator
-    cache at initialization (own pools; supplied executors receive it
-    per-chunk), and ``warm_start=True`` additionally has probe chunks
-    export their caches so the re-planned remainder of a *cold* run ships
-    the first finished probe's pack to all other workers.
+    **Planning** follows :meth:`PoolRun.plan`: a pinned chunk size, then
+    cost-book history (with ``adaptive=True``, the default), then the
+    static plan.  A cold grid (no cost-book history, no pin) first
+    dispatches a wave of small *probe* chunks — one per worker — and plans
+    the remaining points from the measured rates; grids too small to be
+    worth probing, and runs with ``adaptive=False``, use the static plan.
+    Every completed chunk's measured wall time feeds back into the cost
+    book (EWMA per scenario + point signature), so the *next* run plans
+    from history immediately.
 
     Chunks are consumed as they complete: every settled chunk fires a
     :class:`~repro.experiments.streaming.ChunkEvent` at ``progress``
@@ -517,131 +670,46 @@ def run_sweep_sharded(
         raise ProtocolError(f"scenario {name!r} declares no sweep grid")
     if executor is not None and launcher is not None:
         raise ProtocolError("pass either executor= or launcher=, not both")
-    kwargs = {**dict(scenario.kwargs), **overrides}
-    points = scenario.sweep.points(kwargs)
-    pinned = chunk_size is not None or scenario.sweep.chunk_size is not None
-    model = CostModel.load(cost_book) if adaptive else None
-    own_pool = executor is None and not isinstance(launcher, Launcher)
-    if executor is not None:
-        pool: Launcher = ExecutorLauncher(executor)
-    else:
-        pool = get_launcher(
-            launcher, max_workers=max_workers, operator_pack=operator_pack
-        )
-    # A launcher constructed here received the pack and delivers it to its
-    # own workers; a caller-owned launcher or executor was initialized by
-    # the caller, so the pack cannot ride initialization — ship it with
-    # every chunk instead (workers adopt it once; later preloads skip
-    # already-present keys).
-    chunk_pack = operator_pack if not (own_pool and pool.pack_delivered) else None
-    collectors: List[ChunkCollector] = []
-    observed = 0
-
-    def _drain(tasks: List[ChunkTask], chunk_points: Dict[int, List[Any]], size: int):
-        # Completed chunks feed the cost model as they settle, so a probe
-        # phase's measurements are already folded in when re-planning runs.
-        nonlocal observed
-        collector = ChunkCollector(size)
-        collectors.append(collector)
-        for event in iter_chunk_events(tasks, progress=progress, fail_fast=fail_fast):
-            collector.record(event)
-            if event.ok and model is not None and event.chunk_index in chunk_points:
-                model.observe(name, chunk_points[event.chunk_index], event.seconds)
-                observed += 1
-        return collector
-
+    check_pool_sizes(chunk_size, max_workers)
+    scenario.check_overrides(overrides)
+    points = scenario.grid_points(**overrides)
+    pool = PoolRun(
+        ExecutorLauncher(executor) if executor is not None else launcher,
+        max_workers=max_workers,
+        operator_pack=operator_pack,
+        adaptive=adaptive,
+        cost_book=cost_book,
+        progress=progress,
+        fail_fast=fail_fast,
+    )
+    probes: List[List[Any]] = []
     try:
-        # Plan against the pool actually constructed: its default worker
-        # count can differ from os.cpu_count() (cgroup limits, 3.13's
-        # process_cpu_count), and a supplied executor has its own width.
-        workers = pool_worker_count(pool)
-        target_chunks = max(workers, 1) * CHUNKS_PER_WORKER
-        costs = None if model is None or pinned else model.predict_points(name, points)
-        probe_span = workers * PROBE_CHUNK_POINTS
-        use_probe = (
-            not pinned
-            and model is not None
-            and costs is None
-            and len(points) > 2 * probe_span  # tiny grids: probing buys nothing
+        span = pool.workers * PROBE_CHUNK_POINTS
+        if (
+            pool.model is not None
+            and not _pinned(scenario.sweep, chunk_size)
+            and not pool.model.has_history(name)
+            and len(points) > 2 * span  # tiny grids: probing buys nothing
+        ):
+            probes = partition_points(points[:span], PROBE_CHUNK_POINTS)
+            pool.submit_chunks(name, probes, overrides)
+            pool.drain()
+        rest = points[span:] if probes else points
+        chunks, predicted = pool.plan(
+            name, scenario.sweep, rest, pool.workers, chunk_size, probes=len(probes)
         )
-        if use_probe:
-            probe_chunks = partition_points(points[:probe_span], PROBE_CHUNK_POINTS)
-            probe_tasks = submit_sweep_chunks(
-                pool,
-                name,
-                probe_chunks,
-                overrides,
-                pack=chunk_pack,
-                export_pack=warm_start and operator_pack is None,
-            )
-            probe_map = {i: list(chunk) for i, chunk in enumerate(probe_chunks)}
-            probe_collector = _drain(probe_tasks, probe_map, len(probe_chunks))
-            pack = chunk_pack
-            if warm_start and pack is None:
-                pack = next(
-                    (r.pack for r in probe_collector.completed if r.pack is not None),
-                    None,
-                )
-            remaining = points[probe_span:]
-            main_chunks = plan_chunks(
-                remaining,
-                model.predict_points(name, remaining),
-                target_chunks=max(workers, target_chunks - len(probe_chunks)),
-                min_points=MIN_POINTS_PER_CHUNK,
-            )
-            total = len(probe_chunks) + len(main_chunks)
-            main_tasks = submit_sweep_chunks(
-                pool,
-                name,
-                main_chunks,
-                overrides,
-                predicted=_predicted_chunk_costs(model, name, main_chunks),
-                pack=pack,
-                index_offset=len(probe_chunks),
-                total_chunks=total,
-            )
-            main_map = {
-                len(probe_chunks) + i: list(chunk)
-                for i, chunk in enumerate(main_chunks)
-            }
-            _drain(main_tasks, main_map, total)
-            num_chunks = total
-        else:
-            if costs is not None:
-                chunks = plan_chunks(
-                    points,
-                    costs,
-                    target_chunks=target_chunks,
-                    min_points=MIN_POINTS_PER_CHUNK,
-                )
-            else:
-                chunks = partition_points(
-                    points,
-                    resolve_chunk_size(scenario.sweep, len(points), workers, chunk_size),
-                )
-            tasks = submit_sweep_chunks(
-                pool,
-                name,
-                chunks,
-                overrides,
-                predicted=_predicted_chunk_costs(model, name, chunks),
-                pack=chunk_pack,
-            )
-            _drain(tasks, {i: list(chunk) for i, chunk in enumerate(chunks)}, len(chunks))
-            num_chunks = len(chunks)
+        num_chunks = len(probes) + len(chunks)
+        pool.submit_chunks(name, chunks, overrides, predicted, len(probes), num_chunks)
+        pool.drain()
     finally:
-        if own_pool:
-            pool.shutdown()
-    if model is not None and observed:
-        model.save(cost_book)
-    completed = [result for collector in collectors for result in collector.completed]
+        pool.close()
+    pool.save_costs()
+    collector = pool.collectors[name]
     return ShardedSweepResult(
         name=name,
-        rows=[row for collector in collectors for row in collector.rows()],
+        rows=collector.rows(),
         num_points=len(points),
         num_chunks=num_chunks,
-        worker_stats=merge_worker_stats(completed),
-        failures=tuple(
-            failure for collector in collectors for failure in collector.failures
-        ),
+        worker_stats=merge_worker_stats(pool.completed()),
+        failures=tuple(collector.failures),
     )

@@ -49,6 +49,7 @@ from repro.experiments.runner import (
     get_scenario,
 )
 from repro.experiments.streaming import ChunkEvent, SweepAborted
+from repro.experiments.sweep import check_pool_sizes
 from repro.service.jobs import (
     CANCELLED,
     DONE,
@@ -92,9 +93,9 @@ class SweepService:
     ``launcher`` is the service-wide default backend (``None``: the
     registry's own resolution — ``REPRO_LAUNCHER``, then the process
     pool); each submission may override it.  ``journal_path`` enables the
-    JSON-lines job journal; ``max_workers`` caps every job's launcher
-    width.  Lifecycle: :meth:`start` binds the socket (``port=0`` picks an
-    ephemeral port), :meth:`serve_forever` accepts clients until
+    JSON-lines job journal; ``max_workers`` (at least 1) caps every job's
+    launcher width.  Lifecycle: :meth:`start` binds the socket (``port=0``
+    picks an ephemeral port), :meth:`serve_forever` accepts clients until
     :meth:`stop` (or task cancellation) tears the service down.
     """
 
@@ -109,6 +110,7 @@ class SweepService:
     ):
         if launcher is not None:
             resolve_launcher_name(launcher)  # fail fast on unknown backends
+        check_pool_sizes(max_workers=max_workers)
         self.host = host
         self.port = port
         self.default_launcher = launcher
@@ -164,10 +166,10 @@ class SweepService:
     ) -> JobRecord:
         """Validate and enqueue one sweep batch; returns its (queued) record.
 
-        Scenario names, override targets, and the launcher choice are
-        validated *before* the job exists, so a bad submission fails the
-        request instead of producing a failed job.  Must be called on the
-        event loop (the job task is created here).
+        Scenario names, override targets and keywords, and the launcher
+        choice are validated *before* the job exists, so a bad submission
+        fails the request instead of producing a failed job.  Must be called
+        on the event loop (the job task is created here).
         """
         if not scenarios:
             raise ProtocolError("a submission needs at least one scenario name")
@@ -176,16 +178,17 @@ class SweepService:
         chosen = launcher if launcher is not None else self.default_launcher
         if chosen is not None:
             chosen = resolve_launcher_name(chosen)
+        keywords = {name: dict(kw) for name, kw in dict(overrides or {}).items()}
+        for name, kw in keywords.items():
+            get_scenario(name).check_overrides(kw)
         job = JobRecord(
             job_id=f"job-{next(self._serial)}-{uuid.uuid4().hex[:6]}",
             scenarios=list(scenarios),
-            overrides={name: dict(kw) for name, kw in dict(overrides or {}).items()},
+            overrides=keywords,
             launcher=chosen,
             fail_fast=bool(fail_fast),
             state=QUEUED,
         )
-        for name in job.overrides:
-            get_scenario(name)
         self._jobs[job.job_id] = job
         self.journal.record({"type": "state", "state": QUEUED, **job.summary()})
         self._tasks[job.job_id] = asyncio.get_running_loop().create_task(
@@ -407,12 +410,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--max-workers", type=int, default=None)
     parser.add_argument("--no-adaptive", action="store_true")
     args = parser.parse_args(argv)
-    if args.launcher is not None:
-        try:
+    try:
+        if args.launcher is not None:
             resolve_launcher_name(args.launcher)
-        except ProtocolError as error:
-            print(f"repro-serve: {error}", file=sys.stderr)
-            return 2
+        check_pool_sizes(max_workers=args.max_workers)
+    except ProtocolError as error:
+        print(f"repro-serve: {error}", file=sys.stderr)
+        return 2
     try:
         asyncio.run(_serve(args))
     except KeyboardInterrupt:

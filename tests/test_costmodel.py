@@ -27,7 +27,7 @@ from repro.experiments.costmodel import (
     point_signature,
 )
 from repro.experiments.records import ExperimentRow
-from repro.experiments.runner import register_scenario, run_scenario
+from repro.experiments.runner import ExperimentRunner, register_scenario, run_scenario
 from repro.experiments.sweep import (
     MIN_POINTS_PER_CHUNK,
     PROBE_CHUNK_POINTS,
@@ -333,6 +333,30 @@ class TestShardedAdaptive:
         # The probe phase measured the grid: the book now has history.
         assert CostModel.load(book).has_history(hetero_scenario)
 
+    @pytest.mark.parametrize(
+        "launcher, workers, probes, num_chunks", [("threads", 2, 2, 6), ("serial", 1, 1, 4)]
+    )
+    def test_cold_run_probe_wave_settles_before_the_rest(
+        self, hetero_scenario, tmp_path, launcher, workers, probes, num_chunks
+    ):
+        events = []
+        result = run_sweep_sharded(
+            hetero_scenario,
+            launcher=launcher,
+            max_workers=workers,
+            cost_book=str(tmp_path / "book.json"),
+            progress=events.append,
+        )
+        assert result.ok
+        assert result.rows == run_scenario(hetero_scenario)
+        # One probe chunk per worker, drained before the rest is planned...
+        wave = sorted((e.chunk_index, e.num_chunks, e.num_rows) for e in events[:probes])
+        assert wave == [(index, probes, PROBE_CHUNK_POINTS) for index in range(probes)]
+        assert all(event.chunk_index >= probes for event in events[probes:])
+        # ...into max(workers, workers * CHUNKS_PER_WORKER - probes) chunks:
+        # 8 remaining points in 4 chunks, or 10 in 3 (not 4) on one worker.
+        assert len(events) == result.num_chunks == num_chunks
+
     def test_warm_run_plans_from_history_and_matches_serial(
         self, hetero_scenario, tmp_path
     ):
@@ -390,3 +414,39 @@ class TestShardedAdaptive:
         assert result.rows == serial
         assert result.worker_stats["preloaded"] > 0
         assert result.worker_stats["pack_hits"] > 0
+
+    @pytest.mark.parametrize("path_lengths", [(2, 3), (2, 3, 4, 5)], ids=["one-task", "two-chunks"])
+    @pytest.mark.parametrize("owned", [False, True], ids=["registry-launcher", "caller-launcher"])
+    @pytest.mark.parametrize("entry", ["runner", "sharded"])
+    def test_operator_pack_reaches_workers_on_every_path(self, entry, owned, path_lengths):
+        # A launcher built from a registry name gets the pack at construction;
+        # a caller-owned one must receive it with every task, whether the
+        # runner submits a whole scenario (r = 2, 3) or chunks (r = 2..5).
+        from repro.engine.core import default_engine, set_default_engine
+        from repro.experiments.launchers import SerialLauncher
+
+        set_default_engine(None)
+        serial = run_scenario("soundness-scaling", path_lengths=path_lengths)
+        pack = default_engine().export_operator_pack(source="parent")
+        set_default_engine(None)  # the serial launcher evaluates on this engine
+        launcher = SerialLauncher() if owned else "serial"
+        if entry == "runner":
+            runner = ExperimentRunner(
+                ["soundness-scaling"],
+                parallel=True,
+                launcher=launcher,
+                operator_pack=pack,
+                overrides={"soundness-scaling": {"path_lengths": path_lengths}},
+            )
+            rows, stats = runner.run()["soundness-scaling"], runner.cache_stats
+        else:
+            result = run_sweep_sharded(
+                "soundness-scaling",
+                launcher=launcher,
+                operator_pack=pack,
+                path_lengths=path_lengths,
+            )
+            rows, stats = result.rows, result.worker_stats
+        assert rows == serial
+        assert stats["preloaded"] > 0
+        assert stats["pack_hits"] > 0

@@ -27,6 +27,7 @@ from repro.experiments.sweep import (
 from repro.experiments.table1 import table1_default_grid, table1_rows
 from repro.experiments.table2 import table2_rows
 from repro.experiments.table3 import table3_rows, upper_vs_lower_consistency
+from repro.service import SweepService
 
 #: The default (complex128 transfer-matrix) report, generated serially.
 GOLDEN_REPORT = pathlib.Path(__file__).resolve().parent / "golden" / "report.txt"
@@ -252,6 +253,50 @@ class TestShardedParity:
     def test_run_sweep_sharded_rejects_unswept_scenarios(self):
         with pytest.raises(ProtocolError, match="declares no sweep grid"):
             run_sweep_sharded("table1-measured")
+
+
+class TestUpFrontValidation:
+    """Bad sizes and override keywords fail the call before any dispatch."""
+
+    @pytest.mark.parametrize(
+        "entry, kwargs",
+        [
+            ("runner", {"chunk_size": 0}),
+            ("runner", {"max_workers": 0}),
+            ("sharded", {"chunk_size": 0}),
+            ("sharded", {"chunk_size": -3}),
+            ("sharded", {"max_workers": 0}),
+            ("spec", {"chunk_size": 0}),
+            ("service", {"max_workers": 0}),
+        ],
+        ids=[
+            "runner-chunk-size-0",
+            "runner-max-workers-0",
+            "sharded-chunk-size-0",
+            "sharded-chunk-size-neg3",
+            "sharded-max-workers-0",
+            "spec-chunk-size-0",
+            "service-max-workers-0",
+        ],
+    )
+    def test_sizes_below_one_are_rejected(self, entry, kwargs):
+        with pytest.raises(ProtocolError, match="must be at least 1"):
+            if entry == "runner":
+                ExperimentRunner(["table1"], parallel=True, **kwargs)
+            elif entry == "sharded":
+                run_sweep_sharded("table1", launcher="serial", **kwargs)
+            elif entry == "spec":
+                SweepSpec("grid", list, **kwargs)
+            else:
+                SweepService(**kwargs)
+
+    @pytest.mark.parametrize("entry", ["runner", "sharded"])
+    def test_unknown_override_keywords_are_rejected(self, entry):
+        with pytest.raises(ProtocolError, match="bogus"):
+            if entry == "runner":
+                ExperimentRunner(["table1"], overrides={"table1": {"bogus": 1}})
+            else:
+                run_sweep_sharded("table1", launcher="serial", bogus=1)
 
 
 def test_report_import_loads_no_process_machinery():

@@ -58,7 +58,7 @@ def test_chunk_payload_roundtrips_byte_identically(name):
     else:
         points = scenario.grid_points()
         assert points, f"swept scenario {name!r} produced an empty grid"
-        payload = (run_sweep_chunk, name, points[:2], None, None, False)
+        payload = (run_sweep_chunk, name, points[:2], None, None)
     assert_byte_identical_roundtrip(payload, f"{name} chunk payload")
 
 

@@ -303,6 +303,7 @@ class TestServiceEndToEnd:
                     "scenarios": ["table1"],
                     "overrides": {"no-such-scenario": {}},
                 },
+                "keyword": {"scenarios": ["table1"], "overrides": {"table1": {"bogus": 1}}},
                 "empty": {"scenarios": []},
             }.items():
                 with pytest.raises(ProtocolError) as excinfo:
@@ -317,6 +318,7 @@ class TestServiceEndToEnd:
         assert "unknown experiment scenario" in errors["scenario"]
         assert "unknown launcher" in errors["launcher"]
         assert "unknown experiment scenario" in errors["override"]
+        assert "bogus" in errors["keyword"]
         assert "at least one scenario" in errors["empty"]
 
     def test_malformed_requests_get_error_replies(self):
