@@ -13,8 +13,9 @@ asks the simulator to evaluate from *how* the evaluation is carried out:
   shape every compiled protocol's acceptance probability takes;
   :class:`ChainProgram` is a thin subclass kept for the chain families).
   Jobs may carry :class:`ChainNoise` / :class:`TreeNoise` channel
-  annotations (see :mod:`repro.quantum.channels`), which switch their
-  evaluation onto the backends' density-matrix path.
+  annotations (see :mod:`repro.quantum.channels`); the backends evaluate
+  them on the same paths as clean jobs, which are the noisy ones with no
+  channels and perfect readout.
 * :mod:`repro.engine.array_ops` — the :class:`ArrayModule` protocol (a
   minimal numpy-like namespace: ``asarray`` / ``einsum`` / ``matmul`` /
   ``stack`` / ``conj`` / ``to_numpy``) with a numpy default, a
@@ -28,8 +29,9 @@ asks the simulator to evaluate from *how* the evaluation is carried out:
   tree contraction primitives, all pure functions of ``(xp, dtype)`` with
   per-(equation, shape-signature) einsum paths precomputed and cached.
 * :mod:`repro.engine.tree_contraction` — the leaf-to-root contraction of
-  tree jobs: a scalar reference recursion and the signature-grouped batched
-  evaluation reusing the Gram-matrix stacking of the chain path.
+  tree jobs, clean and noisy: one scalar reference recursion on Kraus-sum
+  density matrices, and one signature-grouped batched evaluator whose pair
+  traces come from Gram products, like the chain path's.
 * :mod:`repro.engine.backends` — the :class:`SimulationBackend` interface,
   the :class:`DenseBackend` reference implementation (scalar, one job at a
   time) and the :class:`TransferMatrixBackend` which evaluates *batches* of

@@ -17,8 +17,10 @@ Two evaluation strategies ship with the library:
     for noisy groups, one gathered trace einsum), the symmetrization
     recursion runs vectorized over the batch, and measurement expectations
     are one more einsum.  Every chain group goes through the single kernel
-    :func:`~repro.engine.kernels.chain_probabilities`.  This is the fast
-    path behind ``DQMAProtocol.acceptance_probabilities``.
+    :func:`~repro.engine.kernels.chain_probabilities`, and every tree group
+    through the single group evaluator of :func:`~repro.engine.
+    tree_contraction.tree_probabilities_batched`.  This is the fast path
+    behind ``DQMAProtocol.acceptance_probabilities``.
 
 The transfer-matrix evaluation is parameterized by an
 :class:`~repro.engine.array_ops.ArrayModule` and a contraction dtype, so the
@@ -42,14 +44,15 @@ Jobs carrying a :class:`~repro.engine.jobs.ChainNoise` / :class:`~repro.
 engine.jobs.TreeNoise` channel annotation evaluate on the density-matrix
 generalization of each path: registers become densities pushed through
 their link/node channels, squared overlaps become Hilbert-Schmidt traces
-and each test factor passes the readout-error flip.  A clean chain is the
-noisy one with no channels and perfect readout; it keeps the Gram product
-of its state rows.  The dense backend routes noisy chains through the
-degenerate-path tree of :meth:`ChainJob.to_tree_job` (the scalar density
-recursion); the transfer-matrix backend contracts whole noisy groups —
-including sweeps where every job carries a different noise strength — in
-one stacked product.  An absent or structurally empty annotation keeps the
-pure-state path bit for bit.
+and each test factor passes the readout-error flip.  A clean chain or tree
+is the noisy one with no channels and perfect readout; its batched group
+keeps the Gram product of its state rows.  The dense backend's tree
+reference builds every register as Kraus-sum density matrices (a clean row
+is its pure projector) and routes noisy chains through the degenerate-path
+tree of :meth:`ChainJob.to_tree_job`; the transfer-matrix backend contracts
+whole noisy groups — including sweeps where every job carries a different
+noise strength — in one stacked product.  An absent or structurally empty
+annotation evaluates exactly like a clean job.
 
 Backends are registered by name so experiment configuration can select them
 with a string (``"dense"`` / ``"transfer-matrix"`` / ``"transfer-matrix-

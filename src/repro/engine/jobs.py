@@ -158,7 +158,8 @@ MEAS_THRESHOLD = "match-threshold"
 _VECTOR_MEAS_KINDS = (MEAS_PROJECTOR, MEAS_SWAP, MEAS_MATCH_ANY, MEAS_THRESHOLD)
 
 #: Largest permutation-test arity (kept register + children) a tree node may
-#: compile to: the batched permanent enumerates ``arity!`` terms per test.
+#: compile to: the cycle expansion enumerates all ``arity!`` permutations per
+#: test.
 MAX_PERM_TEST_ARITY = 6
 
 #: Largest register bundle of a router node: the leaf-to-root marginalisation
@@ -691,7 +692,7 @@ class TreeJob:
                 if arity > MAX_PERM_TEST_ARITY:
                     raise ProtocolError(
                         f"permutation test of arity {arity} exceeds the "
-                        f"{MAX_PERM_TEST_ARITY}-register permanent limit"
+                        f"{MAX_PERM_TEST_ARITY}-register cycle-expansion limit"
                     )
                 if arity > 2 and self.num_factors != 1:
                     raise ProtocolError(
@@ -767,6 +768,11 @@ class TreeJob:
             if measurement.target_row is None or not 0 <= measurement.target_row < num_rows:
                 raise ProtocolError(
                     f"node {node} measurement needs an in-range target row"
+                )
+            if measurement.kind == MEAS_THRESHOLD and measurement.threshold < 0:
+                raise ProtocolError(
+                    f"node {node} match threshold must be non-negative, "
+                    f"got {measurement.threshold}"
                 )
         else:
             raise ProtocolError(f"unknown measurement kind {measurement.kind!r}")

@@ -312,14 +312,15 @@ def batched_overlap_grams(
     Returns ``(overlap_sq, cgram)``: ``overlap_sq[f][b, r, s]`` is the host
     float64 squared overlap of rows ``r, s`` in tensor factor ``f``;
     ``cgram`` is the complex Gram of single-factor groups (host complex128 —
-    the permutation-test permanent accumulates there), ``None`` otherwise.
+    the permutation-test cycle expansion multiplies its entries there),
+    ``None`` otherwise.
     """
     if len(stacks) == 1:
         states = xp.asarray(stacks[0], dtype=dtype)
         gram_c = xp.matmul(xp.conj(states), xp.transpose(states, (0, 2, 1)))
         overlap_sq = _accumulate(xp, xp.abs(gram_c) ** 2)
-        # Host-side allowlist: the permutation-test permanent accumulates in
-        # host complex128 whatever the contraction dtype (dtype policy).
+        # Host-side allowlist: the permutation-test cycle expansion
+        # accumulates in host complex128 whatever the contraction dtype.
         cgram = np.asarray(xp.to_numpy(gram_c), dtype=np.complex128)  # repro-lint: disable=dtype-discipline
         return [overlap_sq], cgram
     overlap_sq = []

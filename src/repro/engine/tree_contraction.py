@@ -11,33 +11,41 @@ kept).  This replaces the exponential joint-pattern enumeration of the
 pre-engine protocol code with ``O(sum_v choices_v * prod_children choices)``
 work.
 
-Two evaluators share the node semantics:
+Every register row has a *kept* form (its owner's node channel applied) and
+a *sent* form (the owner's up-link channel on top), and every test reads
+Hilbert-Schmidt traces ``Tr(rho sigma)`` of those forms, factorized over
+the tensor factors of the registers: a SWAP test accepts with
+``1/2 + 1/2 Tr(rho sigma)``, a permutation test of arity ``k`` with the
+cycle expansion ``Tr(P_sym rho_1 x ... x rho_k) = (1/k!) sum_pi
+prod_cycles Tr(prod rho)``, and every local factor passes the readout-error
+flip.  A clean job (no :class:`~repro.engine.jobs.TreeNoise`, or a
+structurally empty one) is the noisy job with no channels and perfect
+readout: each row is its pure projector, sent as kept, so the traces are
+squared overlaps.
+
+Two independent evaluators implement these semantics:
 
 :func:`tree_acceptance_probability`
-    The scalar reference: one job, plain Python loops and ``np.vdot``
-    overlaps — the semantics the batched path is tested against.
+    The scalar reference: one job, per-factor density matrices built with
+    plain Kraus sums, and plain Python loops — the semantics the batched
+    path is tested against.
 
 :func:`tree_probabilities_batched`
-    Groups jobs by structure signature, stacks each group's registers into
-    one array per tensor factor, computes every overlap of the group with a
-    single batched Gram product per factor (the PR-1 chain trick), and runs
-    the same leaf-to-root recursion vectorized over the batch axis.  The
+    Groups jobs by structure signature and evaluates each group in one
+    :class:`_GroupContext`.  A clean group stacks its registers into one
+    array per tensor factor and reads every pair trace out of one batched
+    Gram product per factor, like a clean chain group; a noisy group stacks
+    the kept and sent densities of every row, built through each job's own
+    channel superoperators, and reads them out of one trace Gram.  The same
+    leaf-to-root recursion then runs vectorized over the batch axis.  The
     Gram products route through :mod:`repro.engine.kernels`, so they run on
-    any :class:`~repro.engine.array_ops.ArrayModule` (numpy / torch /
-    the transfer-counting mock) in the configured contraction dtype; the
+    any :class:`~repro.engine.array_ops.ArrayModule` (numpy / torch / the
+    transfer-counting mock) in the configured contraction dtype; the
     recursion itself accumulates in host float64.
 
-Noisy jobs (a :class:`~repro.engine.jobs.TreeNoise` annotation) evaluate on
-a density-matrix generalization of the same contraction: every register
-row becomes two density matrices — its *kept* form (node channel applied)
-and its *sent* form (up-link channel applied on top) — squared overlaps
-become Hilbert-Schmidt traces ``Tr(rho sigma)`` (computed for a whole batch
-by the same Gram matmul on vectorized densities), permutation tests use the
-cycle expansion ``Tr(P_sym rho_1 x ... x rho_k) = (1/k!) sum_pi prod_cycles
-Tr(prod rho)``, and every local test factor passes through the readout-error
-flip.  The scalar reference applies channels through their Kraus sums while
-the batched path routes through superoperators — an independent cross-check
-exercised by the noise parity tests.
+The two share only the tree bookkeeping (choices, row owners, cycle
+decompositions, the threshold tail); each computes its own accept factors,
+so a slip in one of them shows up in the parity tests.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from functools import lru_cache
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 from math import factorial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +79,11 @@ from repro.engine.jobs import (
 from repro.engine import kernels
 from repro.exceptions import ProtocolError
 from repro.quantum.channels import flip_probability
+
+
+# --------------------------------------------------------------------------
+# Shared tree bookkeeping
+# --------------------------------------------------------------------------
 
 
 def _threshold_tail(match_probabilities: np.ndarray, threshold: int) -> np.ndarray:
@@ -107,151 +120,6 @@ def _require_row(row: Optional[int], node: int) -> int:
 
 def _is_down_family(job: TreeJob) -> bool:
     return any(test == TEST_FANOUT for test in job.tests)
-
-
-# --------------------------------------------------------------------------
-# Scalar reference
-# --------------------------------------------------------------------------
-
-
-def _overlap_sq(job: TreeJob, row_a: int, row_b: int) -> float:
-    value = 1.0
-    for stack in job.factors:
-        # Host-side allowlist: the scalar reference path checks the batched
-        # kernels and never runs on a device backend.
-        value *= float(abs(np.vdot(stack[row_a], stack[row_b])) ** 2)  # repro-lint: disable=device-purity
-    return value
-
-
-def _swap_accept(job: TreeJob, row_a: int, row_b: int) -> float:
-    return 0.5 + 0.5 * _overlap_sq(job, row_a, row_b)
-
-
-def _perm_accept(job: TreeJob, rows: Sequence[int]) -> float:
-    if len(rows) == 2:
-        return _swap_accept(job, rows[0], rows[1])
-    from repro.quantum.permutation_test import (
-        permutation_test_accept_probability_product,
-    )
-
-    kets = [job.factors[0][row] for row in rows]
-    return permutation_test_accept_probability_product(kets)
-
-
-def _measure_value(job: TreeJob, measurement: LeafMeasurement, row: int) -> float:
-    if measurement.kind == MEAS_DENSE:
-        state = job.factors[0][row]
-        # Host-side allowlist (here and below): scalar reference path.
-        return float(np.real(np.vdot(state, measurement.operator @ state)))  # repro-lint: disable=device-purity
-    if measurement.kind == MEAS_DIAGONAL:
-        state = job.factors[0][row]
-        return float(np.real(np.sum(measurement.operator * np.abs(state) ** 2)))
-    target = measurement.target_row
-    matches = [
-        float(abs(np.vdot(stack[target], stack[row])) ** 2) for stack in job.factors  # repro-lint: disable=device-purity
-    ]
-    if measurement.kind == MEAS_PROJECTOR:
-        return float(np.prod(matches))
-    if measurement.kind == MEAS_SWAP:
-        return 0.5 + 0.5 * float(np.prod(matches))
-    if measurement.kind == MEAS_MATCH_ANY:
-        return 1.0 - float(np.prod([1.0 - m for m in matches]))
-    return float(_threshold_tail(np.array(matches), measurement.threshold))
-
-
-def _up_scalar(
-    job: TreeJob,
-    measure: Callable[[int, int], float],
-    perm_accept: Callable[[Sequence[int]], float],
-) -> float:
-    """Leaf-to-root recursion of an up-family job.
-
-    ``measure(node, row)`` is the accept factor of ``node``'s measurement on
-    the register row its child forwards; ``perm_accept(rows)`` that of a
-    permutation test of the kept row ``rows[0]`` against the forwarded rows
-    ``rows[1:]``.  The clean and noisy references differ only in these two.
-    """
-    children = job.children
-    choices = [_up_choices(job, node) for node in range(job.num_nodes)]
-    weights: List[Optional[List[float]]] = [None] * job.num_nodes
-    for node in range(job.num_nodes - 1, -1, -1):
-        ch = children[node]
-        test = job.tests[node]
-        node_weights: List[float] = []
-        for probability, kept, _ in choices[node]:
-            if not ch or test == TEST_NONE:
-                value = probability
-                for c in ch:
-                    value *= sum(weights[c])
-            elif test == TEST_MEASURE:
-                c = ch[0]
-                total = 0.0
-                for j, (_, _, forwarded) in enumerate(choices[c]):
-                    total += measure(node, _require_row(forwarded, c)) * weights[c][j]
-                value = probability * total
-            else:  # TEST_PERM
-                total = 0.0
-                for combo in iter_product(*[range(len(choices[c])) for c in ch]):
-                    rows = [_require_row(kept, node)]
-                    term = 1.0
-                    for c, j in zip(ch, combo):
-                        rows.append(_require_row(choices[c][j][2], c))
-                        term *= weights[c][j]
-                    if term != 0.0:
-                        term *= perm_accept(rows)
-                    total += term
-                value = probability * total
-            node_weights.append(value)
-        weights[node] = node_weights
-    return float(min(max(sum(weights[0]), 0.0), 1.0))
-
-
-def _down_scalar(job: TreeJob) -> float:
-    children = job.children
-    weights: List[Optional[np.ndarray]] = [None] * job.num_nodes
-    for node in range(job.num_nodes - 1, -1, -1):
-        ch = children[node]
-        if not ch:
-            continue  # leaves are consumed by their fan-out parent
-        slots = job.slots[node]
-        # messages[i][s]: acceptance of child ch[i]'s subtree when this node
-        # sends it register slot s.
-        messages = []
-        for c in ch:
-            per_slot = np.empty(len(slots))
-            for s, row in enumerate(slots):
-                if not children[c]:
-                    measurement = job.measurements[c]
-                    per_slot[s] = (
-                        _measure_value(job, measurement, row) if measurement else 1.0
-                    )
-                else:
-                    kept_rows = job.slots[c]
-                    per_slot[s] = sum(
-                        _swap_accept(job, row, kept_rows[j]) * weights[c][j]
-                        for j in range(len(kept_rows))
-                    )
-            messages.append(per_slot)
-        if job.kinds[node] == NODE_FIXED:
-            value = 1.0
-            for per_slot in messages:
-                value *= per_slot[0]
-            weights[node] = np.array([value])
-        else:  # router: marginalize the uniform assignment to the kept slot
-            bundle = len(slots)
-            marginal = np.zeros(bundle)
-            for assignment in router_assignments(bundle):
-                term = 1.0
-                for i in range(len(ch)):
-                    term *= messages[i][assignment[i]]
-                marginal[assignment[-1]] += term
-            weights[node] = marginal / assignment_count(bundle)
-    return float(min(max(float(weights[0].sum()), 0.0), 1.0))
-
-
-# --------------------------------------------------------------------------
-# Noisy (density-matrix) evaluation
-# --------------------------------------------------------------------------
 
 
 def _row_owners(job: TreeJob) -> List[Optional[int]]:
@@ -295,107 +163,190 @@ def _permutation_cycle_sets(arity: int) -> Tuple[Tuple[Tuple[int, ...], ...], ..
     return tuple(decompositions)
 
 
-def _mixed_perm_accept(matrices: Sequence[np.ndarray]) -> float:
+# --------------------------------------------------------------------------
+# Scalar reference
+# --------------------------------------------------------------------------
+
+#: A register as per-tensor-factor density matrices.
+_Register = List[np.ndarray]
+
+
+def _scalar_densities(job: TreeJob) -> Tuple[List[_Register], List[_Register]]:
+    """Per-row *(kept, sent)* registers, via plain Kraus sums.
+
+    ``kept[r]`` is register ``r`` after its owner's node channel;
+    ``sent[r]`` additionally passes the owner's up-link channel.  Without
+    channels a row is its pure projector, sent as kept.  A measurement
+    target row is owned by its measuring node (see :func:`_row_owners`).
+    """
+    noise = job.noise
+    kept: List[_Register] = []
+    sent: List[_Register] = []
+    for row, owner in enumerate(_row_owners(job)):
+        node_channel = up_channel = None
+        if noise is not None and owner is not None:
+            node_channel = noise.node_channels[owner]
+            up_channel = noise.up_channels[owner]
+        kept.append([])
+        sent.append([])
+        for stack in job.factors:
+            # Host-side allowlist: the scalar reference builds host densities
+            # (Kraus channels act on host complex128 by design).
+            rho = np.outer(stack[row], stack[row].conj())  # repro-lint: disable=device-purity
+            if node_channel is not None:
+                rho = node_channel.apply(rho)
+            kept[-1].append(rho)
+            sent[-1].append(rho if up_channel is None else up_channel.apply(rho))
+    return kept, sent
+
+
+def _trace_along(matrices: Sequence[np.ndarray]) -> complex:
+    """``Tr(m_1 m_2 ... m_k)`` of host matrices, for ``k >= 2``."""
+    product = matrices[0]
+    for matrix in matrices[1:-1]:
+        product = product @ matrix
+    return complex(np.sum(product * matrices[-1].T))
+
+
+def _permutation_accept(registers: Sequence[_Register]) -> float:
     """``Tr(P_sym rho_1 x ... x rho_k)`` via the permutation-cycle expansion.
 
-    Each permutation contributes the product, over its cycles, of the trace
-    of the densities multiplied along the cycle; length-1 cycles contribute
-    ``Tr(rho) = 1`` (channels are trace preserving).  For pure states this
-    reduces to the Gram-permanent formula of the noiseless path, and for
-    ``k = 2`` to the SWAP-test value ``1/2 + 1/2 Tr(rho sigma)``.
+    A permutation acts on every tensor factor at once, so each of its cycles
+    contributes the product, over factors, of the trace of the densities
+    multiplied along the cycle; length-1 cycles contribute ``Tr(rho) = 1``
+    (channels are trace preserving).  For ``k = 2`` this is the SWAP-test
+    value ``1/2 + 1/2 Tr(rho sigma)``.
     """
-    arity = len(matrices)
+    arity = len(registers)
     total = 0.0 + 0.0j
     for cycles in _permutation_cycle_sets(arity):
         term = 1.0 + 0.0j
         for cycle in cycles:
             if len(cycle) == 1:
                 continue
-            product = matrices[cycle[0]]
-            for index in cycle[1:]:
-                product = product @ matrices[index]
-            # Host-side allowlist: scalar reference permanent.
-            term *= np.trace(product)  # repro-lint: disable=device-purity
+            for factor in range(len(registers[0])):
+                term *= _trace_along([registers[index][factor] for index in cycle])
         total += term
     return float(np.clip(total.real / factorial(arity), 0.0, 1.0))
 
 
-def _scalar_noisy_densities(job: TreeJob) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row *(kept, sent)* density matrices, via plain Kraus sums.
-
-    ``kept[r]`` is the register after its owner's node channel; ``sent[r]``
-    additionally passes the owner's up-link channel.  A measurement target
-    row is owned by its measuring node (see :func:`_row_owners`), so that
-    node's node channel models preparation noise of the verifier's
-    reference state; only the target's *sent* form is never used.
-    """
-    states = job.factors[0]
-    num_rows, dim = states.shape
-    owners = _row_owners(job)
-    # Host-side allowlist: Kraus channels act on host densities in exact
-    # complex128 — the noisy path's accumulation half of the dtype policy.
-    kept = np.empty((num_rows, dim, dim), dtype=np.complex128)  # repro-lint: disable=dtype-discipline
-    sent = np.empty_like(kept)
-    for row in range(num_rows):
-        rho = np.outer(states[row], states[row].conj())  # repro-lint: disable=device-purity
-        owner = owners[row]
-        if owner is not None:
-            node_channel = job.noise.node_channels[owner]
-            if node_channel is not None:
-                rho = node_channel.apply(rho)
-        kept[row] = rho
-        up_channel = job.noise.up_channels[owner] if owner is not None else None
-        sent[row] = up_channel.apply(rho) if up_channel is not None else rho
-    return kept, sent
-
-
-def _noisy_measure_value(
-    measurement: LeafMeasurement, rho: np.ndarray, kept: np.ndarray
+def _measure_accept(
+    measurement: LeafMeasurement, rho: _Register, kept: Sequence[_Register]
 ) -> float:
-    """One measurement accept factor on a density matrix (before readout flip)."""
+    """One measurement's accept factor on register ``rho`` (before readout flip)."""
     if measurement.kind == MEAS_DENSE:
-        # Host-side allowlist (here and below): scalar noisy reference path.
-        return float(np.trace(measurement.operator @ rho).real)  # repro-lint: disable=device-purity
+        return _trace_along([measurement.operator, rho[0]]).real
     if measurement.kind == MEAS_DIAGONAL:
-        return float(np.sum(measurement.operator * np.diag(rho)).real)
-    match = float(np.trace(kept[measurement.target_row] @ rho).real)  # repro-lint: disable=device-purity
+        return float(np.sum(measurement.operator * np.diag(rho[0])).real)
+    target = kept[measurement.target_row]
+    matches = [_trace_along([t, r]).real for t, r in zip(target, rho)]
     if measurement.kind == MEAS_PROJECTOR:
-        return match
+        return float(np.prod(matches))
     if measurement.kind == MEAS_SWAP:
-        return 0.5 + 0.5 * match
+        return 0.5 + 0.5 * float(np.prod(matches))
     if measurement.kind == MEAS_MATCH_ANY:
-        return match
-    return float(_threshold_tail(np.array([match]), measurement.threshold))
+        return 1.0 - float(np.prod([1.0 - m for m in matches]))
+    return float(_threshold_tail(np.array(matches), measurement.threshold))
 
 
-def _up_scalar_noisy(job: TreeJob) -> float:
-    """Scalar reference for noisy up-family jobs: densities plus readout flips."""
-    kept, sent = _scalar_noisy_densities(job)
-    error = job.noise.readout_error
+def _up_scalar(
+    job: TreeJob, kept: List[_Register], sent: List[_Register], error: float
+) -> float:
+    """Leaf-to-root recursion of an up-family job.
 
-    def measure(node: int, row: int) -> float:
-        accept = _noisy_measure_value(job.measurements[node], sent[row], kept)
-        return flip_probability(accept, error)
+    A measuring node measures the *sent* form of the register its child
+    forwards; a permutation test runs on the node's *kept* register and
+    the children's sent ones.  Every factor passes the readout flip.
+    """
+    children = job.children
+    choices = [_up_choices(job, node) for node in range(job.num_nodes)]
+    weights: List[Optional[List[float]]] = [None] * job.num_nodes
+    for node in range(job.num_nodes - 1, -1, -1):
+        ch = children[node]
+        test = job.tests[node]
+        node_weights: List[float] = []
+        for probability, kept_row, _ in choices[node]:
+            if not ch or test == TEST_NONE:
+                value = probability
+                for c in ch:
+                    value *= sum(weights[c])
+            elif test == TEST_MEASURE:
+                c = ch[0]
+                total = 0.0
+                for j, (_, _, forwarded) in enumerate(choices[c]):
+                    accept = _measure_accept(
+                        job.measurements[node], sent[_require_row(forwarded, c)], kept
+                    )
+                    total += flip_probability(accept, error) * weights[c][j]
+                value = probability * total
+            else:  # TEST_PERM
+                total = 0.0
+                for combo in iter_product(*[range(len(choices[c])) for c in ch]):
+                    registers = [kept[_require_row(kept_row, node)]]
+                    term = 1.0
+                    for c, j in zip(ch, combo):
+                        registers.append(sent[_require_row(choices[c][j][2], c)])
+                        term *= weights[c][j]
+                    if term != 0.0:
+                        term *= flip_probability(_permutation_accept(registers), error)
+                    total += term
+                value = probability * total
+            node_weights.append(value)
+        weights[node] = node_weights
+    return float(min(max(sum(weights[0]), 0.0), 1.0))
 
-    def perm_accept(rows: Sequence[int]) -> float:
-        matrices = [kept[rows[0]]] + [sent[row] for row in rows[1:]]
-        return flip_probability(_mixed_perm_accept(matrices), error)
 
-    return _up_scalar(job, measure, perm_accept)
+def _down_scalar(job: TreeJob, kept: List[_Register]) -> float:
+    """Leaf-to-root recursion of a fan-out job (validation keeps it clean)."""
+    children = job.children
+    weights: List[Optional[np.ndarray]] = [None] * job.num_nodes
+    for node in range(job.num_nodes - 1, -1, -1):
+        ch = children[node]
+        if not ch:
+            continue  # leaves are consumed by their fan-out parent
+        slots = job.slots[node]
+        # messages[i][s]: acceptance of child ch[i]'s subtree when this node
+        # sends it register slot s.
+        messages = []
+        for c in ch:
+            per_slot = np.empty(len(slots))
+            for s, row in enumerate(slots):
+                if not children[c]:
+                    measurement = job.measurements[c]
+                    per_slot[s] = (
+                        _measure_accept(measurement, kept[row], kept) if measurement else 1.0
+                    )
+                else:
+                    kept_rows = job.slots[c]
+                    per_slot[s] = sum(
+                        _permutation_accept([kept[row], kept[kept_rows[j]]]) * weights[c][j]
+                        for j in range(len(kept_rows))
+                    )
+            messages.append(per_slot)
+        if job.kinds[node] == NODE_FIXED:
+            value = 1.0
+            for per_slot in messages:
+                value *= per_slot[0]
+            weights[node] = np.array([value])
+        else:  # router: marginalize the uniform assignment to the kept slot
+            bundle = len(slots)
+            marginal = np.zeros(bundle)
+            for assignment in router_assignments(bundle):
+                term = 1.0
+                for i in range(len(ch)):
+                    term *= messages[i][assignment[i]]
+                marginal[assignment[-1]] += term
+            weights[node] = marginal / assignment_count(bundle)
+    return float(min(max(float(weights[0].sum()), 0.0), 1.0))
 
 
 def tree_acceptance_probability(job: TreeJob) -> float:
     """Exact acceptance probability of one tree job (scalar reference)."""
-    if job.is_noisy:
-        # Validation restricts noisy jobs to the up-forwarding family.
-        return _up_scalar_noisy(job)
+    kept, sent = _scalar_densities(job)
     if _is_down_family(job):
-        return _down_scalar(job)
-    return _up_scalar(
-        job,
-        lambda node, row: _measure_value(job, job.measurements[node], row),
-        lambda rows: _perm_accept(job, rows),
-    )
+        return _down_scalar(job, kept)
+    error = job.noise.readout_error if job.noise is not None else 0.0
+    return _up_scalar(job, kept, sent, error)
 
 
 # --------------------------------------------------------------------------
@@ -404,22 +355,22 @@ def tree_acceptance_probability(job: TreeJob) -> float:
 
 
 class _GroupContext:
-    """Stacked states and cached Gram products of one signature group.
+    """Stacked rows and cached pair traces of one signature group.
 
-    The heavy per-group products — the squared-overlap Grams per tensor
-    factor, the Hilbert-Schmidt trace Gram of the noisy path, the dense
-    measurement einsum — run through :mod:`repro.engine.kernels` on the
-    supplied array module in the supplied contraction dtype; everything the
-    recursion reads afterwards is host float64.
-
-    In *noisy* mode (the group's jobs carry a :class:`~repro.engine.jobs.
-    TreeNoise`) the context stacks, per job, the kept and sent density
-    matrices of every register row — ``2 R`` rows of ``d x d`` densities,
-    built through each job's own channel superoperators — and replaces the
-    squared-overlap Gram with the Hilbert-Schmidt trace Gram
-    ``Tr(rho_r rho_s)`` of the vectorized densities.  Rows ``R + r`` are the
-    sent (up-link-transformed) forms; :meth:`sent_row` maps between the
-    spaces.  All accept factors pass through the per-job readout flip.
+    Row ``r < R`` of :attr:`rows` is the kept form of register ``r``; its
+    sent form is row ``r + offset``.  A clean group's rows are its pure
+    states (offset 0, a register is sent as kept): factor 0 of the
+    ``(B, R, d)`` per-factor stacks.  A noisy group's rows are ``(B, 2R, d,
+    d)`` densities (offset ``R``), the kept and sent forms built through
+    each job's own channel superoperators.  ``matches[f][b, r, s]`` is the
+    pair trace ``Tr(rho_r rho_s)`` in tensor factor ``f``: one squared-
+    overlap Gram per factor for a clean group, the Hilbert-Schmidt trace
+    Gram of the vectorized densities for a noisy one.  These products and
+    the dense measurement of pure rows run through :mod:`repro.engine.
+    kernels` on the supplied array module in the supplied contraction
+    dtype; everything the recursion reads afterwards is host float64.
+    Accept factors pass the per-job readout flip when the group has
+    readout errors.
     """
 
     def __init__(
@@ -429,112 +380,102 @@ class _GroupContext:
         dtype: Optional[np.dtype] = None,
     ):
         self.group = group
-        self.template = group[0]
+        self.template = template = group[0]
         self.batch = len(group)
         self.xp = get_array_module(xp)
         self.dtype = resolve_dtype(dtype)
         self._dense_operators: Dict[int, np.ndarray] = {}
-        self.noisy = self.template.is_noisy
-        if self.noisy:
-            self._init_noisy(group)
-            return
-        num_factors = self.template.num_factors
-        self.stacks = [
-            np.stack([job.factors[f] for job in group]) for f in range(num_factors)
-        ]
-        self.overlap_sq, self.cgram = kernels.batched_overlap_grams(
-            self.xp, self.dtype, self.stacks
-        )
-        product = self.overlap_sq[0]
-        for extra in self.overlap_sq[1:]:
-            product = product * extra
-        self.overlap_sq_product = product
-
-    def _init_noisy(self, group: Sequence[TreeJob]) -> None:
-        template = self.template
-        num_rows, dim = template.factors[0].shape
-        self.num_rows = num_rows
-        owners = _row_owners(template)
-        states = np.stack([job.factors[0] for job in group]).astype(
-            self.dtype, copy=False
-        )
-        pure = states[:, :, :, None] * states.conj()[:, :, None, :]
-        kept_grid = [
-            [
-                None if owner is None else job.noise.node_channels[owner]
-                for owner in owners
-            ]
-            for job in group
-        ]
-        sent_grid = [
-            [
-                None if owner is None else job.noise.up_channels[owner]
-                for owner in owners
-            ]
-            for job in group
-        ]
-        densities = np.empty(
-            (self.batch, 2 * num_rows, dim, dim), dtype=self.dtype
-        )
-        kept = kernels.apply_noise_grid(kept_grid, pure, self.dtype)
-        densities[:, :num_rows] = kept
-        densities[:, num_rows:] = kernels.apply_noise_grid(sent_grid, kept, self.dtype)
-        self.densities = densities
-        # Tr(rho sigma) = vec(rho) . conj(vec(sigma)) for Hermitian matrices:
-        # the same batched Gram matmul as the pure path, on density rows.
-        self.trace_gram = kernels.batched_trace_gram(self.xp, self.dtype, densities)
-        self.eps = np.array([job.noise.readout_error for job in group])
         self._cycle_traces: Dict[Tuple[int, ...], np.ndarray] = {}
+        errors = np.array(
+            [job.noise.readout_error if job.noise is not None else 0.0 for job in group]
+        )
+        self.eps = errors if errors.any() else None
+        self.cgram: Optional[np.ndarray] = None
+        if template.is_noisy:
+            num_rows, dim = template.factors[0].shape
+            owners = _row_owners(template)
+            states = np.stack([job.factors[0] for job in group]).astype(
+                self.dtype, copy=False
+            )
+            pure = states[:, :, :, None] * states.conj()[:, :, None, :]
+            kept_grid = [
+                [None if owner is None else job.noise.node_channels[owner] for owner in owners]
+                for job in group
+            ]
+            sent_grid = [
+                [None if owner is None else job.noise.up_channels[owner] for owner in owners]
+                for job in group
+            ]
+            self.rows = np.empty((self.batch, 2 * num_rows, dim, dim), dtype=self.dtype)
+            kept = kernels.apply_noise_grid(kept_grid, pure, self.dtype)
+            self.rows[:, :num_rows] = kept
+            self.rows[:, num_rows:] = kernels.apply_noise_grid(sent_grid, kept, self.dtype)
+            self.offset = num_rows
+            # Tr(rho sigma) = vec(rho) . conj(vec(sigma)) for Hermitian
+            # matrices: the same batched Gram matmul as pure rows.
+            self.matches = [kernels.batched_trace_gram(self.xp, self.dtype, self.rows)]
+        else:
+            stacks = [
+                np.stack([job.factors[f] for job in group])
+                for f in range(template.num_factors)
+            ]
+            self.rows = stacks[0]
+            self.offset = 0
+            self.matches, self.cgram = kernels.batched_overlap_grams(
+                self.xp, self.dtype, stacks
+            )
+        product = self.matches[0]
+        for extra in self.matches[1:]:
+            product = product * extra
+        self.match_product = product
 
     def sent_row(self, row: int) -> int:
         """The row index of a register's *sent* (up-link-transformed) form."""
-        return row + self.num_rows if self.noisy else row
+        return row + self.offset
+
+    def _flip(self, accepts: np.ndarray) -> np.ndarray:
+        return accepts if self.eps is None else flip_probability(accepts, self.eps)
 
     def swap_accept(self, row_a: int, row_b: int) -> np.ndarray:
-        if self.noisy:
-            return flip_probability(
-                0.5 + 0.5 * self.trace_gram[:, row_a, row_b], self.eps
-            )
-        return 0.5 + 0.5 * self.overlap_sq_product[:, row_a, row_b]
+        return self._flip(0.5 + 0.5 * self.match_product[:, row_a, row_b])
 
     def _cycle_trace(self, cycle_rows: Tuple[int, ...]) -> np.ndarray:
-        """``Tr(prod rho)`` along one cycle, cached under its canonical rotation."""
+        """``Tr(prod rho)`` along one cycle, cached under its canonical rotation.
+
+        Pure rows multiply complex Gram entries ``<r|s>`` around the cycle;
+        density rows multiply the matrices and take the trace.
+        """
         pivot = cycle_rows.index(min(cycle_rows))
         key = cycle_rows[pivot:] + cycle_rows[:pivot]
         cached = self._cycle_traces.get(key)
         if cached is None:
-            product = self.densities[:, key[0]]
-            for row in key[1:]:
-                # Host-side allowlist: the noisy grid keeps densities on the
-                # host (Kraus channels are host complex128 by design).
-                product = np.matmul(product, self.densities[:, row])  # repro-lint: disable=device-purity
-            cached = np.trace(product, axis1=1, axis2=2)  # repro-lint: disable=device-purity
+            if self.cgram is not None:
+                cached = self.cgram[:, key[-1], key[0]]
+                for row_a, row_b in zip(key, key[1:]):
+                    cached = cached * self.cgram[:, row_a, row_b]
+            else:
+                product = self.rows[:, key[0]]
+                for row in key[1:]:
+                    # Host-side allowlist: the noisy grid keeps densities on
+                    # the host (Kraus channels are host complex128 by design).
+                    product = np.matmul(product, self.rows[:, row])  # repro-lint: disable=device-purity
+                cached = np.trace(product, axis1=1, axis2=2)  # repro-lint: disable=device-purity
             self._cycle_traces[key] = cached
         return cached
 
     def perm_accept(self, rows: Sequence[int]) -> np.ndarray:
-        if self.noisy:
-            # Dtype-policy allowlist (all four zeros/ones below): permanents
-            # accumulate in host complex128 whatever the contraction dtype.
-            total = np.zeros(self.batch, dtype=np.complex128)  # repro-lint: disable=dtype-discipline
-            for cycles in _permutation_cycle_sets(len(rows)):
-                term = np.ones(self.batch, dtype=np.complex128)  # repro-lint: disable=dtype-discipline
-                for cycle in cycles:
-                    if len(cycle) == 1:
-                        continue  # trace-one densities (channels preserve trace)
-                    term = term * self._cycle_trace(tuple(rows[i] for i in cycle))
-                total += term
-            accepts = np.clip(total.real / factorial(len(rows)), 0.0, 1.0)
-            return flip_probability(accepts, self.eps)
         if len(rows) == 2:
             return self.swap_accept(rows[0], rows[1])
+        # Dtype-policy allowlist (both below): the cycle expansion accumulates
+        # in host complex128 whatever the contraction dtype.
         total = np.zeros(self.batch, dtype=np.complex128)  # repro-lint: disable=dtype-discipline
-        for permutation in iter_permutations(range(len(rows))):
+        for cycles in _permutation_cycle_sets(len(rows)):
             term = np.ones(self.batch, dtype=np.complex128)  # repro-lint: disable=dtype-discipline
-            for i, j in enumerate(permutation):
-                term = term * self.cgram[:, rows[i], rows[j]]
+            for cycle in cycles:
+                if len(cycle) > 1:  # trace-one densities on fixed points
+                    term = term * self._cycle_trace(tuple(rows[i] for i in cycle))
             total += term
-        return np.clip(total.real / factorial(len(rows)), 0.0, 1.0)
+        return self._flip(np.clip(total.real / factorial(len(rows)), 0.0, 1.0))
 
     def _node_operators(self, node: int) -> np.ndarray:
         if node not in self._dense_operators:
@@ -544,55 +485,35 @@ class _GroupContext:
         return self._dense_operators[node]
 
     def measure(self, node: int, row: int) -> np.ndarray:
-        if self.noisy:
-            return self._measure_noisy(node, row)
+        """Accept factors of ``node``'s measurement on row ``row``."""
         measurement = self.template.measurements[node]
-        if measurement.kind == MEAS_DENSE:
-            states = self.stacks[0][:, row]
+        if measurement.kind in (MEAS_DENSE, MEAS_DIAGONAL):
+            states = self.rows[:, row]
             operators = self._node_operators(node)
-            return kernels.batched_measure_dense(
-                self.xp, self.dtype, states, operators
-            )
-        if measurement.kind == MEAS_DIAGONAL:
-            states = self.stacks[0][:, row]
-            diagonals = self._node_operators(node)
-            return np.sum(diagonals.real * np.abs(states) ** 2, axis=1)
+            if states.ndim == 3:  # density rows
+                equation = "bij,bji->b" if measurement.kind == MEAS_DENSE else "bi,bii->b"
+                # Host-side allowlist: density rows stay on the host, so
+                # their traces are host contractions by design.
+                values = np.einsum(equation, operators, states).real  # repro-lint: disable=device-purity
+            elif measurement.kind == MEAS_DENSE:
+                values = kernels.batched_measure_dense(
+                    self.xp, self.dtype, states, operators
+                )
+            else:
+                values = np.sum(operators.real * np.abs(states) ** 2, axis=1)
+            return self._flip(values)
         target = measurement.target_row
         if measurement.kind == MEAS_PROJECTOR:
-            return self.overlap_sq_product[:, row, target]
-        if measurement.kind == MEAS_SWAP:
-            return 0.5 + 0.5 * self.overlap_sq_product[:, row, target]
-        matches = np.stack(
-            [overlap[:, row, target] for overlap in self.overlap_sq]
-        )  # (F, B)
-        if measurement.kind == MEAS_MATCH_ANY:
-            return 1.0 - np.prod(1.0 - matches, axis=0)
-        return _threshold_tail(matches, measurement.threshold)
-
-    def _measure_noisy(self, node: int, row: int) -> np.ndarray:
-        """Measurement factors on density rows (``row`` is in extended space)."""
-        measurement = self.template.measurements[node]
-        if measurement.kind == MEAS_DENSE:
-            operators = self._node_operators(node)
-            # Host-side allowlist (both einsums): noisy densities stay host
-            # complex128, so these traces are host contractions by design.
-            values = np.einsum(  # repro-lint: disable=device-purity
-                "bij,bji->b", operators, self.densities[:, row]
-            ).real
-        elif measurement.kind == MEAS_DIAGONAL:
-            diagonals = self._node_operators(node)
-            values = np.einsum(  # repro-lint: disable=device-purity
-                "bi,bii->b", diagonals, self.densities[:, row]
-            ).real
+            values = self.match_product[:, row, target]
+        elif measurement.kind == MEAS_SWAP:
+            values = 0.5 + 0.5 * self.match_product[:, row, target]
         else:
-            match = self.trace_gram[:, row, measurement.target_row]
-            if measurement.kind in (MEAS_PROJECTOR, MEAS_MATCH_ANY):
-                values = match
-            elif measurement.kind == MEAS_SWAP:
-                values = 0.5 + 0.5 * match
+            matches = np.stack([match[:, row, target] for match in self.matches])  # (F, B)
+            if measurement.kind == MEAS_MATCH_ANY:
+                values = 1.0 - np.prod(1.0 - matches, axis=0)
             else:
-                values = _threshold_tail(match[None, :], measurement.threshold)
-        return flip_probability(values, self.eps)
+                values = _threshold_tail(matches, measurement.threshold)
+        return self._flip(values)
 
 
 def _up_batched(context: _GroupContext) -> np.ndarray:

@@ -34,7 +34,8 @@ planner.
 ``--backend`` and ``--dtype`` select the simulation backend and contraction
 dtype; they win over the ``REPRO_BACKEND`` / ``REPRO_DTYPE`` environment
 variables by exporting the chosen values, so pool workers on the parallel
-path inherit the selection (see :mod:`repro.engine.array_ops`).
+path inherit the selection (see :mod:`repro.engine.array_ops`).  Nothing is
+exported until every usage check has passed.
 ``--launcher`` picks the chunk-dispatch backend from the launcher registry
 (``serial`` / ``threads`` / ``process-pool`` / ``subprocess``, see
 :mod:`repro.experiments.launchers`), implies ``--parallel``, and wins over
@@ -229,9 +230,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             problem = f"unknown scenarios {unknown_names}" if unknown_names else "no scenario named"
             sys.stderr.write(f"--scenarios: {problem}; available: {known}\n")
             return 2
-    # --backend / --dtype win over REPRO_BACKEND / REPRO_DTYPE (the same
-    # precedence --chunk-size has over the cost model): they are exported to
-    # the environment so pool workers inherit the selection.
+    # --backend / --dtype / --launcher win over REPRO_BACKEND / REPRO_DTYPE /
+    # REPRO_LAUNCHER (the same precedence --chunk-size has over the cost
+    # model): once every usage check has passed, they are exported to the
+    # environment so pool workers inherit the selection.
+    backend: Optional[str] = None
     if "--backend" in argv:
         index = argv.index("--backend")
         argv.pop(index)
@@ -246,7 +249,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"unknown backend {backend!r}; available: {available_backends()}\n"
             )
             return 2
-        env_set("REPRO_BACKEND", backend)
+    dtype: Optional[str] = None
     if "--dtype" in argv:
         index = argv.index("--dtype")
         argv.pop(index)
@@ -262,9 +265,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ProtocolError as error:
             sys.stderr.write(f"{error}\n")
             return 2
-        env_set("REPRO_DTYPE", resolved.name)
-    # --launcher wins over REPRO_LAUNCHER the same way, and implies
-    # --parallel: chunk dispatch only exists on the pooled path.
+        dtype = resolved.name
+    # --launcher implies --parallel: chunk dispatch only exists on the pooled
+    # path.
     launcher: Optional[str] = None
     if "--launcher" in argv:
         index = argv.index("--launcher")
@@ -281,7 +284,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ProtocolError as error:
             sys.stderr.write(f"{error}\n")
             return 2
-        env_set("REPRO_LAUNCHER", launcher)
         parallel = True
     unknown = [arg for arg in argv if arg.startswith("-")]
     if unknown or len(argv) > 1:
@@ -298,6 +300,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if problem:
         sys.stderr.write(f"repro-report: output path {argv[0]!r} {problem}\n")
         return 2
+    for name, value in (
+        ("REPRO_BACKEND", backend),
+        ("REPRO_DTYPE", dtype),
+        ("REPRO_LAUNCHER", launcher),
+    ):
+        if value is not None:
+            env_set(name, value)
     report, failed = generate_report_status(
         parallel=parallel,
         scenarios=scenarios,

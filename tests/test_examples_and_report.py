@@ -312,6 +312,32 @@ class TestReport:
         assert main(["--launcher"]) == 2
         assert "--launcher needs a launcher name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--backend", "dense", "--bogus"],
+            ["--dtype", "complex64", "{missing}"],
+            ["--backend", "dense", "--launcher", "nope"],
+            ["--launcher", "threads", "a.txt", "b.txt"],
+        ],
+        ids=["unknown-flag", "unwritable-output", "bad-launcher", "two-outputs"],
+    )
+    def test_report_cli_usage_error_exports_nothing(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        from repro.experiments.report import main
+
+        names = ("REPRO_BACKEND", "REPRO_DTYPE", "REPRO_LAUNCHER")
+        for name in names:
+            # setenv before delenv so monkeypatch restores the pre-test state
+            # even if main() exports a value.
+            monkeypatch.setenv(name, "")
+            monkeypatch.delenv(name)
+        missing = str(tmp_path / "no" / "such" / "out.txt")
+        assert main([arg.format(missing=missing) for arg in argv]) == 2
+        assert capsys.readouterr().err.count("\n") == 1, "expected a one-line usage message"
+        assert [name for name in names if name in os.environ] == []
+
     def test_generate_report_status_reports_failed_names(self):
         from repro.experiments.report import generate_report_status
         from repro.experiments.runner import register_scenario

@@ -1,4 +1,4 @@
-"""Property-based differential tests (hypothesis) of the chain IR.
+"""Property-based differential tests (hypothesis) of the chain and tree IRs.
 
 Every speedup of the transfer-matrix backend rewrites how a
 :class:`~repro.engine.jobs.ChainJob` is contracted, while the dense backend
@@ -18,21 +18,51 @@ The transfer-matrix and mock backends must agree with the dense reference
 within 1e-9, the complex64 contraction within its parity tolerance, and each
 job's :meth:`~repro.engine.jobs.ChainJob.to_tree_job` through both backends'
 tree path within 1e-9.
+
+The tree half does the same for :class:`~repro.engine.jobs.TreeJob` batches,
+whose dense reference is the scalar leaf-to-root recursion:
+
+* up-family jobs, clean and noisy, whose permutation tests have arity 2 to 6
+  on fixed or symmetrized nodes, under a measuring root of any of the six
+  measurement kinds (or none);
+* fan-out jobs with fixed and router nodes and measuring leaves;
+* clean registers of one to three tensor factors, and noisy jobs with
+  named-family and random-isometry channels and readout errors.
+
+Each structure is built one to three times with fresh states and channels,
+so the batched backends stack real signature groups.
 """
+
+from math import factorial
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
+    MEAS_DENSE,
+    MEAS_DIAGONAL,
+    MEAS_MATCH_ANY,
+    MEAS_PROJECTOR,
+    MEAS_SWAP,
+    MEAS_THRESHOLD,
+    NODE_FIXED,
+    NODE_ROUTER,
+    NODE_SYM,
     RIGHT_DENSE,
     RIGHT_PROJECTOR,
     RIGHT_SWAP,
+    TEST_FANOUT,
+    TEST_MEASURE,
+    TEST_NONE,
+    TEST_PERM,
     ChainJob,
     ChainNoise,
     DenseBackend,
+    MeasurementSpec,
     MockDeviceTransferMatrixBackend,
     TransferMatrixBackend,
+    TreeJobBuilder,
     parity_tolerance,
 )
 from repro.quantum.channels import CHANNEL_FAMILIES, KrausChannel
@@ -130,3 +160,179 @@ class TestChainDifferential:
             np.testing.assert_allclose(
                 backend.tree_probabilities(trees), reference, atol=1e-9, rtol=0.0
             )
+
+
+# --------------------------------------------------------------------------
+# Tree IR
+# --------------------------------------------------------------------------
+
+_MEAS_KINDS = (
+    MEAS_DENSE,
+    MEAS_DIAGONAL,
+    MEAS_PROJECTOR,
+    MEAS_SWAP,
+    MEAS_MATCH_ANY,
+    MEAS_THRESHOLD,
+)
+
+#: Cap on ``arity! * choice combinations`` of one permutation-test node, so
+#: the scalar reference stays fast at arity 5 and 6.
+_PERM_TERM_BUDGET = 4000
+
+tree_specs = st.tuples(
+    st.sampled_from(["up", "fanout"]),  # family
+    st.booleans(),  # noisy (up family, single factor)
+    st.integers(1, 3),  # tensor factors of a clean register
+    st.integers(2, 6),  # arity of the top permutation test / fan-out width + 1
+    st.sampled_from(_MEAS_KINDS + (None,)),  # measuring root / first leaf
+    st.integers(0, 2**32 - 1),  # seed of the structure
+    st.integers(1, 3),  # jobs sharing the structure (one signature group)
+)
+tree_batches = st.lists(tree_specs, min_size=1, max_size=4)
+
+
+class _TreeSketch:
+    """Draws one random tree job; ``shape`` fixes the structure, ``values``
+    the states, operators and channels, so equal shapes share a signature."""
+
+    def __init__(self, dims, noisy, shape, values):
+        self.dims = dims
+        self.noisy = noisy
+        self.shape = shape
+        self.values = values
+        self.builder = TreeJobBuilder(num_factors=len(dims))
+
+    def register(self):
+        return tuple(haar_random_state(int(d), rng=self.values) for d in self.dims)
+
+    def channels(self, dense_measurement=False):
+        if not self.noisy:
+            return {}
+        dim = int(self.dims[0])
+        node = None if dense_measurement else _random_channel(dim, self.values)
+        return {"up_channel": _random_channel(dim, self.values), "node_channel": node}
+
+    def measurement(self, kind):
+        if kind == MEAS_DENSE:
+            vector = haar_random_state(int(self.dims[0]), rng=self.values)
+            weight, floor = self.values.uniform(0.0, 1.0, 2) * [1.0, 0.5]
+            operator = (1.0 - floor) * weight * np.outer(vector, vector.conj())
+            return MeasurementSpec(kind, operator=operator + floor * np.eye(len(vector)))
+        if kind == MEAS_DIAGONAL:
+            return MeasurementSpec(
+                kind, operator=self.values.uniform(0.0, 1.0, int(self.dims[0]))
+            )
+        threshold = int(self.shape.integers(0, len(self.dims) + 2))
+        return MeasurementSpec(kind, targets=self.register(), threshold=threshold)
+
+    def kind(self, first=None):
+        kinds = _MEAS_KINDS if len(self.dims) == 1 else _MEAS_KINDS[2:]
+        if first in kinds:
+            return first
+        return kinds[int(self.shape.integers(0, len(kinds)))]
+
+    def up_node(self, parent, arity, depth):
+        """A permutation-test node of ``arity`` (kept register + children)."""
+        sym = bool(self.shape.integers(0, 2))
+        registers = (self.register(), self.register()) if sym else (self.register(),)
+        node = self.builder.add_node(
+            parent,
+            NODE_SYM if sym else NODE_FIXED,
+            registers=registers,
+            test=TEST_PERM,
+            **self.channels(),
+        )
+        combinations = 2 if sym else 1
+        for _ in range(arity - 1):
+            choices = 2 if self.shape.integers(0, 2) else 1
+            if factorial(arity) * combinations * choices > _PERM_TERM_BUDGET:
+                choices = 1
+            combinations *= choices
+            if depth < 2 and choices == 2 and self.shape.integers(0, 3) == 0:
+                child_arity = 2 if len(self.dims) > 1 else int(self.shape.integers(2, 4))
+                self.up_node(node, child_arity, depth + 1)
+            elif choices == 2:
+                self.builder.add_node(
+                    node, NODE_SYM, registers=(self.register(), self.register()),
+                    **self.channels(),
+                )
+            else:
+                self.builder.add_node(
+                    node, NODE_FIXED, registers=(self.register(),), **self.channels()
+                )
+
+    def fanout_node(self, parent, width, depth, first_kind=None):
+        """A fixed or router fan-out node with ``width`` children."""
+        router = bool(self.shape.integers(0, 2))
+        count = width + 1 if router else 1
+        node = self.builder.add_node(
+            parent,
+            NODE_ROUTER if router else NODE_FIXED,
+            registers=tuple(self.register() for _ in range(count)),
+            test=TEST_FANOUT,
+        )
+        for index in range(width):
+            draw = int(self.shape.integers(0, 6))
+            if depth < 2 and draw == 0:
+                self.fanout_node(node, int(self.shape.integers(1, 4)), depth + 1)
+            elif draw == 1:
+                self.builder.add_node(node, NODE_FIXED, registers=(self.register(),))
+            else:
+                kind = self.kind(first_kind if index == 0 else None)
+                self.builder.add_node(
+                    node, NODE_FIXED, test=TEST_NONE, measurement=self.measurement(kind)
+                )
+
+
+def _tree_job(family, noisy, factors, arity, kind, seed, copy):
+    noisy = noisy and family == "up"
+    shape = np.random.default_rng(seed)
+    dims = shape.integers(1, 4, 1 if noisy else factors)
+    sketch = _TreeSketch(dims, noisy, shape, np.random.default_rng([seed, copy]))
+    if family == "fanout":
+        sketch.fanout_node(-1, min(arity - 1, 5), 0, first_kind=kind)
+        return sketch.builder.build()
+    if len(dims) > 1:
+        arity = 2  # permutation tests of arity > 2 need single-factor registers
+    if kind is None:
+        sketch.up_node(-1, arity, 0)
+    else:
+        kind = sketch.kind(kind)
+        root = sketch.builder.add_node(
+            -1,
+            NODE_FIXED,
+            test=TEST_MEASURE,
+            measurement=sketch.measurement(kind),
+            **sketch.channels(dense_measurement=kind in (MEAS_DENSE, MEAS_DIAGONAL)),
+        )
+        sketch.up_node(root, arity, 0)
+    error = float(sketch.values.uniform(0.0, 0.2)) if sketch.values.integers(0, 3) else 0.0
+    return sketch.builder.build(readout_error=error if noisy else 0.0)
+
+
+def _tree_jobs(specs):
+    return [
+        _tree_job(*spec[:-1], copy) for spec in specs for copy in range(spec[-1])
+    ]
+
+
+class TestTreeDifferential:
+    @given(specs=tree_batches)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_batched_backends_match_dense_reference(self, specs):
+        jobs = _tree_jobs(specs)
+        reference = DenseBackend().tree_probabilities(jobs)
+        for backend in (TransferMatrixBackend(), MockDeviceTransferMatrixBackend()):
+            np.testing.assert_allclose(
+                backend.tree_probabilities(jobs), reference, atol=1e-9, rtol=0.0
+            )
+
+    @given(specs=tree_batches)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_complex64_within_parity_tolerance(self, specs):
+        jobs = _tree_jobs(specs)
+        reference = DenseBackend().tree_probabilities(jobs)
+        fast = TransferMatrixBackend(dtype="complex64").tree_probabilities(jobs)
+        np.testing.assert_allclose(
+            fast, reference, atol=parity_tolerance("complex64"), rtol=0.0
+        )

@@ -256,6 +256,32 @@ class TestTreeJobValidation:
         with pytest.raises(ProtocolError):
             builder.build()
 
+    def test_negative_match_threshold_rejected(self):
+        # P[#matches >= -1] is 1, but the Poisson-binomial tail would slice
+        # its distribution from the end and return P[#matches >= 2] instead.
+        from repro.engine import MEAS_THRESHOLD, TEST_FANOUT
+
+        e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+
+        def build(threshold):
+            builder = TreeJobBuilder(num_factors=2)
+            builder.add_node(-1, NODE_FIXED, registers=((e0, e1),), test=TEST_FANOUT)
+            builder.add_node(
+                0,
+                NODE_FIXED,
+                measurement=MeasurementSpec(
+                    kind=MEAS_THRESHOLD, targets=(e0, e0), threshold=threshold
+                ),
+            )
+            return builder.build()
+
+        with pytest.raises(ProtocolError, match="threshold"):
+            build(-1)
+        # A threshold above the factor count is a valid always-reject test.
+        job = build(3)
+        for backend in (DenseBackend(), TransferMatrixBackend()):
+            assert backend.tree_probability(job) == 0.0
+
     def test_factor_count_mismatch(self):
         builder = TreeJobBuilder(num_factors=2)
         with pytest.raises(DimensionMismatchError):
