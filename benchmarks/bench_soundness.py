@@ -10,6 +10,7 @@ that Algorithm 4 uses to reach soundness 1/3.
 
 from __future__ import annotations
 
+import pytest
 
 from repro.analysis.adversary import seesaw_separable_acceptance
 from repro.experiments.soundness_scaling import (
@@ -37,10 +38,11 @@ def test_soundness_repetition_curve(benchmark):
     assert rows[-1].value("below_one_third")
 
 
-def test_entangled_adversary_diagonalisation(benchmark):
-    """Cost of building and diagonalising the exact acceptance operator (r = 4)."""
+@pytest.mark.parametrize("path_length", [4, 7], ids=["dense", "matrix-free"])
+def test_entangled_adversary_diagonalisation(benchmark, path_length):
+    """Cost of the exact optimum: dense diagonalisation at r = 4, Lanczos on the sweep at r = 7."""
     fingerprints = small_fingerprints()
-    protocol = EqualityPathProtocol.on_path(1, 4, fingerprints)
+    protocol = EqualityPathProtocol.on_path(1, path_length, fingerprints)
 
     optimal = benchmark(protocol.optimal_cheating_probability, ("0", "1"))
     assert optimal <= 1.0 - protocol.single_shot_soundness_gap() + 1e-9

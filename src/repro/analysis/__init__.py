@@ -5,7 +5,9 @@ This package provides three complementary ways of evaluating that supremum on
 concrete instances:
 
 * exact optimisation over entangled proofs via the acceptance operator's
-  largest eigenvalue (:func:`repro.protocols.chain.optimal_entangled_acceptance`),
+  largest eigenvalue (:func:`repro.protocols.chain.optimal_entangled_acceptance`,
+  or Lanczos on the matrix-free operator,
+  :func:`repro.protocols.chain.optimal_sweep_acceptance`),
 * seesaw (alternating eigenvector) optimisation over separable proofs —
   the ``dQMA_sep,sep`` adversary (:mod:`repro.analysis.adversary`),
 * structured searches over fingerprint-valued product proofs, which capture

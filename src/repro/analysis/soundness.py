@@ -214,14 +214,16 @@ def entangled_soundness_report(
 
     Includes the honest-proof acceptance, the best structured product proof
     found (with the strategy label that achieved it), and — when the protocol
-    exposes an acceptance operator — the exact optimum over entangled proofs
-    (optionally cross-checked against the seesaw separable optimum).
+    exposes ``optimal_cheating_probability`` — the exact optimum over
+    entangled proofs, optionally cross-checked against the seesaw separable
+    optimum.  The seesaw needs the dense acceptance operator, so it is
+    skipped on instances past the dense builder's size guard.
 
     With a non-trivial ``noise`` model every quantity is computed on the
     protocol's noisy sibling: honest and strategy-search acceptances ride
-    the engine's density-matrix path, and the entangled optimum (when the
-    protocol exposes a noisy acceptance operator) diagonalises the
-    channel-conjugated operator — the seesaw then bounds the noisy
+    the engine's density-matrix path, and the entangled optimum is the
+    sibling's ``noisy_optimal_cheating_probability`` (the top eigenvalue of
+    the channel-conjugated operator) — the seesaw then bounds the noisy
     *separable* adversary from below.  The paper bound stays the noiseless
     protocol's bound: the report asks whether realistic hardware still
     respects the ideal soundness statement.
@@ -239,21 +241,21 @@ def entangled_soundness_report(
         best_strategy = "honest"
 
     optimal = None
-    operator = None
-    # Instances beyond the operator builders' dimension guard degrade to the
-    # structured search alone (the report's optimal_entangled stays None).
-    try:
-        if noisy:
-            if hasattr(evaluated, "noisy_acceptance_operator"):
-                operator = evaluated.noisy_acceptance_operator(inputs)
-        elif hasattr(evaluated, "acceptance_operator"):
-            operator = evaluated.acceptance_operator(inputs)
-    except ProtocolError:
-        operator = None
-    if operator is not None:
-        eigenvalues = np.linalg.eigvalsh((operator + operator.conj().T) / 2)
-        optimal = float(min(max(eigenvalues[-1].real, 0.0), 1.0))
-        if run_seesaw:
+    prefix = "noisy_" if noisy else ""
+    optimum = getattr(evaluated, f"{prefix}optimal_cheating_probability", None)
+    if optimum is not None:
+        # Past the optimum's dimension guard the report degrades to the
+        # structured search alone (optimal_entangled stays None).
+        try:
+            optimal = optimum(inputs)
+        except ProtocolError:
+            pass
+    if optimal is not None and run_seesaw:
+        try:
+            operator = getattr(evaluated, f"{prefix}acceptance_operator")(inputs)
+        except ProtocolError:
+            operator = None  # past the dense builder's guard: no seesaw
+        if operator is not None:
             dims = [register.dim for register in evaluated.proof_registers()]
             seesaw_value, _ = seesaw_separable_acceptance(operator, dims, rng=ensure_rng(rng))
             if seesaw_value > best_found:

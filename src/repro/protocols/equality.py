@@ -15,7 +15,10 @@ a non-empty model switches the compiled jobs onto the engine's
 density-matrix path.  :meth:`EqualityPathProtocol.acceptance_operator`
 stays noiseless by design (it characterises the ideal protocol the noisy
 runs are compared against); :meth:`EqualityPathProtocol.
-noisy_acceptance_operator` is the same build with the path's channels.
+noisy_acceptance_operator` is the same build with the path's channels.  The
+exact optima (:meth:`EqualityPathProtocol.optimal_cheating_probability` and
+its noisy twin) diagonalise that operator on small proof spaces and run
+Lanczos on the matrix-free chain sweep on larger ones.
 """
 
 from __future__ import annotations
@@ -53,7 +56,12 @@ from repro.engine import (
 )
 from repro.quantum.channels import NoiseModel
 from repro.engine.jobs import MAX_PERM_TEST_ARITY
-from repro.protocols.chain import chain_acceptance_operator, optimal_entangled_acceptance
+from repro.protocols.chain import (
+    DENSE_OPTIMUM_MAX_DIM,
+    chain_acceptance_operator,
+    optimal_entangled_acceptance,
+    optimal_sweep_acceptance,
+)
 from repro.quantum.fingerprint import ExactCodeFingerprint, FingerprintScheme
 from repro.quantum.permutation_test import permutation_test_accept_probability_product
 from repro.quantum.states import outer
@@ -270,6 +278,30 @@ class EqualityPathProtocol(DQMAProtocol):
         """
         return self._chain_operator(inputs, self._chain_noise)
 
+    def noisy_optimal_cheating_probability(self, inputs: Sequence[str]) -> float:
+        """Maximum acceptance over all (entangled) proofs under the protocol's noise."""
+        return self._optimum(inputs, self._chain_noise)
+
+    def _chain_arguments(self, inputs: Sequence[str], annotation: Optional[ChainNoise]) -> tuple:
+        """``(left state, dim, m, right accept element, noise)`` of the chain.
+
+        The right end's preparation channel acts on its reference projector,
+        so it is folded into the accept element here, once for both the dense
+        operator and the matrix-free sweep.
+        """
+        right = self._right_operator(inputs[1])
+        noise = annotation
+        if noise is not None and noise.right_channel is not None:
+            right = noise.right_channel.apply(right)
+            noise = dataclass_replace(noise, right_channel=None)
+        return (
+            self.fingerprints.state(inputs[0]),
+            self.fingerprints.dim,
+            self.path_length - 1,
+            right,
+            noise,
+        )
+
     def _chain_operator(
         self, inputs: Sequence[str], annotation: Optional[ChainNoise]
     ) -> np.ndarray:
@@ -277,18 +309,8 @@ class EqualityPathProtocol(DQMAProtocol):
         inputs = self.problem.validate_inputs(inputs)
 
         def build() -> np.ndarray:
-            right = self._right_operator(inputs[1])
-            noise = annotation
-            if noise is not None and noise.right_channel is not None:
-                right = noise.right_channel.apply(right)
-                noise = dataclass_replace(noise, right_channel=None)
-            return chain_acceptance_operator(
-                self.fingerprints.state(inputs[0]),
-                self.fingerprints.dim,
-                self.path_length - 1,
-                right,
-                noise=noise,
-            )
+            *arguments, noise = self._chain_arguments(inputs, annotation)
+            return chain_acceptance_operator(*arguments, noise=noise)
 
         return self.engine.cached_operator(
             (
@@ -301,9 +323,23 @@ class EqualityPathProtocol(DQMAProtocol):
             build,
         )
 
+    def _optimum(self, inputs: Sequence[str], annotation: Optional[ChainNoise]) -> float:
+        """Largest eigenvalue of the chain operator under ``annotation``.
+
+        Proof spaces up to :data:`~repro.protocols.chain.DENSE_OPTIMUM_MAX_DIM`
+        diagonalise the cached dense operator; larger ones run Lanczos on the
+        matrix-free sweep, which needs no operator and lifts the dense
+        builder's size guard.
+        """
+        if self.fingerprints.dim ** (2 * (self.path_length - 1)) <= DENSE_OPTIMUM_MAX_DIM:
+            return optimal_entangled_acceptance(self._chain_operator(inputs, annotation))
+        inputs = self.problem.validate_inputs(inputs)
+        *arguments, noise = self._chain_arguments(inputs, annotation)
+        return optimal_sweep_acceptance(*arguments, noise=noise)
+
     def optimal_cheating_probability(self, inputs: Sequence[str]) -> float:
         """Maximum acceptance over all (entangled) proofs — the soundness supremum."""
-        return optimal_entangled_acceptance(self.acceptance_operator(inputs))
+        return self._optimum(inputs, None)
 
     # -- paper parameters -------------------------------------------------------
 

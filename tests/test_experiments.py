@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.analysis.soundness import repetition_soundness
+from repro.exceptions import ReproError
 from repro.experiments.crossover import crossover_sweep, find_crossover, long_path_sweep, quantum_total_plain
 from repro.experiments.records import ExperimentRow, format_rows
 from repro.experiments.soundness_scaling import repetition_curve, soundness_scaling_sweep
@@ -141,3 +143,29 @@ class TestSoundnessScaling:
         rows = repetition_curve(path_length=3, repetition_counts=[1, 400])
         assert not rows[0].value("below_one_third")
         assert rows[-1].value("below_one_third")
+
+    def test_matrix_free_rows_past_the_dense_guard(self):
+        rows = soundness_scaling_sweep([7, 8])
+        values = [row.value("optimal_entangled_acceptance") for row in rows]
+        assert values[0] < values[1] < 1.0
+        for row in rows:
+            assert row.value("respects_bound")
+            assert row.value("gap_achieved") >= row.value("gap_required")
+
+    @pytest.mark.parametrize("path_length", [True, 0, 2.5])
+    def test_path_length_grid_is_validated(self, path_length):
+        with pytest.raises(ReproError):
+            soundness_scaling_sweep([path_length])
+
+    @pytest.mark.parametrize("count", [-1, 0, 2.5, True])
+    def test_repetition_grid_is_validated(self, count):
+        with pytest.raises(ReproError):
+            repetition_curve(3, [count])
+
+    def test_repetition_curve_uses_repetition_soundness(self):
+        counts = [1, 10, 400]
+        rows = repetition_curve(3, counts)
+        for row, k in zip(rows, counts):
+            expected = repetition_soundness(row.value("single_shot_optimal"), k)
+            assert row.value("repeated_acceptance") == expected
+            assert 0.0 <= expected <= 1.0

@@ -231,6 +231,21 @@ class TestNoisyAcceptanceOperator:
         )
         assert report.bound_slack == paper_bound_slack("complex128")
 
+    @pytest.mark.parametrize(
+        "noise", [None, NoiseModel.depolarizing(0.1, 2, readout_error=0.02)], ids=["clean", "noisy"]
+    )
+    def test_report_optimum_past_the_dense_guard(self, noise):
+        # r = 7 has a 4096-dimensional proof space: the dense builder refuses
+        # it, the protocol's matrix-free optimum does not, and the seesaw
+        # (which needs the dense operator) is skipped.
+        protocol = EqualityPathProtocol.on_path(1, 7, small_fingerprints(1))
+        report = entangled_soundness_report(
+            protocol, ("1", "0"), noise=noise, run_seesaw=True, rng=0
+        )
+        assert report.optimal_entangled_acceptance is not None
+        assert report.optimal_entangled_acceptance >= report.best_found_acceptance - 1e-9
+        assert report.best_strategy != "seesaw"
+
 
 class TestPaperBoundSlack:
     def test_dtype_derived_slack(self):

@@ -19,6 +19,12 @@ within 1e-9, the complex64 contraction within its parity tolerance, and each
 job's :meth:`~repro.engine.jobs.ChainJob.to_tree_job` through both backends'
 tree path within 1e-9.
 
+The matrix-free chain acceptance operator
+(:func:`~repro.protocols.chain.chain_acceptance_sweep`) is held to the dense
+:func:`~repro.protocols.chain.chain_acceptance_operator` within 1e-12 on random
+vectors, and its Lanczos optimum to ``eigvalsh``, over clean and noisy chains
+at ``d = 2`` (``m`` up to 4) and ``d = 3`` (``m`` up to 2).
+
 The tree half does the same for :class:`~repro.engine.jobs.TreeJob` batches,
 whose dense reference is the scalar leaf-to-root recursion:
 
@@ -64,6 +70,12 @@ from repro.engine import (
     TransferMatrixBackend,
     TreeJobBuilder,
     parity_tolerance,
+)
+from repro.protocols.chain import (
+    chain_acceptance_operator,
+    chain_acceptance_sweep,
+    lanczos_top_eigenvalue,
+    right_end_swap_operator,
 )
 from repro.quantum.channels import CHANNEL_FAMILIES, KrausChannel
 from repro.quantum.random_states import haar_random_state
@@ -160,6 +172,75 @@ class TestChainDifferential:
             np.testing.assert_allclose(
                 backend.tree_probabilities(trees), reference, atol=1e-9, rtol=0.0
             )
+
+
+
+# --------------------------------------------------------------------------
+# Matrix-free chain acceptance operator
+# --------------------------------------------------------------------------
+
+sweep_specs = st.tuples(
+    st.sampled_from([(2, m) for m in range(5)] + [(3, m) for m in range(3)]),  # (d, m)
+    st.sampled_from(["projector", "swap", "dense"]),  # right end
+    st.booleans(),  # noisy
+    st.integers(0, 2**32 - 1),  # seed of the states and channels
+)
+
+
+def _sweep_instance(dim: int, m: int, kind: str, noisy: bool, seed: int):
+    """``(left state, right accept element, ChainNoise or None)`` of one chain."""
+    rng = np.random.default_rng(seed)
+    left = haar_random_state(dim, rng=rng)
+    target = haar_random_state(dim, rng=rng)
+    if kind == "projector":
+        right = np.outer(target, target.conj())
+    elif kind == "swap":
+        right = right_end_swap_operator(target)
+    else:
+        # A POVM element 0 <= a |v><v| + b I <= I.
+        weight, floor = rng.uniform(0.0, 1.0, 2) * [1.0, 0.5]
+        right = (1.0 - floor) * weight * np.outer(target, target.conj()) + floor * np.eye(dim)
+    noise = None
+    if noisy:
+        noise = ChainNoise(
+            edge_channels=tuple(_random_channel(dim, rng) for _ in range(m + 1)),
+            node_channels=tuple(_random_channel(dim, rng) for _ in range(m)),
+            left_channel=_random_channel(dim, rng),
+            readout_error=float(rng.uniform(0.0, 0.2)),
+        )
+    return left, right, noise
+
+
+class TestChainSweepDifferential:
+    """:func:`chain_acceptance_sweep` and its Lanczos optimum against the dense operator.
+
+    Register dimensions 2 (``m`` up to 4) and 3 (``m`` up to 2); projector,
+    SWAP and dense right ends; clean chains and noisy ones whose edges,
+    nodes and left end carry named-family or random-isometry channels, with
+    random readout errors.
+    """
+
+    @given(spec=sweep_specs)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_matvec_matches_dense_operator(self, spec):
+        (dim, m), kind, noisy, seed = spec
+        left, right, noise = _sweep_instance(dim, m, kind, noisy, seed)
+        dense = chain_acceptance_operator(left, dim, m, right, noise=noise)
+        matvec = chain_acceptance_sweep(left, dim, m, right, noise=noise)
+        rng = np.random.default_rng([seed, 1])
+        for _ in range(3):
+            vector = rng.standard_normal(dense.shape[0]) + 1j * rng.standard_normal(dense.shape[0])
+            np.testing.assert_allclose(matvec(vector), dense @ vector, atol=1e-12, rtol=0.0)
+
+    @given(spec=sweep_specs)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_lanczos_matches_eigvalsh(self, spec):
+        (dim, m), kind, noisy, seed = spec
+        left, right, noise = _sweep_instance(dim, m, kind, noisy, seed)
+        dense = chain_acceptance_operator(left, dim, m, right, noise=noise)
+        top = np.linalg.eigvalsh((dense + dense.conj().T) / 2)[-1]
+        matvec = chain_acceptance_sweep(left, dim, m, right, noise=noise)
+        assert abs(lanczos_top_eigenvalue(matvec, dense.shape[0]) - top) <= 1e-12
 
 
 # --------------------------------------------------------------------------

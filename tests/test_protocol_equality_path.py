@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.analysis.soundness import entangled_soundness_report, fingerprint_strategy_soundness
-from repro.exceptions import ProofError, TopologyError
+from repro.exceptions import ProofError, ProtocolError, TopologyError
+from repro.experiments.soundness_scaling import small_fingerprints
 from repro.network.topology import star_network
 from repro.protocols.base import ProductProof
+from repro.protocols.chain import optimal_entangled_acceptance
 from repro.protocols.equality import EqualityPathProtocol
+from repro.quantum.channels import NoiseModel, amplitude_damping_channel, depolarizing_channel
 from repro.utils.bitstrings import all_bitstrings
 
 
@@ -89,6 +92,45 @@ class TestSoundness:
         assert report.respects_paper_bound
         assert report.optimal_entangled_acceptance is not None
         assert report.best_found_acceptance <= report.optimal_entangled_acceptance + 1e-9
+
+
+class TestMatrixFreeOptimum:
+    """The optimum diagonalises the dense operator up to proof dimension 64 and
+    runs Lanczos on the matrix-free sweep above it."""
+
+    def test_dense_side_is_the_dense_eigenvalue(self):
+        protocol = EqualityPathProtocol.on_path(1, 4, small_fingerprints())  # N = 64
+        operator = protocol.acceptance_operator(("0", "1"))
+        assert protocol.optimal_cheating_probability(("0", "1")) == optimal_entangled_acceptance(
+            operator
+        )
+
+    @pytest.mark.parametrize("inputs", [("0", "1"), ("1", "1")])
+    def test_matrix_free_side_matches_the_dense_eigenvalue(self, inputs):
+        protocol = EqualityPathProtocol.on_path(1, 5, small_fingerprints())  # N = 256
+        dense = optimal_entangled_acceptance(protocol.acceptance_operator(inputs))
+        assert abs(protocol.optimal_cheating_probability(inputs) - dense) <= 1e-12
+
+    @pytest.mark.parametrize("path_length", [3, 5], ids=["dense", "matrix-free"])
+    def test_noisy_optimum_folds_the_right_preparation_channel(self, path_length):
+        noise = NoiseModel(
+            link=depolarizing_channel(0.1, 2),
+            node=amplitude_damping_channel(0.2, 2),
+            readout_error=0.03,
+        )
+        protocol = EqualityPathProtocol.on_path(1, path_length, small_fingerprints(), noise=noise)
+        assert protocol._chain_noise.right_channel is not None
+        dense = optimal_entangled_acceptance(protocol.noisy_acceptance_operator(("0", "1")))
+        optimal = protocol.noisy_optimal_cheating_probability(("0", "1"))
+        assert abs(optimal - dense) <= 1e-12
+        assert optimal < protocol.optimal_cheating_probability(("1", "1"))
+
+    def test_optimum_past_the_dense_guard(self):
+        protocol = EqualityPathProtocol.on_path(1, 7, small_fingerprints())  # N = 4096
+        with pytest.raises(ProtocolError):
+            protocol.acceptance_operator(("0", "1"))
+        optimal = protocol.optimal_cheating_probability(("0", "1"))
+        assert 0.5 < optimal <= 1.0 - protocol.single_shot_soundness_gap()
 
 
 class TestPaperParameters:

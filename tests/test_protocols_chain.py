@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DimensionMismatchError, ProtocolError
+from repro.engine import ChainNoise
 from repro.protocols.chain import (
+    SWEEP_MAX_DIM,
     chain_acceptance_operator,
     chain_acceptance_probability,
     chain_acceptance_probability_factored,
+    chain_acceptance_sweep,
+    lanczos_top_eigenvalue,
     optimal_entangled_acceptance,
+    optimal_sweep_acceptance,
     right_end_swap_operator,
 )
+from repro.quantum.channels import amplitude_damping_channel, dephasing_channel
 from repro.quantum.random_states import haar_random_state
 from repro.quantum.states import basis_state, outer
 
@@ -172,3 +178,105 @@ class TestChainAcceptanceOperator:
     def test_size_guard(self):
         with pytest.raises(ProtocolError):
             chain_acceptance_operator(basis_state(4, 0), 4, 5, np.eye(4))
+
+
+class TestChainAcceptanceSweep:
+    """The matrix-free operator and its Lanczos optimum (Hypothesis differential
+    tests against the dense operator live in ``tests/test_property_engine.py``)."""
+
+    @staticmethod
+    def _noisy_instance(m):
+        rng = np.random.default_rng(m)
+        left = haar_random_state(2, rng)
+        right = 0.8 * _povm_for(haar_random_state(2, rng)) + 0.1 * np.eye(2)
+        noise = ChainNoise(
+            edge_channels=(dephasing_channel(0.2, 2),) * (m + 1),
+            node_channels=(amplitude_damping_channel(0.3, 2),) * m,
+            left_channel=dephasing_channel(0.1, 2),
+            readout_error=0.05,
+        )
+        return left, right, noise
+
+    @pytest.mark.parametrize("num_intermediate", [1, 3, 4])
+    def test_yes_instance_optimum_is_one(self, num_intermediate):
+        psi = haar_random_state(2, rng=num_intermediate)
+        matvec = chain_acceptance_sweep(psi, 2, num_intermediate, _povm_for(psi))
+        assert abs(lanczos_top_eigenvalue(matvec, 4**num_intermediate) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("num_intermediate", [2, 4])
+    def test_degenerate_yes_instance_optimum_is_one(self, num_intermediate):
+        # Node 1 resets both its registers to |0>, so every state of them is
+        # accepted alike: the eigenvalue 1 is four-fold degenerate.
+        zero = basis_state(2, 0)
+        noise = ChainNoise(
+            edge_channels=(None,) * (num_intermediate + 1),
+            node_channels=(amplitude_damping_channel(1.0, 2),) + (None,) * (num_intermediate - 1),
+        )
+        dense = chain_acceptance_operator(zero, 2, num_intermediate, _povm_for(zero), noise=noise)
+        np.testing.assert_allclose(np.linalg.eigvalsh(dense)[-4:], 1.0, atol=1e-12)
+        matvec = chain_acceptance_sweep(zero, 2, num_intermediate, _povm_for(zero), noise=noise)
+        assert abs(lanczos_top_eigenvalue(matvec, 4**num_intermediate) - 1.0) <= 1e-12
+
+    def test_repeated_calls_return_identical_floats(self):
+        left, right, noise = self._noisy_instance(4)
+        matvec = chain_acceptance_sweep(left, 2, 4, right, noise=noise)
+        vector = np.random.default_rng(0).standard_normal(256) + 0j
+        assert np.array_equal(matvec(vector), matvec(vector))
+        first = optimal_sweep_acceptance(left, 2, 4, right, noise=noise)
+        assert optimal_sweep_acceptance(left, 2, 4, right, noise=noise) == first
+        assert lanczos_top_eigenvalue(matvec, 256) == lanczos_top_eigenvalue(matvec, 256)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_zero_intermediate_nodes_is_a_scalar(self, noisy):
+        left, right, noise = self._noisy_instance(0)
+        noise = noise if noisy else None
+        dense = chain_acceptance_operator(left, 2, 0, right, noise=noise)
+        matvec = chain_acceptance_sweep(left, 2, 0, right, noise=noise)
+        np.testing.assert_allclose(matvec(np.array([1.0 + 0.0j])), dense[0], atol=1e-15)
+        assert optimal_sweep_acceptance(left, 2, 0, right, noise=noise) == pytest.approx(
+            optimal_entangled_acceptance(dense), abs=1e-15
+        )
+
+    @pytest.mark.parametrize("build", [chain_acceptance_operator, chain_acceptance_sweep])
+    def test_argument_checks_match_the_dense_builder(self, build):
+        left, right, noise = self._noisy_instance(2)
+        with pytest.raises(DimensionMismatchError):
+            build(basis_state(3, 0), 2, 2, right)
+        with pytest.raises(DimensionMismatchError):
+            build(left, 2, 2, np.eye(3))
+        with pytest.raises(ProtocolError):
+            build(left, 2, -1, right)
+        with pytest.raises(ProtocolError):
+            build(left, 2, 3, right, noise=noise)  # annotation sized for m = 2
+        with pytest.raises(DimensionMismatchError):
+            build(
+                left,
+                2,
+                2,
+                right,
+                noise=ChainNoise(
+                    edge_channels=(dephasing_channel(0.1, 3),) * 3, node_channels=(None,) * 2
+                ),
+            )
+        with pytest.raises(ProtocolError, match="fold the right end"):
+            build(
+                left,
+                2,
+                2,
+                right,
+                noise=ChainNoise(
+                    edge_channels=(None,) * 3,
+                    node_channels=(None,) * 2,
+                    right_channel=dephasing_channel(0.1, 2),
+                ),
+            )
+
+    def test_optimum_size_guard(self):
+        num_intermediate = 10  # proof dimension 4^10 = 2^20
+        assert 4**num_intermediate > SWEEP_MAX_DIM
+        with pytest.raises(ProtocolError):
+            optimal_sweep_acceptance(basis_state(2, 0), 2, num_intermediate, np.eye(2))
+
+    def test_lanczos_rejects_an_empty_space(self):
+        with pytest.raises(ProtocolError):
+            lanczos_top_eigenvalue(lambda vector: vector, 0)
