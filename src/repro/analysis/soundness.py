@@ -6,27 +6,35 @@ that supremum exactly on small instances (via the acceptance operator); for
 the remaining protocols it searches over the natural structured cheating
 strategies (fingerprint-valued product proofs) and reports the best found.
 
-The strategy search compiles its whole enumeration — up to
-``max_assignments`` product proofs — into batched
-``acceptance_probabilities`` calls, so a soundness table costs a handful of
-stacked engine contractions instead of one scalar protocol evaluation per
-cheating strategy.
+The strategy search evaluates its whole enumeration — up to
+``max_assignments`` product proofs — ``batch_size`` strategies per engine
+call.  On the Algorithm 3 path it never builds those proofs: the registers'
+distinct states go into one table, each strategy becomes the table row of
+every register, and each chunk compiles to one
+:class:`~repro.engine.jobs.ChainStrategyBatch`.  Because every SWAP test
+couples only adjacent registers, the transfer-matrix backend scores the
+chunk from per-register state tables and adjacent-pair overlap tables, to
+the bit of the per-proof route; only the winner's label and
+:class:`~repro.protocols.base.ProductProof` are built.  Protocols without a
+batch compiler (every tree protocol) still compile one proof per strategy
+into batched ``acceptance_probabilities`` calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.adversary import seesaw_separable_acceptance
 from repro.engine.array_ops import parity_tolerance
 from repro.exceptions import ProtocolError
-from repro.protocols.base import DQMAProtocol, ProductProof
+from repro.protocols.base import DQMAProtocol, ProductProof, ProofRegister, unit_proof_state
 from repro.quantum.channels import NoiseModel
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import require_positive_integer
 
 #: Number of cheating strategies evaluated per batched engine call.
 STRATEGY_BATCH_SIZE = 256
@@ -135,7 +143,11 @@ def fingerprint_strategy_soundness(
     search enumerates assignments where all registers of a node share one
     string (the strategies the paper's soundness analyses reason about) and
     evaluates them through the engine's batched API, ``batch_size``
-    strategies per stacked contraction.
+    strategies per engine call: as table-indexed strategy batches for a
+    protocol with a ``strategy_batch`` compiler (the Algorithm 3 path), as
+    one :class:`ProductProof` each otherwise.  The first maximum in
+    enumeration order wins; ``batch_size`` and ``max_assignments`` must be
+    positive integers.
 
     A non-trivial ``noise`` model re-targets the evaluation at the
     protocol's :meth:`~repro.protocols.base.DQMAProtocol.with_noise` sibling:
@@ -145,6 +157,8 @@ def fingerprint_strategy_soundness(
     protocol constructed with its own noise model already evaluates noisily
     without this argument.
     """
+    require_positive_integer(max_assignments, "max_assignments")
+    batch = require_positive_integer(batch_size, "batch_size")
     fingerprints = getattr(protocol, "fingerprints", None)
     if fingerprints is None:
         raise ProtocolError("fingerprint strategy search needs a fingerprint-based protocol")
@@ -178,28 +192,97 @@ def fingerprint_strategy_soundness(
             states[register.name] = candidate_states[node_string[register.node]]
         return ProductProof(states)
 
-    labels: List[str] = ["honest"]
-    proofs: List[ProductProof] = [honest]
-    for combo in iter_product(candidates, repeat=len(nodes)):
-        labels.append(_strategy_label(nodes, combo))
-        proofs.append(build_proof(combo))
+    # Strategy 0 is the honest proof, strategy 1 + i the combo i.  Protocols
+    # with a strategy_batch compiler score each chunk from a state table; the
+    # rest (and a chain without proof registers, with nothing to tabulate)
+    # evaluate one ProductProof per strategy.
+    combos = list(iter_product(candidates, repeat=len(nodes)))
+    if not registers or getattr(protocol, "strategy_batch", None) is None:
+        proofs: List[ProductProof] = [honest] + [build_proof(combo) for combo in combos]
+        best_index, best_value = _best_strategy(
+            lambda start, stop: protocol.acceptance_probabilities(
+                [inputs] * (stop - start), proofs=proofs[start:stop]
+            ),
+            len(proofs),
+            batch,
+        )
+        best_proof = proofs[best_index]
+    else:
+        table, strategies = _strategy_table(
+            combos, candidate_states, honest_states, registers, nodes, fingerprints.dim
+        )
+        best_index, best_value = _best_strategy(
+            lambda start, stop: protocol.engine.chain_strategy_probabilities(
+                protocol.strategy_batch(inputs, table, strategies[start:stop])
+            ),
+            len(strategies),
+            batch,
+        )
+        best_proof = honest if best_index == 0 else build_proof(combos[best_index - 1])
+    return StrategySearchResult(
+        best_acceptance=float(best_value),
+        best_proof=best_proof,
+        best_strategy=(
+            "honest" if best_index == 0 else _strategy_label(nodes, combos[best_index - 1])
+        ),
+        num_assignments=assignments,
+    )
 
+
+def _best_strategy(
+    evaluate: Callable[[int, int], np.ndarray], count: int, batch: int
+) -> Tuple[int, float]:
+    """``(index, value)`` of the first maximum, ``batch`` strategies per call."""
     best_value = -1.0
     best_index = 0
-    batch = max(int(batch_size), 1)
-    for start in range(0, len(proofs), batch):
-        chunk = proofs[start : start + batch]
-        values = protocol.acceptance_probabilities([inputs] * len(chunk), proofs=chunk)
+    for start in range(0, count, batch):
+        values = evaluate(start, min(start + batch, count))
         local = int(np.argmax(values))
         if values[local] > best_value:
             best_value = float(values[local])
             best_index = start + local
-    return StrategySearchResult(
-        best_acceptance=float(best_value),
-        best_proof=proofs[best_index],
-        best_strategy=labels[best_index],
-        num_assignments=assignments,
-    )
+    return best_index, best_value
+
+
+def _strategy_table(
+    combos: Sequence[Sequence[str]],
+    candidate_states: Dict[str, np.ndarray],
+    honest_states: Dict[str, np.ndarray],
+    registers: Sequence[ProofRegister],
+    nodes: Sequence,
+    dim: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The search's register states as ``(table, strategies)``.
+
+    ``table`` holds each distinct unit register state once: the honest
+    registers as the honest proof holds them, and every candidate normalised
+    as a :class:`ProductProof` would.  ``strategies[s, i]`` is the table row
+    strategy ``s`` places in register ``i``: the honest proof, then each
+    per-node string assignment of ``combos``.
+    """
+    rows: Dict[bytes, int] = {}
+    states: List[np.ndarray] = []
+
+    def row(state: np.ndarray) -> int:
+        key = state.tobytes()
+        if key not in rows:
+            rows[key] = len(states)
+            states.append(state)
+        return rows[key]
+
+    honest_rows = np.array([row(honest_states[reg.name]) for reg in registers], dtype=np.intp)
+    candidate_rows = {
+        string: row(unit_proof_state(state, f"fingerprint of {string!r}"))
+        for string, state in candidate_states.items()
+    }
+    node_rows = np.array(
+        [[candidate_rows[string] for string in combo] for combo in combos], dtype=np.intp
+    ).reshape(len(combos), len(nodes))
+    fingerprint_columns = [i for i, reg in enumerate(registers) if reg.dim == dim]
+    node_of = [nodes.index(registers[i].node) for i in fingerprint_columns]
+    strategies = np.tile(honest_rows, (1 + len(combos), 1))
+    strategies[1:, fingerprint_columns] = node_rows[:, node_of]
+    return np.array(states), strategies
 
 
 def entangled_soundness_report(

@@ -9,9 +9,11 @@ asks the simulator to evaluate from *how* the evaluation is carried out:
   tree-rooted verification: nodes carry fixed / symmetrized / routed
   registers, SWAP- and permutation-test links follow the tree edges, and
   measuring leaves carry accept operators — a chain is the degenerate path
-  tree) and :class:`TreeProgram` (a weighted sum of products of jobs, the
-  shape every compiled protocol's acceptance probability takes;
-  :class:`ChainProgram` is a thin subclass kept for the chain families).
+  tree), :class:`ChainStrategyBatch` (many proof strategies of one chain as
+  row indices into a table of register states) and :class:`TreeProgram` (a
+  weighted sum of products of jobs, the shape every compiled protocol's
+  acceptance probability takes; :class:`ChainProgram` is a thin subclass
+  kept for the chain families).
   Jobs may carry :class:`ChainNoise` / :class:`TreeNoise` channel
   annotations (see :mod:`repro.quantum.channels`); the backends evaluate
   them on the same paths as clean jobs, which are the noisy ones with no
@@ -99,6 +101,7 @@ from repro.engine.jobs import (
     ChainJob,
     ChainNoise,
     ChainProgram,
+    ChainStrategyBatch,
     LeafMeasurement,
     MeasurementSpec,
     TreeJob,
@@ -133,6 +136,7 @@ __all__ = [
     "ChainJob",
     "ChainNoise",
     "ChainProgram",
+    "ChainStrategyBatch",
     "DenseBackend",
     "Engine",
     "LeafMeasurement",

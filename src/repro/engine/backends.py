@@ -76,6 +76,7 @@ from repro.engine.array_ops import (
 from repro.engine.jobs import (
     RIGHT_DENSE,
     ChainJob,
+    ChainStrategyBatch,
     TreeJob,
     group_jobs_by_shape,
 )
@@ -100,6 +101,15 @@ class SimulationBackend(ABC):
     def chain_probability(self, job: ChainJob) -> float:
         """Acceptance probability of a single chain job."""
         return float(self.chain_probabilities([job])[0])
+
+    def chain_strategy_probabilities(self, batch: ChainStrategyBatch) -> np.ndarray:
+        """Acceptance probability of every strategy of a chain strategy batch.
+
+        The default evaluates the batch's ordinary chain jobs
+        (:meth:`ChainStrategyBatch.jobs`), which keeps the dense backend the
+        oracle; backends with a table kernel override it.
+        """
+        return self.chain_probabilities(batch.jobs())
 
     def tree_probabilities(self, jobs: Sequence[TreeJob]) -> np.ndarray:
         """Acceptance probability of every tree job, as a float array.
@@ -232,6 +242,34 @@ class TransferMatrixBackend(SimulationBackend):
             )
             results[indices] = np.clip(values, 0.0, 1.0)
         return results
+
+    def chain_strategy_probabilities(self, batch: ChainStrategyBatch) -> np.ndarray:
+        """Score every strategy of ``batch`` from per-register tables.
+
+        A clean batch stacks ``[left; table; target]``.  A noisy one runs
+        :func:`repro.engine.kernels.chain_density_rows` on ``K`` virtual
+        jobs, job ``k`` holding table row ``k`` in every pair slot, so each
+        table density is the one an ordinary job of the batch would build.
+        Both go through :func:`repro.engine.kernels.
+        chain_strategy_probabilities` on this backend's array module.
+        """
+        m, size = batch.num_intermediate, len(batch.table)
+        eps = None
+        if batch.is_noisy:
+            states = np.empty((size, 2 + 2 * m, batch.dim), dtype=np.complex128)
+            states[:, 0] = batch.left
+            states[:, 1:-1] = batch.table[:, None]
+            states[:, -1] = batch.right_operator
+            rows = kernels.chain_density_rows(
+                self.dtype, states, [batch.noise] * size, m, batch.right_kind
+            )
+            eps = np.full(len(batch), batch.noise.readout_error)
+        else:
+            rows = np.concatenate([batch.left[None], batch.table, batch.right_operator[None]])
+        values = kernels.chain_strategy_probabilities(
+            self.xp, self.dtype, rows, batch.choices, eps, m, batch.right_kind
+        )
+        return np.clip(values, 0.0, 1.0)
 
 
 class MockDeviceTransferMatrixBackend(TransferMatrixBackend):

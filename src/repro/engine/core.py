@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.engine.backends import SimulationBackend, get_backend
 from repro.engine.cache import OperatorCache, OperatorPack
-from repro.engine.jobs import ChainJob, Job, TreeJob, TreeProgram
+from repro.engine.jobs import ChainJob, ChainStrategyBatch, Job, TreeJob, TreeProgram
 from repro.utils.env import env_str
 
 #: Environment variable selecting the default backend.
@@ -87,6 +87,10 @@ class Engine:
         if not jobs:
             return np.zeros(0, dtype=np.float64)
         return self._backend.chain_probabilities(jobs)
+
+    def chain_strategy_probabilities(self, batch: ChainStrategyBatch) -> np.ndarray:
+        """Acceptance probability of every strategy of a chain strategy batch."""
+        return self._backend.chain_strategy_probabilities(batch)
 
     def tree_probabilities(self, jobs: Sequence[TreeJob]) -> np.ndarray:
         """Acceptance probabilities of a batch of tree jobs."""

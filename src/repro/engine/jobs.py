@@ -1,6 +1,7 @@
 """Jobs and programs: the engine's intermediate representation.
 
-The engine evaluates protocols through two job types and one program type:
+The engine evaluates protocols through two job types, one batch type and one
+program type:
 
 :class:`ChainJob`
     One instance of the symmetrized SWAP-test chain shared by Algorithms 3, 6,
@@ -11,6 +12,13 @@ The engine evaluates protocols through two job types and one program type:
     length, with one kernel (:func:`repro.engine.kernels.
     chain_probabilities`).  Semantically a chain is the degenerate *path*
     tree (see :meth:`ChainJob.to_tree_job`).
+
+:class:`ChainStrategyBatch`
+    Many proof strategies of one chain at once: a table of register states
+    and, per strategy, the table row of every pair register.  A strategy
+    search compiles each chunk to one batch; the transfer-matrix backend
+    scores it from per-register tables, every other backend through the
+    ordinary chain jobs of :meth:`ChainStrategyBatch.jobs`.
 
 :class:`TreeJob`
     One instance of a tree-structured verification: a rooted tree whose nodes
@@ -502,6 +510,106 @@ class ChainJob:
             node_channels=tuple(node_channels),
             readout_error=self.noise.readout_error,
         )
+
+
+@dataclass(frozen=True, eq=False)
+class ChainStrategyBatch:
+    """Many proof strategies of one chain, as row indices into a state table.
+
+    Compared by identity (``eq=False``), like :class:`ChainJob`.  Every
+    strategy shares the left state, the vector right end and the noise
+    annotation; they differ only in which ``table`` row sits in each pair
+    register.  Since each SWAP test couples one node's forwarded register
+    with the next node's kept one, a strategy's acceptance depends on the
+    table only through O(m) adjacent pairs of rows, which is what lets a
+    batching backend score the whole batch from per-register tables
+    (:func:`repro.engine.kernels.chain_strategy_probabilities`).
+
+    Attributes
+    ----------
+    left:
+        The pure state of the left end, shape ``(d,)``.
+    table:
+        The ``K`` register states strategies draw from, shape ``(K, d)``.
+    choices:
+        Integer table rows of shape ``(B, m, 2)``: ``choices[b, j, s]`` is the
+        row strategy ``b`` places in slot ``s`` of intermediate node ``j``
+        (the layout of :attr:`ChainJob.pairs`).
+    right_operator:
+        The defining vector ``phi`` of the right end, shape ``(d,)``.
+    right_kind:
+        ``"projector"`` or ``"swap"``.
+    noise:
+        Optional :class:`ChainNoise` annotation shared by every strategy.
+    """
+
+    left: np.ndarray
+    table: np.ndarray
+    choices: np.ndarray
+    right_operator: np.ndarray
+    right_kind: str = RIGHT_PROJECTOR
+    noise: Optional[ChainNoise] = None
+
+    def __post_init__(self) -> None:
+        left = np.asarray(self.left, dtype=np.complex128).reshape(-1)
+        table = np.asarray(self.table, dtype=np.complex128)
+        right = np.asarray(self.right_operator, dtype=np.complex128)
+        choices = np.asarray(self.choices)
+        if table.ndim != 2 or table.shape[0] == 0 or table.shape[1] != left.size:
+            raise DimensionMismatchError(
+                f"the state table must hold at least one row of dimension {left.size}"
+            )
+        if self.right_kind not in _VECTOR_RIGHT_KINDS:
+            raise ProtocolError(
+                f"strategy batches need a vector right end, got {self.right_kind!r}"
+            )
+        if right.shape != left.shape:
+            raise DimensionMismatchError("right accept vector has the wrong dimension")
+        if choices.dtype.kind not in "iu" or choices.ndim != 3 or choices.shape[2] != 2:
+            raise ProtocolError(
+                "choices must be an integer array of shape (strategies, nodes, 2)"
+            )
+        if choices.size and (choices.min() < 0 or choices.max() >= table.shape[0]):
+            raise ProtocolError(f"choices must name rows of the {table.shape[0]}-row table")
+        if self.noise is not None:
+            self.noise.validate(int(choices.shape[1]), int(left.size), self.right_kind)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "choices", choices.astype(np.intp, copy=False))
+        object.__setattr__(self, "right_operator", right)
+
+    def __len__(self) -> int:
+        """Number of strategies ``B``."""
+        return int(self.choices.shape[0])
+
+    @property
+    def num_intermediate(self) -> int:
+        """Number of intermediate nodes ``m``."""
+        return int(self.choices.shape[1])
+
+    @property
+    def dim(self) -> int:
+        """Register dimension ``d``."""
+        return int(self.left.size)
+
+    @property
+    def is_noisy(self) -> bool:
+        """True when the batch carries a non-empty channel annotation."""
+        return self.noise is not None and not self.noise.is_trivial
+
+    def jobs(self) -> List[ChainJob]:
+        """One ordinary :class:`ChainJob` per strategy, in strategy order.
+
+        The route of every backend without a table kernel, the dense
+        reference included, so the dense backend stays the batch's oracle.
+        """
+        pairs = self.table[self.choices]
+        return [
+            ChainJob.from_arrays(
+                self.left, strategy, self.right_operator, self.right_kind, noise=self.noise
+            )
+            for strategy in pairs
+        ]
 
 
 @dataclass(frozen=True, eq=False)

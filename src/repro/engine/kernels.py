@@ -2,9 +2,10 @@
 
 The hot paths of :class:`~repro.engine.backends.TransferMatrixBackend` and
 :mod:`repro.engine.tree_contraction` — the one chain kernel
-:func:`chain_probabilities` (clean and noisy groups of any length), the
-vectorized symmetrization recursion, the channel grid application and the
-signature-grouped tree Gram products — live here as pure functions
+:func:`chain_probabilities` (clean and noisy groups of any length), its
+table-indexed twin :func:`chain_strategy_probabilities` for strategy
+batches, the vectorized symmetrization recursion, the channel grid
+application and the signature-grouped tree Gram products — live here as pure functions
 parameterized by ``(xp, dtype)``:
 
 * ``xp`` is an :class:`~repro.engine.array_ops.ArrayModule` (numpy by
@@ -259,7 +260,6 @@ def chain_probabilities(
     without intermediate nodes forwards row 0 under both bits, with weight
     1/2 each.
     """
-    batch = rows.shape[0]
     m = num_intermediate
     noisy = rows.ndim == 4
     dense_end = right_kind == RIGHT_DENSE
@@ -275,13 +275,7 @@ def chain_probabilities(
     else:
         gram = xp.matmul(xp.conj(states), xp.transpose(states, (0, 2, 1)))
         overlaps = _accumulate(xp, xp.abs(gram) ** 2)[:, rows_a, rows_b]
-    num_tests = 4 * m - 2 if m else 0
-    tests = 0.5 + 0.5 * overlaps[:, :num_tests]
-    if eps is not None:
-        tests = flip_probability(tests, eps[:, None])
-    weights = 0.5 * tests[:, :2] if m else np.full((batch, 2), 0.5)
-    if m > 1:
-        weights = transfer_recursion(weights, 0.5 * tests[:, 2:].reshape(batch, m - 1, 2, 2))
+    accepts = None
     if dense_end:
         operators = xp.asarray(rights, dtype=dtype)
         final_states = states[:, final_rows]
@@ -290,13 +284,122 @@ def chain_probabilities(
         else:
             values = (xp.matmul(xp.conj(final_states), operators) * final_states).sum(-1)
         accepts = _accumulate(xp, xp.real(values))
-    else:
+    return _fold_chain_tests(overlaps, accepts, eps, m, right_kind)
+
+
+def _fold_chain_tests(
+    overlaps: np.ndarray,
+    accepts: Optional[np.ndarray],
+    eps: Optional[np.ndarray],
+    num_intermediate: int,
+    right_kind: str,
+) -> np.ndarray:
+    """The host float64 recursion tail of both chain kernels.
+
+    ``overlaps`` holds every job's squared overlaps in the pair order of
+    :func:`_chain_row_pairs` (the ``4m - 2`` SWAP tests, then a vector right
+    end's two final overlaps); ``accepts`` the two final accept values of a
+    dense right end, else ``None``.
+    """
+    batch = overlaps.shape[0]
+    m = num_intermediate
+    num_tests = 4 * m - 2 if m else 0
+    tests = 0.5 + 0.5 * overlaps[:, :num_tests]
+    if eps is not None:
+        tests = flip_probability(tests, eps[:, None])
+    weights = 0.5 * tests[:, :2] if m else np.full((batch, 2), 0.5)
+    if m > 1:
+        weights = transfer_recursion(weights, 0.5 * tests[:, 2:].reshape(batch, m - 1, 2, 2))
+    if accepts is None:
         accepts = overlaps[:, num_tests:]
         if right_kind != RIGHT_PROJECTOR:
             accepts = 0.5 + 0.5 * accepts
     if eps is not None:
         accepts = flip_probability(accepts, eps[:, None])
     return np.sum(weights * accepts, axis=1)
+
+
+def chain_strategy_probabilities(
+    xp: ArrayModule,
+    dtype: np.dtype,
+    rows: np.ndarray,
+    choices: np.ndarray,
+    eps: Optional[np.ndarray],
+    num_intermediate: int,
+    right_kind: str,
+) -> np.ndarray:
+    """Evaluate a :class:`~repro.engine.jobs.ChainStrategyBatch` from tables.
+
+    ``rows`` is the host table stack: the ``(K + 2, d)`` states ``[left;
+    table; target]`` of a clean batch, or for a noisy one the ``(K, 2 + 4m,
+    d, d)`` densities :func:`chain_density_rows` builds for ``K`` virtual
+    jobs, job ``k`` holding table row ``k`` in every pair slot.
+    ``choices`` is the batch's ``(B, m, 2)`` array of table rows, ``eps``
+    the per-strategy readout errors or ``None``; the right end is a vector.
+
+    Every register slot gets a table of candidate rows: a clean register is
+    its state, a noisy one its kept density at node ``j`` or its sent
+    density past edge ``j + 1`` (a node's two slots see the same channels,
+    so slot 0's rows stand for both).  A clean batch reads all pair
+    overlaps from one Gram product of its state rows; a noisy one computes
+    only the adjacent-pair tables (left with node 0, node ``j`` sent with
+    node ``j + 1`` kept, the target with the last node sent) through
+    :func:`chain_probabilities`' trace einsum, on one stack that crosses to
+    the device once.  Each strategy gathers its O(m) overlaps by index on
+    the host and folds them through the shared recursion tail, so it gets
+    the bits its own chain job would (generic channels apart: their
+    superoperator matmul may move a last bit with the row count).
+    """
+    m = num_intermediate
+    batch = choices.shape[0]
+    noisy = rows.ndim == 4
+    node = np.repeat(np.arange(m), 2)
+    # Job row r of a strategy is row base[r] + picks[:, column[r]] of the
+    # table stack; column 0 of picks is zero for the fixed left and target.
+    picks = np.concatenate(
+        [np.zeros((batch, 1), dtype=np.intp), choices.reshape(batch, 2 * m)], axis=1
+    )
+    pair_columns = 1 + np.arange(2 * m)
+    if noisy:
+        size, dim = rows.shape[0], rows.shape[-1]
+        table = np.concatenate(
+            [
+                rows[0, :1],
+                rows[:, 1 : 1 + 2 * m : 2].swapaxes(0, 1).reshape(m * size, dim, dim),
+                rows[:, 1 + 2 * m : 1 + 4 * m : 2].swapaxes(0, 1).reshape(m * size, dim, dim),
+                rows[0, -1:],
+            ]
+        )
+        base = np.concatenate([[0], 1 + size * node, 1 + size * (m + node), [1 + 2 * m * size]])
+        column = np.concatenate([[0], pair_columns, pair_columns, [0]])
+        rows_a, rows_b, _ = _chain_row_pairs(m, 2 * m, 4 * m + 1)
+        # One (first row, first row, size, size) block per adjacent register
+        # pair the tests read; its pairs run over the first register's rows.
+        counts = np.where(column > 0, size, 1)
+        blocks = dict.fromkeys(
+            zip(*(array.tolist() for array in (base[rows_a], base[rows_b], counts[rows_a], counts[rows_b])))
+        )
+        index_a = np.concatenate([np.repeat(a + np.arange(na), nb) for a, _, na, nb in blocks])
+        index_b = np.concatenate([np.tile(b + np.arange(nb), na) for _, b, na, nb in blocks])
+        states = xp.asarray(table, dtype=dtype)
+        lookup = np.zeros((len(table), len(table)))
+        lookup[index_a, index_b] = _accumulate(
+            xp,
+            xp.real(
+                cached_einsum(xp, "bkij,bkji->bk", states[index_a][None], states[index_b][None])
+            ),
+        )[0]
+    else:
+        size = rows.shape[0] - 2
+        base = np.concatenate([[0], np.ones(2 * m, dtype=np.intp), [size + 1]])
+        column = np.concatenate([[0], pair_columns, [0]])
+        rows_a, rows_b, _ = _chain_row_pairs(m, 0, 2 * m + 1)
+        states = xp.asarray(rows[None], dtype=dtype)
+        gram = xp.matmul(xp.conj(states), xp.transpose(states, (0, 2, 1)))
+        lookup = _accumulate(xp, xp.abs(gram) ** 2)[0]
+    unified = base + picks[:, column]
+    overlaps = lookup[unified[:, rows_a], unified[:, rows_b]]
+    return _fold_chain_tests(overlaps, None, eps, m, right_kind)
 
 
 # --------------------------------------------------------------------------

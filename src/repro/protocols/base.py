@@ -58,17 +58,28 @@ class ProofRegister:
         return float(log2(self.dim))
 
 
+def unit_proof_state(state: np.ndarray, what: str) -> np.ndarray:
+    """``state`` as the unit complex vector a :class:`ProductProof` stores.
+
+    Raises :class:`~repro.exceptions.ProofError` naming ``what`` for the zero
+    vector.  Strategy searches normalise their candidate states through this
+    same expression, so a table row holds exactly the bits a proof would.
+    """
+    vec = np.asarray(state, dtype=np.complex128).reshape(-1)
+    norm = np.linalg.norm(vec)
+    if norm < 1e-12:
+        raise ProofError(f"{what} is the zero vector")
+    return vec / norm
+
+
 class ProductProof:
     """A proof that is a product state across proof registers."""
 
     def __init__(self, states: Mapping[str, np.ndarray]):
-        self._states: Dict[str, np.ndarray] = {}
-        for name, state in states.items():
-            vec = np.asarray(state, dtype=np.complex128).reshape(-1)
-            norm = np.linalg.norm(vec)
-            if norm < 1e-12:
-                raise ProofError(f"proof state for register {name!r} is the zero vector")
-            self._states[name] = vec / norm
+        self._states: Dict[str, np.ndarray] = {
+            name: unit_proof_state(state, f"proof state for register {name!r}")
+            for name, state in states.items()
+        }
 
     def state(self, name: str) -> np.ndarray:
         """The proof state assigned to the named register."""

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.problems import EqualityProblem
-from repro.exceptions import ProtocolError, TopologyError
+from repro.exceptions import ProofError, ProtocolError, TopologyError
 from repro.network.spanning_tree import VerificationTree, build_verification_tree
 from repro.network.topology import Network, NodeId, path_network
 from repro.protocols.base import (
@@ -50,6 +50,7 @@ from repro.engine import (
     ChainJob,
     ChainNoise,
     ChainProgram,
+    ChainStrategyBatch,
     TreeJob,
     TreeJobBuilder,
     TreeProgram,
@@ -257,6 +258,38 @@ class EqualityPathProtocol(DQMAProtocol):
                 noise=self._chain_noise,
             )
         return ChainProgram.single(job)
+
+    def strategy_batch(
+        self, inputs: Sequence[str], table: np.ndarray, register_rows: np.ndarray
+    ) -> ChainStrategyBatch:
+        """Product-proof strategies on ``inputs`` as one table-indexed batch.
+
+        ``table`` holds unit register states and ``register_rows[b, i]`` the
+        row strategy ``b`` places in register ``i`` of :meth:`proof_registers`.
+        Each strategy evaluates exactly like the :class:`ProductProof` of
+        those rows through :meth:`acceptance_probabilities`, with the layout
+        checks done once for the batch: the search of
+        :func:`repro.analysis.soundness.fingerprint_strategy_soundness`
+        compiles each chunk through here.
+        """
+        inputs = self.problem.validate_inputs(inputs)
+        table = np.asarray(table)
+        register_rows = np.asarray(register_rows)
+        count = 2 * (self.path_length - 1)
+        if register_rows.ndim != 2 or register_rows.shape[1] != count:
+            raise ProofError(f"every strategy must assign the {count} proof registers")
+        if table.ndim != 2 or table.shape[1] != self.fingerprints.dim:
+            raise ProofError(
+                f"register states must have the fingerprint dimension {self.fingerprints.dim}"
+            )
+        return ChainStrategyBatch(
+            left=self.fingerprints.state(inputs[0]),
+            table=table,
+            choices=register_rows.reshape(len(register_rows), self.path_length - 1, 2),
+            right_operator=self.fingerprints.state(inputs[1]),
+            right_kind=RIGHT_PROJECTOR,
+            noise=self._chain_noise,
+        )
 
     def acceptance_operator(self, inputs: Sequence[str]) -> np.ndarray:
         """Exact acceptance operator over (possibly entangled) proofs — small instances.

@@ -14,7 +14,7 @@ from repro.analysis.soundness import (
     fingerprint_strategy_soundness,
     repetition_soundness,
 )
-from repro.exceptions import DimensionMismatchError, ProtocolError
+from repro.exceptions import DimensionMismatchError, ProtocolError, ReproError
 from repro.protocols.chain import chain_acceptance_operator, optimal_entangled_acceptance
 from repro.protocols.equality import EqualityPathProtocol
 from repro.quantum.random_states import haar_random_state
@@ -186,6 +186,26 @@ class TestSoundnessReports:
                 proof = proof.replaced(register.name, fingerprints.state(node_string[register.node]))
             scalar_best = max(scalar_best, protocol.acceptance_probability(("0", "1"), proof))
         assert result.best_acceptance == pytest.approx(scalar_best, abs=1e-9)
+
+    @pytest.mark.parametrize("batch_size", [0, -5, 2.7, True, "4", None])
+    def test_search_rejects_invalid_batch_size(self, tiny_fingerprints, batch_size):
+        # These used to be clamped silently into a normal 4-assignment search.
+        protocol = EqualityPathProtocol.on_path(1, 3, tiny_fingerprints)
+        with pytest.raises(ReproError, match="batch_size"):
+            fingerprint_strategy_soundness(protocol, ("0", "1"), batch_size=batch_size)
+
+    @pytest.mark.parametrize("limit", [0, -5, 4096.5, 8.0, True])
+    def test_search_rejects_invalid_max_assignments(self, tiny_fingerprints, limit):
+        protocol = EqualityPathProtocol.on_path(1, 3, tiny_fingerprints)
+        with pytest.raises(ReproError, match="max_assignments"):
+            fingerprint_strategy_soundness(protocol, ("0", "1"), max_assignments=limit)
+
+    def test_search_sizes_are_checked_before_any_work(self):
+        class Dummy:  # no fingerprints: would raise ProtocolError if reached
+            pass
+
+        with pytest.raises(ReproError, match="batch_size must be positive"):
+            fingerprint_strategy_soundness(Dummy(), ("0", "1"), batch_size=0)
 
     def test_report_with_seesaw(self, tiny_fingerprints):
         protocol = EqualityPathProtocol.on_path(1, 2, tiny_fingerprints)

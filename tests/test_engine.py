@@ -11,10 +11,13 @@ import pytest
 
 from repro.comm.lsd import random_lsd_instance
 from repro.engine import (
+    RIGHT_DENSE,
     RIGHT_PROJECTOR,
     RIGHT_SWAP,
     ChainJob,
+    ChainNoise,
     ChainProgram,
+    ChainStrategyBatch,
     DenseBackend,
     Engine,
     OperatorCache,
@@ -100,6 +103,44 @@ class TestChainJobsAndPrograms:
             ChainJob.from_states(np.ones(2), [], np.eye(3))
         with pytest.raises(DimensionMismatchError):
             ChainJob.from_states(np.ones(2), [], np.ones(2), right_kind="mystery")
+
+    def test_strategy_batch_validation(self):
+        left, table = np.array([1.0, 0.0]), np.eye(2)
+        choices = np.zeros((3, 2, 2), dtype=int)
+        batch = ChainStrategyBatch(left, table, choices, left)
+        assert (len(batch), batch.num_intermediate, batch.dim) == (3, 2, 2)
+        assert not batch.is_noisy
+        with pytest.raises(ProtocolError, match="rows of the 2-row table"):
+            ChainStrategyBatch(left, table, choices + 2, left)
+        with pytest.raises(ProtocolError, match="rows of the 2-row table"):
+            ChainStrategyBatch(left, table, choices - 1, left)
+        with pytest.raises(ProtocolError, match="integer array"):
+            ChainStrategyBatch(left, table, choices.astype(float), left)
+        with pytest.raises(ProtocolError, match="integer array"):
+            ChainStrategyBatch(left, table, np.zeros((3, 2, 3), dtype=int), left)
+        with pytest.raises(ProtocolError, match="vector right end"):
+            ChainStrategyBatch(left, table, choices, np.eye(2), right_kind=RIGHT_DENSE)
+        with pytest.raises(DimensionMismatchError):
+            ChainStrategyBatch(left, np.eye(3), choices, left)
+        with pytest.raises(DimensionMismatchError):
+            ChainStrategyBatch(left, np.zeros((0, 2)), choices[:, :0], left)
+        with pytest.raises(ProtocolError, match="expected 3 edge channels"):
+            ChainStrategyBatch(
+                left, table, choices, left, noise=ChainNoise(edge_channels=(), node_channels=())
+            )
+
+    def test_strategy_batch_jobs_place_the_chosen_rows(self):
+        table = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        choices = np.array([[[0, 2], [1, 1]], [[2, 0], [0, 1]]])
+        batch = ChainStrategyBatch(table[0], table, choices, table[1], right_kind=RIGHT_SWAP)
+        jobs = batch.jobs()
+        for job, strategy in zip(jobs, choices):
+            np.testing.assert_array_equal(job.pairs, table[strategy])
+            assert job.right_kind == RIGHT_SWAP and job.noise is None
+        np.testing.assert_array_equal(
+            Engine(backend="dense").chain_strategy_probabilities(batch),
+            DenseBackend().chain_probabilities(jobs),
+        )
 
     def test_program_term_validation_and_rejecting(self):
         job = ChainJob.from_states(np.array([1.0, 0.0]), [], np.eye(2))

@@ -6,7 +6,9 @@ with protocols constructed noisy, the ``with_noise`` siblings of every
 protocol family, the Heisenberg-picture noisy acceptance operator against
 the engine's scalar Kraus-sum numbers, dtype-derived paper-bound slack,
 pickle/byte stability of the result dataclasses through the sharded pool,
-and the registered ``noisy-soundness-*`` sweep scenarios.
+the path search's table route (bit for bit against its per-strategy jobs and
+the per-proof search, and its device traffic), and the registered
+``noisy-soundness-*`` sweep scenarios.
 """
 
 import pickle
@@ -22,7 +24,7 @@ from repro.analysis.soundness import (
 )
 from repro.comm.one_way import FingerprintEqualityOneWay
 from repro.comm.problems import EqualityProblem
-from repro.engine import Engine, TransferMatrixBackend
+from repro.engine import Engine, MockDeviceTransferMatrixBackend, TransferMatrixBackend
 from repro.exceptions import ProtocolError
 from repro.experiments.noisy_soundness import (
     channel_family_soundness_sweep,
@@ -38,7 +40,7 @@ from repro.protocols.base import ProductProof, RepeatedProtocol
 from repro.protocols.equality import EqualityPathProtocol, EqualityTreeProtocol
 from repro.protocols.from_one_way import OneWayToTreeProtocol
 from repro.protocols.relay import RelayEqualityProtocol
-from repro.quantum.channels import NoiseModel, channel_family
+from repro.quantum.channels import CHANNEL_FAMILIES, NoiseModel, channel_family
 from repro.quantum.fingerprint import ExactCodeFingerprint
 
 FINGERPRINTS = ExactCodeFingerprint(2, rng=11)
@@ -311,6 +313,122 @@ class TestPickleStability:
         assert restored == report
         assert restored.bound_slack == report.bound_slack
         assert restored.respects_paper_bound == report.respects_paper_bound
+
+
+class _PerProofPathProtocol(EqualityPathProtocol):
+    """The path protocol without a batch compiler: searches go proof by proof."""
+
+    strategy_batch = None
+
+
+class _RecordingEngine(Engine):
+    """A transfer-matrix complex128 engine keeping every strategy batch it scores."""
+
+    def __init__(self, backend=None):
+        super().__init__(backend=backend or TransferMatrixBackend(dtype="complex128"))
+        self.batches = []
+
+    def chain_strategy_probabilities(self, batch):
+        self.batches.append(batch)
+        return super().chain_strategy_probabilities(batch)
+
+
+#: The benchmark's search lattice: fingerprints, no-instance and candidates of
+#: the noisy-soundness sweeps; (path length, (family, strength) or clean) per
+#: search: the path-length sweep at depolarizing 0.15, one r = 3 point per
+#: named family, and the clean paths.
+LATTICE_FINGERPRINTS = ExactCodeFingerprint(2, rng=7)
+LATTICE_INPUTS = ("11", "01")
+LATTICE_CANDIDATES = ("11", "01", "10")
+LATTICE = (
+    [(r, ("depolarizing", 0.15)) for r in range(2, 8)]
+    + [(3, (family, 0.2)) for family in CHANNEL_FAMILIES]
+    + [(r, None) for r in range(2, 8)]
+)
+
+
+def _lattice_noise(family, strength):
+    return NoiseModel.uniform_link(
+        channel_family(family)(strength, LATTICE_FINGERPRINTS.dim)
+    )
+
+
+def _lattice_searches(protocol_type, engine):
+    results = []
+    for path_length, point in LATTICE:
+        protocol = protocol_type.on_path(2, path_length, LATTICE_FINGERPRINTS)
+        results.append(
+            fingerprint_strategy_soundness(
+                protocol.use_engine(engine),
+                LATTICE_INPUTS,
+                candidate_strings=LATTICE_CANDIDATES,
+                noise=None if point is None else _lattice_noise(*point),
+            )
+        )
+    return results
+
+
+class TestStrategyTableRoute:
+    """The path search's table route, pinned to the per-strategy route's bits."""
+
+    def test_every_strategy_value_equals_its_job_bit_for_bit(self):
+        engine = _RecordingEngine()
+        _lattice_searches(EqualityPathProtocol, engine)
+        # r = 7 splits its 730 strategies into three chunks; every other
+        # search is one chunk.
+        assert len(engine.batches) == len(LATTICE) + 2 * 2
+        assert sum(batch.is_noisy for batch in engine.batches) == 6 + 2 + len(CHANNEL_FAMILIES)
+        for batch in engine.batches:
+            table = engine.backend.chain_strategy_probabilities(batch)
+            jobs = engine.backend.chain_probabilities(batch.jobs())
+            np.testing.assert_array_equal(table.view(np.uint64), jobs.view(np.uint64))
+
+    def test_search_equals_the_per_proof_search(self):
+        engine = Engine(backend=TransferMatrixBackend(dtype="complex128"))
+        table = _lattice_searches(EqualityPathProtocol, engine)
+        per_proof = _lattice_searches(_PerProofPathProtocol, engine)
+        for fast, reference in zip(table, per_proof):
+            assert fast.best_strategy == reference.best_strategy
+            assert fast.best_acceptance.hex() == reference.best_acceptance.hex()
+            assert fast.num_assignments == reference.num_assignments
+            assert fast.best_proof.register_names == reference.best_proof.register_names
+            for name in fast.best_proof.register_names:
+                np.testing.assert_array_equal(
+                    fast.best_proof.state(name), reference.best_proof.state(name)
+                )
+
+    @staticmethod
+    def _mock_search(path_length, batch_size):
+        backend = MockDeviceTransferMatrixBackend()
+        protocol = EqualityPathProtocol.on_path(2, path_length, LATTICE_FINGERPRINTS)
+        result = fingerprint_strategy_soundness(
+            protocol.use_engine(Engine(backend=backend)),
+            LATTICE_INPUTS,
+            candidate_strings=LATTICE_CANDIDATES,
+            batch_size=batch_size,
+            noise=_lattice_noise("depolarizing", 0.15),
+        )
+        chunks = -(-(result.num_assignments + 1) // batch_size)
+        return backend.xp, chunks
+
+    def test_device_transfers_are_per_chunk_and_move_tables(self):
+        short, short_chunks = self._mock_search(3, batch_size=4)
+        long, long_chunks = self._mock_search(6, batch_size=4)
+        assert (short_chunks, long_chunks) == (3, 61)
+        assert short.to_device_transfers > 0
+        for xp, chunks in ((short, short_chunks), (long, long_chunks)):
+            assert xp.to_device_transfers % chunks == 0
+            assert xp.to_host_transfers % chunks == 0
+        assert short.to_device_transfers // short_chunks == long.to_device_transfers // long_chunks
+        assert short.to_host_transfers // short_chunks == long.to_host_transfers // long_chunks
+        # Tables move, not strategies: a chunk of 244 strategies sends what a
+        # chunk of 4 sends, far below its per-strategy density stack.
+        whole, whole_chunks = self._mock_search(6, batch_size=256)
+        assert whole_chunks == 1
+        assert whole.bytes_to_device == long.bytes_to_device // long_chunks
+        m, dim = 5, LATTICE_FINGERPRINTS.dim
+        stack_bytes = 244 * (4 * m + 2) * dim * dim * np.dtype(np.complex128).itemsize
+        assert whole.bytes_to_device < stack_bytes
 
 
 class TestNoisySoundnessScenarios:

@@ -19,6 +19,13 @@ within 1e-9, the complex64 contraction within its parity tolerance, and each
 job's :meth:`~repro.engine.jobs.ChainJob.to_tree_job` through both backends'
 tree path within 1e-9.
 
+A :class:`~repro.engine.jobs.ChainStrategyBatch` (strategies as row indices
+into a state table, 1 to 4 rows, ``m`` from 0 to 5, ``d`` from 1 to 4) must
+score every strategy like its own :meth:`~repro.engine.jobs.
+ChainStrategyBatch.jobs` within 1e-12 on the transfer-matrix and mock
+backends, and like the dense reference within 1e-9 (complex64 within its
+parity tolerance), clean and under named-family or random-isometry channels.
+
 The matrix-free chain acceptance operator
 (:func:`~repro.protocols.chain.chain_acceptance_sweep`) is held to the dense
 :func:`~repro.protocols.chain.chain_acceptance_operator` within 1e-12 on random
@@ -64,6 +71,7 @@ from repro.engine import (
     TEST_PERM,
     ChainJob,
     ChainNoise,
+    ChainStrategyBatch,
     DenseBackend,
     MeasurementSpec,
     MockDeviceTransferMatrixBackend,
@@ -172,6 +180,92 @@ class TestChainDifferential:
             np.testing.assert_allclose(
                 backend.tree_probabilities(trees), reference, atol=1e-9, rtol=0.0
             )
+
+
+# --------------------------------------------------------------------------
+# Chain strategy batches
+# --------------------------------------------------------------------------
+
+strategy_specs = st.tuples(
+    st.integers(1, 4),  # table rows K
+    st.integers(0, 5),  # intermediate nodes m
+    st.integers(1, 4),  # register dimension d
+    st.sampled_from([RIGHT_PROJECTOR, RIGHT_SWAP]),
+    st.sampled_from(["clean", "named", "generic"]),  # channels
+    st.integers(1, 6),  # strategies B
+    st.integers(0, 2**32 - 1),  # seed of the states, choices and channels
+)
+
+
+def _strategy_batch(size, m, dim, kind, channels, count, seed) -> ChainStrategyBatch:
+    rng = np.random.default_rng(seed)
+    table = np.stack([haar_random_state(dim, rng=rng) for _ in range(size)])
+    # Independent draws per slot, so a node's two registers often differ.
+    choices = rng.integers(0, size, size=(count, m, 2))
+    left, right = haar_random_state(dim, rng=rng), haar_random_state(dim, rng=rng)
+    noise = None
+    if channels != "clean":
+        if channels == "named":
+
+            def channel():
+                family = _FAMILIES[int(rng.integers(0, len(_FAMILIES)))]
+                return family(float(rng.uniform(0.0, 1.0)), dim)
+
+        else:
+
+            def channel():
+                return _isometry_channel(dim, rng)
+
+        noise = ChainNoise(
+            edge_channels=tuple(channel() for _ in range(m + 1)),
+            node_channels=tuple(channel() for _ in range(m)),
+            left_channel=channel(),
+            right_channel=channel(),
+            readout_error=float(rng.uniform(0.0, 0.1)),
+        )
+    return ChainStrategyBatch(left, table, choices, right, right_kind=kind, noise=noise)
+
+
+class TestChainStrategyBatchDifferential:
+    """Table-indexed strategy batches against their own ordinary chain jobs.
+
+    ``K`` from 1 to 4 table rows, ``m`` from 0 to 5 nodes and ``d`` from 1
+    to 4, projector and swap right ends, random choices, and clean batches
+    or noisy ones whose every edge, node and end carries a named-family or a
+    random-isometry channel, with readout errors up to 0.1.  The table
+    kernel must match :meth:`ChainStrategyBatch.jobs` on the same backend
+    within 1e-12 and the dense reference within 1e-9 (complex64 within its
+    parity tolerance).
+    """
+
+    @given(spec=strategy_specs)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_table_kernel_matches_its_jobs(self, spec):
+        batch = _strategy_batch(*spec)
+        assert len(batch.jobs()) == len(batch)
+        for backend in (TransferMatrixBackend(), MockDeviceTransferMatrixBackend()):
+            np.testing.assert_allclose(
+                backend.chain_strategy_probabilities(batch),
+                backend.chain_probabilities(batch.jobs()),
+                atol=1e-12,
+                rtol=0.0,
+            )
+
+    @given(spec=strategy_specs)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_table_kernel_matches_dense_reference(self, spec):
+        batch = _strategy_batch(*spec)
+        reference = DenseBackend().chain_strategy_probabilities(batch)
+        for backend in (TransferMatrixBackend(), MockDeviceTransferMatrixBackend()):
+            np.testing.assert_allclose(
+                backend.chain_strategy_probabilities(batch), reference, atol=1e-9, rtol=0.0
+            )
+        np.testing.assert_allclose(
+            TransferMatrixBackend(dtype="complex64").chain_strategy_probabilities(batch),
+            reference,
+            atol=parity_tolerance("complex64"),
+            rtol=0.0,
+        )
 
 
 
