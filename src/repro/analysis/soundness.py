@@ -8,23 +8,31 @@ strategies (fingerprint-valued product proofs) and reports the best found.
 
 The strategy search evaluates its whole enumeration — up to
 ``max_assignments`` product proofs — ``batch_size`` strategies per engine
-call.  On the Algorithm 3 path it never builds those proofs: the registers'
-distinct states go into one table, each strategy becomes the table row of
-every register, and each chunk compiles to one
-:class:`~repro.engine.jobs.ChainStrategyBatch`.  Because every SWAP test
-couples only adjacent registers, the transfer-matrix backend scores the
-chunk from per-register state tables and adjacent-pair overlap tables, to
-the bit of the per-proof route; only the winner's label and
-:class:`~repro.protocols.base.ProductProof` are built.  Protocols without a
-batch compiler (every tree protocol) still compile one proof per strategy
-into batched ``acceptance_probabilities`` calls.
+call.  On the Algorithm 3 path, the Algorithm 5 tree and the Theorem 32
+trees it never builds those proofs: the registers' distinct states go into
+one table, each strategy becomes the table row of every register, and the
+protocol's ``strategy_batch`` compiles each chunk to strategy batches whose
+values multiply to each strategy's acceptance.  A path chunk is one
+:class:`~repro.engine.jobs.ChainStrategyBatch`: because every SWAP test
+couples only adjacent registers, the transfer-matrix backend scores it from
+per-register state tables and adjacent-pair overlap tables.  A tree chunk is
+one :class:`~repro.engine.jobs.TreeStrategyBatch` per verification tree: the
+honest job compiles once as the template, and the transfer-matrix backend
+gathers every strategy's row stack from the table into its ordinary tree
+group evaluator.  Both routes give the per-proof route's values to the bit;
+only the winner's label and :class:`~repro.protocols.base.ProductProof` are
+built.  Protocols without a batch compiler, without proof registers, and
+instances that do not compile (``strategy_batch`` returns ``None``: an
+oversized fan-out, an undescribable leaf measurement, or many-factor
+one-way messages) compile one proof per strategy into batched
+``acceptance_probabilities`` calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,10 +152,13 @@ def fingerprint_strategy_soundness(
     string (the strategies the paper's soundness analyses reason about) and
     evaluates them through the engine's batched API, ``batch_size``
     strategies per engine call: as table-indexed strategy batches for a
-    protocol with a ``strategy_batch`` compiler (the Algorithm 3 path), as
-    one :class:`ProductProof` each otherwise.  The first maximum in
-    enumeration order wins; ``batch_size`` and ``max_assignments`` must be
-    positive integers.
+    protocol whose ``strategy_batch`` compiles the instance (the Algorithm 3
+    path and the Algorithm 5 and Theorem 32 trees), as one
+    :class:`ProductProof` each otherwise.  The first maximum in enumeration
+    order wins; ``batch_size`` and ``max_assignments`` must be positive
+    integers.  The result is a structured-search value: a *lower* bound on
+    the best cheating acceptance over all proofs, never a certificate that
+    no better cheat exists.
 
     A non-trivial ``noise`` model re-targets the evaluation at the
     protocol's :meth:`~repro.protocols.base.DQMAProtocol.with_noise` sibling:
@@ -193,32 +204,32 @@ def fingerprint_strategy_soundness(
         return ProductProof(states)
 
     # Strategy 0 is the honest proof, strategy 1 + i the combo i.  Protocols
-    # with a strategy_batch compiler score each chunk from a state table; the
-    # rest (and a chain without proof registers, with nothing to tabulate)
-    # evaluate one ProductProof per strategy.
+    # whose strategy_batch compiles the instance score each chunk from a
+    # state table; the rest (strategy_batch returns None, or there are no
+    # proof registers to tabulate) evaluate one ProductProof per strategy.
     combos = list(iter_product(candidates, repeat=len(nodes)))
-    if not registers or getattr(protocol, "strategy_batch", None) is None:
-        proofs: List[ProductProof] = [honest] + [build_proof(combo) for combo in combos]
-        best_index, best_value = _best_strategy(
-            lambda start, stop: protocol.acceptance_probabilities(
-                [inputs] * (stop - start), proofs=proofs[start:stop]
-            ),
-            len(proofs),
-            batch,
-        )
-        best_proof = proofs[best_index]
-    else:
+    table_chunks = None
+    if registers and getattr(protocol, "strategy_batch", None) is not None:
         table, strategies = _strategy_table(
             combos, candidate_states, honest_states, registers, nodes, fingerprints.dim
         )
+        table_chunks = [
+            protocol.strategy_batch(inputs, table, strategies[start : start + batch])
+            for start in range(0, len(strategies), batch)
+        ]
+    if table_chunks and table_chunks[0] is not None:
         best_index, best_value = _best_strategy(
-            lambda start, stop: protocol.engine.chain_strategy_probabilities(
-                protocol.strategy_batch(inputs, table, strategies[start:stop])
-            ),
-            len(strategies),
-            batch,
+            protocol.engine.strategy_probabilities(batches) for batches in table_chunks
         )
         best_proof = honest if best_index == 0 else build_proof(combos[best_index - 1])
+    else:
+        proofs: List[ProductProof] = [honest] + [build_proof(combo) for combo in combos]
+        proof_chunks = [proofs[start : start + batch] for start in range(0, len(proofs), batch)]
+        best_index, best_value = _best_strategy(
+            protocol.acceptance_probabilities([inputs] * len(chunk), proofs=chunk)
+            for chunk in proof_chunks
+        )
+        best_proof = proofs[best_index]
     return StrategySearchResult(
         best_acceptance=float(best_value),
         best_proof=best_proof,
@@ -229,18 +240,17 @@ def fingerprint_strategy_soundness(
     )
 
 
-def _best_strategy(
-    evaluate: Callable[[int, int], np.ndarray], count: int, batch: int
-) -> Tuple[int, float]:
-    """``(index, value)`` of the first maximum, ``batch`` strategies per call."""
+def _best_strategy(chunks: Iterable[np.ndarray]) -> Tuple[int, float]:
+    """``(index, value)`` of the first maximum over consecutive chunks of values."""
     best_value = -1.0
     best_index = 0
-    for start in range(0, count, batch):
-        values = evaluate(start, min(start + batch, count))
+    start = 0
+    for values in chunks:
         local = int(np.argmax(values))
         if values[local] > best_value:
             best_value = float(values[local])
             best_index = start + local
+        start += len(values)
     return best_index, best_value
 
 

@@ -78,12 +78,14 @@ from repro.engine.jobs import (
     ChainJob,
     ChainStrategyBatch,
     TreeJob,
+    TreeStrategyBatch,
     group_jobs_by_shape,
 )
 from repro.engine import kernels
 from repro.engine.tree_contraction import (
     tree_acceptance_probability,
     tree_probabilities_batched,
+    tree_strategy_probabilities_batched,
 )
 from repro.exceptions import ProtocolError
 
@@ -124,6 +126,15 @@ class SimulationBackend(ABC):
     def tree_probability(self, job: TreeJob) -> float:
         """Acceptance probability of a single tree job."""
         return float(self.tree_probabilities([job])[0])
+
+    def tree_strategy_probabilities(self, batch: TreeStrategyBatch) -> np.ndarray:
+        """Acceptance probability of every strategy of a tree strategy batch.
+
+        The default evaluates the batch's ordinary tree jobs
+        (:meth:`TreeStrategyBatch.jobs`), which keeps the dense backend the
+        oracle; the transfer-matrix backend overrides it.
+        """
+        return self.tree_probabilities(batch.jobs())
 
     def describe(self) -> Dict[str, str]:
         """Dispatch metadata: backend, array module, device and dtype names.
@@ -204,6 +215,16 @@ class TransferMatrixBackend(SimulationBackend):
 
     def tree_probabilities(self, jobs: Sequence[TreeJob]) -> np.ndarray:
         return tree_probabilities_batched(jobs, xp=self.xp, dtype=self.dtype)
+
+    def tree_strategy_probabilities(self, batch: TreeStrategyBatch) -> np.ndarray:
+        """Score every strategy of ``batch`` through the tree group evaluator.
+
+        The strategies' row stack is gathered from the batch's state table
+        (:func:`repro.engine.tree_contraction.
+        tree_strategy_probabilities_batched`), so no job is built per
+        strategy and each value equals its job's.
+        """
+        return tree_strategy_probabilities_batched(batch, xp=self.xp, dtype=self.dtype)
 
     def chain_probabilities(self, jobs: Sequence[ChainJob]) -> np.ndarray:
         """Contract each ``(m, d, kind, noisy)`` group in one kernel call.

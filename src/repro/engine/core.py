@@ -28,7 +28,14 @@ import numpy as np
 
 from repro.engine.backends import SimulationBackend, get_backend
 from repro.engine.cache import OperatorCache, OperatorPack
-from repro.engine.jobs import ChainJob, ChainStrategyBatch, Job, TreeJob, TreeProgram
+from repro.engine.jobs import (
+    ChainJob,
+    ChainStrategyBatch,
+    Job,
+    TreeJob,
+    TreeProgram,
+    TreeStrategyBatch,
+)
 from repro.utils.env import env_str
 
 #: Environment variable selecting the default backend.
@@ -97,6 +104,37 @@ class Engine:
         if not jobs:
             return np.zeros(0, dtype=np.float64)
         return self._backend.tree_probabilities(jobs)
+
+    def tree_strategy_probabilities(self, batch: TreeStrategyBatch) -> np.ndarray:
+        """Acceptance probability of every strategy of a tree strategy batch."""
+        return self._backend.tree_strategy_probabilities(batch)
+
+    def strategy_probabilities(
+        self, batches: Sequence[Union[ChainStrategyBatch, TreeStrategyBatch]]
+    ) -> np.ndarray:
+        """Acceptance of every strategy whose jobs the strategy batches hold.
+
+        ``batches`` hold one job of each strategy apiece, in program job
+        order: one batch for a chain or an Algorithm 5 tree, one per
+        verification tree for a Theorem 32 protocol.  The values come out as
+        :meth:`evaluate_programs` would give them for the strategies'
+        programs (one unit term over all their jobs): a single batch's
+        values as they are, several multiplied per strategy with
+        :meth:`TreeProgram.combine`'s arithmetic — the product in batch
+        order from 1.0, added to 0.0, clipped to [0, 1].
+        """
+        values = [
+            self.chain_strategy_probabilities(batch)
+            if isinstance(batch, ChainStrategyBatch)
+            else self.tree_strategy_probabilities(batch)
+            for batch in batches
+        ]
+        if len(values) == 1:
+            return values[0]
+        product = np.ones(len(values[0]))
+        for factor in values:
+            product = product * factor
+        return np.clip(0.0 + product, 0.0, 1.0)
 
     def job_probabilities(self, jobs: Sequence[Job]) -> np.ndarray:
         """Acceptance probabilities of a mixed batch of chain and tree jobs.

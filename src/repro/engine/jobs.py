@@ -1,6 +1,6 @@
 """Jobs and programs: the engine's intermediate representation.
 
-The engine evaluates protocols through two job types, one batch type and one
+The engine evaluates protocols through two job types, two batch types and one
 program type:
 
 :class:`ChainJob`
@@ -28,6 +28,14 @@ program type:
     operators.  This covers the Algorithm 5 equality protocol on general
     networks, the Algorithm 9 one-way-protocol trees of Theorem 32, and — as
     the degenerate path — every chain protocol.
+
+:class:`TreeStrategyBatch`
+    Many proof strategies of one tree job: a template job, a table of
+    register states and, per strategy, the table row of every proof row of
+    the template.  The transfer-matrix backend gathers every strategy's row
+    stack from the table into its ordinary group evaluator; every other
+    backend evaluates the ordinary tree jobs of :meth:`TreeStrategyBatch.
+    jobs`.
 
 :class:`TreeProgram`
     A weighted sum of products of jobs,
@@ -123,6 +131,7 @@ noise-strength sweeps fast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from dataclasses import replace as dataclass_replace
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -1002,6 +1011,89 @@ class TreeJobBuilder:
             measurements=tuple(self._measurements),
             noise=noise,
         )
+
+
+@dataclass(frozen=True, eq=False)
+class TreeStrategyBatch:
+    """Many proof strategies of one tree job, as row indices into a state table.
+
+    Compared by identity (``eq=False``), like :class:`TreeJob`.  Every
+    strategy is the ``template`` job with its rows ``rows[p]`` holding table
+    row ``choices[b, p]``; structure, the other rows, measurements and noise
+    are the template's.  A strategy's row stack is therefore a gather from
+    ``[template rows; table]`` with the shape and bytes of its own job's, which
+    is what lets a batching backend run the whole batch through its ordinary
+    group evaluator (:func:`repro.engine.tree_contraction.
+    tree_strategy_probabilities_batched`) without building one job per
+    strategy.
+
+    Attributes
+    ----------
+    template:
+        A single-factor :class:`TreeJob` (a protocol passes its honest job).
+    table:
+        The ``K`` register states strategies draw from, shape ``(K, d)``.
+    choices:
+        Integer table rows of shape ``(B, P)``: ``choices[b, p]`` is the row
+        strategy ``b`` places in template row ``rows[p]``.
+    rows:
+        The ``P`` distinct template rows the strategies fill.
+    """
+
+    template: TreeJob
+    table: np.ndarray
+    choices: np.ndarray
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        template = self.template
+        if template.num_factors != 1:
+            raise ProtocolError("tree strategy batches need single-factor registers")
+        num_rows, dim = template.factors[0].shape
+        table = np.asarray(self.table, dtype=np.complex128)
+        choices = np.asarray(self.choices)
+        rows = np.asarray(self.rows)
+        if table.ndim != 2 or table.shape[0] == 0 or table.shape[1] != dim:
+            raise DimensionMismatchError(
+                f"the state table must hold at least one row of dimension {dim}"
+            )
+        if rows.dtype.kind not in "iu" or rows.ndim != 1:
+            raise ProtocolError("rows must be a 1-D integer array of template rows")
+        if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
+            raise ProtocolError(f"rows must name rows of the {num_rows}-row template")
+        if len(set(rows.tolist())) != rows.size:
+            raise ProtocolError("each template row may be filled only once")
+        if choices.dtype.kind not in "iu" or choices.ndim != 2 or choices.shape[1] != rows.size:
+            raise ProtocolError(
+                f"choices must be an integer array of shape (strategies, {rows.size})"
+            )
+        if choices.size and (choices.min() < 0 or choices.max() >= table.shape[0]):
+            raise ProtocolError(f"choices must name rows of the {table.shape[0]}-row table")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "choices", choices.astype(np.intp, copy=False))
+        object.__setattr__(self, "rows", rows.astype(np.intp, copy=False))
+
+    def __len__(self) -> int:
+        """Number of strategies ``B``."""
+        return int(self.choices.shape[0])
+
+    def stack(self) -> np.ndarray:
+        """The ``(B, R, d)`` row stack of every strategy, one gather."""
+        template_rows = self.template.factors[0]
+        num_rows = template_rows.shape[0]
+        index = np.tile(np.arange(num_rows, dtype=np.intp), (len(self), 1))
+        index[:, self.rows] = num_rows + self.choices
+        return np.concatenate([template_rows, self.table])[index]
+
+    def jobs(self) -> List[TreeJob]:
+        """One ordinary :class:`TreeJob` per strategy, in strategy order.
+
+        The route of every backend without a table evaluator, the dense
+        reference included, so the dense backend stays the batch's oracle.
+        """
+        return [
+            dataclass_replace(self.template, factors=(rows,)) for rows in self.stack()
+        ]
 
 
 #: Any job the engine can evaluate.

@@ -42,6 +42,10 @@ Two independent evaluators implement these semantics:
     any :class:`~repro.engine.array_ops.ArrayModule` (numpy / torch / the
     transfer-counting mock) in the configured contraction dtype; the
     recursion itself accumulates in host float64.
+    :func:`tree_strategy_probabilities_batched` runs the same group
+    evaluator on the row stack a :class:`~repro.engine.jobs.
+    TreeStrategyBatch` gathers from its state table, in place of the
+    stack of its jobs.
 
 The two share only the tree bookkeeping (choices, row owners, cycle
 decompositions, the threshold tail); each computes its own accept factors,
@@ -72,6 +76,8 @@ from repro.engine.jobs import (
     TEST_NONE,
     LeafMeasurement,
     TreeJob,
+    TreeNoise,
+    TreeStrategyBatch,
     assignment_count,
     group_tree_jobs_by_signature,
     router_assignments,
@@ -371,40 +377,47 @@ class _GroupContext:
     dtype; everything the recursion reads afterwards is host float64.
     Accept factors pass the per-job readout flip when the group has
     readout errors.
+
+    The constructor takes the group's ``(B, R, d_f)`` host stacks, one per
+    tensor factor, with each job's noise annotation and measurements:
+    :func:`tree_probabilities_batched` stacks them from its jobs,
+    :func:`tree_strategy_probabilities_batched` gathers them from a state
+    table.
     """
 
     def __init__(
         self,
-        group: Sequence[TreeJob],
+        template: TreeJob,
+        stacks: Sequence[np.ndarray],
+        noises: Sequence[Optional[TreeNoise]],
+        measurements: Sequence[Tuple[Optional[LeafMeasurement], ...]],
         xp: Optional[ArrayModule] = None,
         dtype: Optional[np.dtype] = None,
     ):
-        self.group = group
-        self.template = template = group[0]
-        self.batch = len(group)
+        self.template = template
+        self.measurements = measurements
+        self.batch = len(noises)
         self.xp = get_array_module(xp)
         self.dtype = resolve_dtype(dtype)
         self._dense_operators: Dict[int, np.ndarray] = {}
         self._cycle_traces: Dict[Tuple[int, ...], np.ndarray] = {}
         errors = np.array(
-            [job.noise.readout_error if job.noise is not None else 0.0 for job in group]
+            [noise.readout_error if noise is not None else 0.0 for noise in noises]
         )
         self.eps = errors if errors.any() else None
         self.cgram: Optional[np.ndarray] = None
         if template.is_noisy:
             num_rows, dim = template.factors[0].shape
             owners = _row_owners(template)
-            states = np.stack([job.factors[0] for job in group]).astype(
-                self.dtype, copy=False
-            )
+            states = stacks[0].astype(self.dtype, copy=False)
             pure = states[:, :, :, None] * states.conj()[:, :, None, :]
             kept_grid = [
-                [None if owner is None else job.noise.node_channels[owner] for owner in owners]
-                for job in group
+                [None if owner is None else noise.node_channels[owner] for owner in owners]
+                for noise in noises
             ]
             sent_grid = [
-                [None if owner is None else job.noise.up_channels[owner] for owner in owners]
-                for job in group
+                [None if owner is None else noise.up_channels[owner] for owner in owners]
+                for noise in noises
             ]
             self.rows = np.empty((self.batch, 2 * num_rows, dim, dim), dtype=self.dtype)
             kept = kernels.apply_noise_grid(kept_grid, pure, self.dtype)
@@ -415,10 +428,6 @@ class _GroupContext:
             # matrices: the same batched Gram matmul as pure rows.
             self.matches = [kernels.batched_trace_gram(self.xp, self.dtype, self.rows)]
         else:
-            stacks = [
-                np.stack([job.factors[f] for job in group])
-                for f in range(template.num_factors)
-            ]
             self.rows = stacks[0]
             self.offset = 0
             self.matches, self.cgram = kernels.batched_overlap_grams(
@@ -480,7 +489,7 @@ class _GroupContext:
     def _node_operators(self, node: int) -> np.ndarray:
         if node not in self._dense_operators:
             self._dense_operators[node] = np.stack(
-                [job.measurements[node].operator for job in self.group]
+                [measurements[node].operator for measurements in self.measurements]
             )
         return self._dense_operators[node]
 
@@ -610,10 +619,52 @@ def tree_probabilities_batched(
     dtype = resolve_dtype(dtype)
     results = np.empty(len(jobs), dtype=np.float64)
     for indices in group_tree_jobs_by_signature(jobs).values():
-        context = _GroupContext([jobs[i] for i in indices], xp=xp, dtype=dtype)
-        if _is_down_family(context.template):
-            values = _down_batched(context)
-        else:
-            values = _up_batched(context)
-        results[indices] = np.clip(values, 0.0, 1.0)
+        group = [jobs[i] for i in indices]
+        stacks = [
+            np.stack([job.factors[f] for job in group]) for f in range(group[0].num_factors)
+        ]
+        context = _GroupContext(
+            group[0],
+            stacks,
+            [job.noise for job in group],
+            [job.measurements for job in group],
+            xp=xp,
+            dtype=dtype,
+        )
+        results[indices] = _group_probabilities(context)
     return results
+
+
+def tree_strategy_probabilities_batched(
+    batch: TreeStrategyBatch,
+    xp: Optional[ArrayModule] = None,
+    dtype: Optional[np.dtype] = None,
+) -> np.ndarray:
+    """Acceptance probability of every strategy of a :class:`TreeStrategyBatch`.
+
+    The batch's strategies share the template's structure, noise and
+    measurements, so they form one signature group: its row stack is one
+    gather from ``[template rows; table]`` (:meth:`TreeStrategyBatch.stack`)
+    and the group runs through the same :class:`_GroupContext` and
+    recursion as the group of the batch's own jobs.  That stack has the shape
+    and bytes the jobs' stack would, so every value equals its job's value.
+    """
+    template = batch.template
+    context = _GroupContext(
+        template,
+        [batch.stack()],
+        [template.noise] * len(batch),
+        [template.measurements] * len(batch),
+        xp=xp,
+        dtype=dtype,
+    )
+    return _group_probabilities(context)
+
+
+def _group_probabilities(context: _GroupContext) -> np.ndarray:
+    """The clipped acceptance probabilities of one signature group."""
+    if _is_down_family(context.template):
+        values = _down_batched(context)
+    else:
+        values = _up_batched(context)
+    return np.clip(values, 0.0, 1.0)

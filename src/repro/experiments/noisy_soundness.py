@@ -26,6 +26,12 @@ Three scenarios are registered with the runner:
 All three declare ``SweepSpec`` grids, so they shard across the process
 pool, stream chunk events and join cost-model adaptive planning like every
 other scenario, and render in ``repro-report`` and the README catalog.
+
+Every ``best_found_acceptance`` is the best *structured* cheat the search
+found: a lower bound on the best cheat over all proofs, not the optimum.
+Each column derived from it inherits the direction: a ``respects_bound`` of
+``True`` is not a certificate, and the collapse sweep's ``gap`` and
+``bound_margin`` are upper bounds.
 """
 
 from __future__ import annotations
@@ -126,7 +132,11 @@ def channel_family_soundness_sweep(
     readout_error: float = 0.0,
     points: Optional[Sequence[Tuple[str, float]]] = None,
 ) -> List[ExperimentRow]:
-    """Best structured cheat versus noise strength, per Kraus channel family."""
+    """Best structured cheat versus noise strength, per Kraus channel family.
+
+    ``best_found_acceptance`` is a structured-search lower bound on the best
+    cheat under each channel; the optimum over all proofs may be higher.
+    """
     if points is None:
         points = default_channel_strength_points()
     engine = default_engine()
@@ -155,7 +165,13 @@ def path_length_soundness_sweep(
     readout_error: float = 0.0,
     path_lengths: Optional[Sequence[int]] = None,
 ) -> List[ExperimentRow]:
-    """Best structured cheat across path lengths at one fixed noise point."""
+    """Best structured cheat across path lengths at one fixed noise point.
+
+    ``best_found_acceptance`` is a structured-search *lower* bound on the
+    best cheat, so ``respects_bound = True`` is not a certificate that the
+    noisy protocol meets the Lemma 17 bound: a cheat outside the searched
+    family may exceed it.  Only ``False`` is conclusive.
+    """
     if path_lengths is None:
         path_lengths = default_noisy_path_lengths()
     engine = default_engine()
@@ -199,6 +215,14 @@ def gap_collapse_sweep(
     sweep reports the margin the best structured cheat retains under noise,
     and flags the strengths at which that margin is gone (the protocol's
     measured soundness degraded below the paper's statement).
+
+    ``best_found_acceptance`` is a structured-search *lower* bound on the
+    best cheat, so ``gap`` (completeness minus it) and ``bound_margin`` (the
+    bound minus it) are *upper* bounds on the true gap and margin.  On the
+    default instance at strength 0.5 the report prints gap 0.1001, while the
+    exact noisy optimum (``noisy_optimal_cheating_probability``) leaves
+    0.0707.  ``exceeds_paper_bound = True`` is conclusive; ``False`` is not a
+    certificate.
     """
     if strengths is None:
         strengths = default_collapse_strengths()
@@ -231,7 +255,13 @@ def gap_collapse_sweep(
 
 
 def collapse_strength(rows: Sequence[ExperimentRow]) -> Optional[float]:
-    """The smallest swept strength whose best cheat exceeds the paper bound."""
+    """The smallest swept strength whose best found cheat exceeds the paper bound.
+
+    The best found cheat is a lower bound on the best cheat, so the true
+    collapse strength on the grid is at most the returned value: this is an
+    *upper* bound on it.  ``None`` means the search found no crossing on the
+    grid, not that the protocol has none.
+    """
     for row in rows:
         if row.values.get("exceeds_paper_bound"):
             return float(row.values["noise"])

@@ -113,6 +113,9 @@ def topology_soundness_sweep(
     Every sweep point builds its network from the descriptor, derives the
     verification tree, and runs the batched fingerprint-strategy search of
     the tree-soundness experiments against the paper's single-shot bound.
+    ``best_found_acceptance`` is a structured-search *lower* bound on the
+    best cheat, so ``respects_bound = True`` is not a certificate; only
+    ``False`` is conclusive.
     """
     if topologies is None:
         topologies = default_soundness_topologies()

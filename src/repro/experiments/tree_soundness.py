@@ -4,10 +4,16 @@ The path-protocol soundness experiments (:mod:`repro.experiments.
 soundness_scaling`) diagonalise exact acceptance operators; the tree
 protocols have no small operator form, so their sweeps run the structured
 cheating-strategy search instead: every fingerprint register of a node is
-filled with the fingerprint of a candidate string, all assignments are
-compiled to tree programs and evaluated through the engine's batched API,
-and the best strategy found is reported with its label against the paper's
-single-shot bound.
+filled with the fingerprint of a candidate string, each chunk of
+assignments compiles to one table-indexed strategy batch per verification
+tree and evaluates through the engine's batched API, and the best strategy
+found is reported with its label against the paper's single-shot bound.
+
+``best_found_acceptance`` is therefore a structured-search *lower* bound on
+the best cheat over all proofs, and ``respects_bound = True`` is not a
+certificate that the instance meets the paper's bound: a cheat outside the
+searched family may exceed it.  Only ``respects_bound = False`` is
+conclusive.
 """
 
 from __future__ import annotations
@@ -56,7 +62,11 @@ def _strategy_sweep(
     num_terminals: int,
     networks: Optional[Sequence[Tuple[str, Network]]],
 ) -> List[ExperimentRow]:
-    """Shared sweep body: one batched strategy search per network family."""
+    """Shared sweep body: one batched strategy search per network family.
+
+    ``best_found_acceptance`` is a lower bound on the best cheat, so
+    ``respects_bound = True`` is not a certificate (see the module docstring).
+    """
     inputs = _no_instance(input_length, num_terminals)
     rows: List[ExperimentRow] = []
     for name, network in networks if networks is not None else network_zoo(num_terminals):
@@ -86,7 +96,11 @@ def tree_soundness_sweep(
     num_terminals: int = 3,
     networks: Optional[Sequence[Tuple[str, Network]]] = None,
 ) -> List[ExperimentRow]:
-    """Algorithm 5 soundness: best structured cheat per network family."""
+    """Algorithm 5 soundness: best structured cheat per network family.
+
+    ``best_found_acceptance`` is a structured-search lower bound on the best
+    cheat; ``respects_bound = True`` is not a certificate.
+    """
     fingerprints = ExactCodeFingerprint(input_length, rng=5)
     return _strategy_sweep(
         "soundness-tree",
@@ -102,7 +116,11 @@ def one_way_tree_soundness_sweep(
     num_terminals: int = 3,
     networks: Optional[Sequence[Tuple[str, Network]]] = None,
 ) -> List[ExperimentRow]:
-    """Theorem 32 soundness: the ``∀_t EQ`` construction under structured cheats."""
+    """Theorem 32 soundness: the ``∀_t EQ`` construction under structured cheats.
+
+    ``best_found_acceptance`` is a structured-search lower bound on the best
+    cheat; ``respects_bound = True`` is not a certificate.
+    """
     one_way = FingerprintEqualityOneWay(ExactCodeFingerprint(input_length, rng=6))
     return _strategy_sweep(
         "soundness-one-way-tree",

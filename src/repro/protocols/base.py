@@ -32,7 +32,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.problems import Problem
-from repro.engine import Engine, TreeProgram, default_engine, get_backend
+from repro.engine import (
+    Engine,
+    TreeJob,
+    TreeProgram,
+    TreeStrategyBatch,
+    default_engine,
+    get_backend,
+)
 from repro.exceptions import ProofError, ProtocolError
 from repro.network.topology import Network, NodeId
 from repro.utils.rng import RngLike, ensure_rng
@@ -70,6 +77,32 @@ def unit_proof_state(state: np.ndarray, what: str) -> np.ndarray:
     if norm < 1e-12:
         raise ProofError(f"{what} is the zero vector")
     return vec / norm
+
+
+def template_strategy_batch(
+    template: TreeJob,
+    row_registers: Mapping[int, Tuple[str, ...]],
+    registers: Sequence[ProofRegister],
+    table: np.ndarray,
+    register_rows: np.ndarray,
+) -> TreeStrategyBatch:
+    """Strategies over ``registers`` as a :class:`TreeStrategyBatch` of ``template``.
+
+    ``row_registers`` maps each proof row of the template to the names of
+    the registers filling it (one register per row: the batch has one tensor
+    factor); ``register_rows[b, i]`` is the ``table`` row strategy ``b``
+    places in ``registers[i]``.  Each proof row then takes its register's
+    column of ``register_rows``.
+    """
+    register_rows = np.asarray(register_rows)
+    if register_rows.ndim != 2 or register_rows.shape[1] != len(registers):
+        raise ProofError(f"every strategy must assign the {len(registers)} proof registers")
+    column = {register.name: index for index, register in enumerate(registers)}
+    rows = sorted(row_registers)
+    columns = np.array([column[row_registers[row][0]] for row in rows], dtype=np.intp)
+    return TreeStrategyBatch(
+        template, table, register_rows[:, columns], np.array(rows, dtype=np.intp)
+    )
 
 
 class ProductProof:

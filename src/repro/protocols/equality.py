@@ -40,6 +40,7 @@ from repro.protocols.base import (
     ProofRegister,
     RepeatedProtocol,
     soundness_repetitions,
+    template_strategy_batch,
 )
 from repro.engine import (
     NODE_FIXED,
@@ -54,6 +55,7 @@ from repro.engine import (
     TreeJob,
     TreeJobBuilder,
     TreeProgram,
+    TreeStrategyBatch,
 )
 from repro.quantum.channels import NoiseModel
 from repro.engine.jobs import MAX_PERM_TEST_ARITY
@@ -261,8 +263,8 @@ class EqualityPathProtocol(DQMAProtocol):
 
     def strategy_batch(
         self, inputs: Sequence[str], table: np.ndarray, register_rows: np.ndarray
-    ) -> ChainStrategyBatch:
-        """Product-proof strategies on ``inputs`` as one table-indexed batch.
+    ) -> Tuple[ChainStrategyBatch]:
+        """Product-proof strategies on ``inputs`` as one table-indexed chain batch.
 
         ``table`` holds unit register states and ``register_rows[b, i]`` the
         row strategy ``b`` places in register ``i`` of :meth:`proof_registers`.
@@ -270,7 +272,8 @@ class EqualityPathProtocol(DQMAProtocol):
         those rows through :meth:`acceptance_probabilities`, with the layout
         checks done once for the batch: the search of
         :func:`repro.analysis.soundness.fingerprint_strategy_soundness`
-        compiles each chunk through here.
+        compiles each chunk through here and scores the returned batches
+        with :meth:`~repro.engine.core.Engine.strategy_probabilities`.
         """
         inputs = self.problem.validate_inputs(inputs)
         table = np.asarray(table)
@@ -282,13 +285,15 @@ class EqualityPathProtocol(DQMAProtocol):
             raise ProofError(
                 f"register states must have the fingerprint dimension {self.fingerprints.dim}"
             )
-        return ChainStrategyBatch(
-            left=self.fingerprints.state(inputs[0]),
-            table=table,
-            choices=register_rows.reshape(len(register_rows), self.path_length - 1, 2),
-            right_operator=self.fingerprints.state(inputs[1]),
-            right_kind=RIGHT_PROJECTOR,
-            noise=self._chain_noise,
+        return (
+            ChainStrategyBatch(
+                left=self.fingerprints.state(inputs[0]),
+                table=table,
+                choices=register_rows.reshape(len(register_rows), self.path_length - 1, 2),
+                right_operator=self.fingerprints.state(inputs[1]),
+                right_kind=RIGHT_PROJECTOR,
+                noise=self._chain_noise,
+            ),
         )
 
     def acceptance_operator(self, inputs: Sequence[str]) -> np.ndarray:
@@ -495,14 +500,19 @@ class EqualityTreeProtocol(DQMAProtocol):
         terminal_index = list(self.network.terminals).index(terminal)
         return inputs[terminal_index]
 
-    def _compile_tree_job(self, inputs: Sequence[str], register_state) -> TreeJob:
-        """Compile one instance to a :class:`TreeJob`.
+    def _compile_tree_job(
+        self, inputs: Sequence[str], register_state
+    ) -> Tuple[TreeJob, Dict[int, Tuple[str, ...]]]:
+        """Compile one instance to a :class:`TreeJob` and its proof-row map.
 
         ``register_state(node, slot)`` supplies the proof state of a
         non-input node's register; input nodes carry their own fingerprints.
         Every node with children permutation-tests its kept register against
         what its children forward up — Algorithm 5 verbatim, but expressed
-        as an engine job instead of a pattern enumeration.
+        as an engine job instead of a pattern enumeration.  Job node ``i``
+        is tree node ``self._compile_order[i]``; the map names the proof
+        register that fills each proof row of the job (a one-tuple: the
+        registers have one tensor factor).
 
         A non-empty noise model annotates every node with its physical
         link's channel (toward the parent — shadow leaves stay inside their
@@ -511,6 +521,7 @@ class EqualityTreeProtocol(DQMAProtocol):
         """
         builder = TreeJobBuilder()
         index_of = {}
+        proof_nodes = []
         root = self.tree.root
         noise = None if self.noise is None or self.noise.is_trivial else self.noise
         for node in self._compile_order:
@@ -544,9 +555,14 @@ class EqualityTreeProtocol(DQMAProtocol):
                     up_channel=up_channel,
                     node_channel=node_channel,
                 )
-        return builder.build(
-            readout_error=0.0 if noise is None else noise.readout_error
-        )
+                proof_nodes.append(node)
+        job = builder.build(readout_error=0.0 if noise is None else noise.readout_error)
+        row_registers = {
+            job.slots[index_of[node]][slot]: (self._register_name(node, slot),)
+            for node in proof_nodes
+            for slot in (0, 1)
+        }
+        return job, row_registers
 
     def _acceptance_program(
         self, inputs: Sequence[str], proof: Optional[ProductProof]
@@ -562,19 +578,39 @@ class EqualityTreeProtocol(DQMAProtocol):
             if program is None:
                 inputs = self.problem.validate_inputs(inputs)
                 honest = self.fingerprints.state(inputs[0])
-                program = cache.put(
-                    key,
-                    TreeProgram.single(
-                        self._compile_tree_job(inputs, lambda node, slot: honest)
-                    ),
-                )
+                job, _ = self._compile_tree_job(inputs, lambda node, slot: honest)
+                program = cache.put(key, TreeProgram.single(job))
             return program
         inputs = self.problem.validate_inputs(inputs)
         self.validate_proof(proof)
-        job = self._compile_tree_job(
+        job, _ = self._compile_tree_job(
             inputs, lambda node, slot: proof.state(self._register_name(node, slot))
         )
         return TreeProgram.single(job)
+
+    def strategy_batch(
+        self, inputs: Sequence[str], table: np.ndarray, register_rows: np.ndarray
+    ) -> Optional[Tuple[TreeStrategyBatch]]:
+        """Product-proof strategies on ``inputs`` as one table-indexed tree batch.
+
+        ``table`` holds unit register states and ``register_rows[b, i]`` the
+        row strategy ``b`` places in register ``i`` of :meth:`proof_registers`.
+        The honest job compiles once as the batch's template, and each
+        strategy evaluates exactly like the :class:`ProductProof` of its rows
+        through :meth:`acceptance_probabilities`.  Returns ``None`` where the
+        instance does not compile (a fan-out past the permutation-test arity
+        limit), so the search keeps the enumerated per-proof route.
+        """
+        if self._max_test_arity > MAX_PERM_TEST_ARITY:
+            return None
+        inputs = self.problem.validate_inputs(inputs)
+        honest = self.fingerprints.state(inputs[0])
+        job, row_registers = self._compile_tree_job(inputs, lambda node, slot: honest)
+        return (
+            template_strategy_batch(
+                job, row_registers, self.proof_registers(), table, register_rows
+            ),
+        )
 
     def _scalar_acceptance_probability(
         self, inputs: Sequence[str], proof: Optional[ProductProof]

@@ -13,6 +13,7 @@ protocol) is the instantiation with the Hamming one-way protocol.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,6 +30,7 @@ from repro.engine import (
     TreeJob,
     TreeJobBuilder,
     TreeProgram,
+    TreeStrategyBatch,
 )
 from repro.engine.jobs import MAX_ROUTER_REGISTERS
 from repro.exceptions import ProtocolError
@@ -40,6 +42,7 @@ from repro.protocols.base import (
     ProofRegister,
     RepeatedProtocol,
     soundness_repetitions,
+    template_strategy_batch,
 )
 
 
@@ -162,21 +165,27 @@ class OneWayToTreeProtocol(DQMAProtocol):
         )
 
     def _compile_tree_job(
-        self, tree_index: int, inputs: Sequence[str], proof: ProductProof
-    ) -> Optional[TreeJob]:
-        """One verification tree as an engine :class:`TreeJob`.
+        self, tree_index: int, inputs: Sequence[str], register_state
+    ) -> Optional[Tuple[TreeJob, Dict[int, Tuple[str, ...]]]]:
+        """One verification tree as an engine :class:`TreeJob` and its proof-row map.
 
-        The root is a fixed node holding Alice's message, internal nodes are
-        routers over their ``delta + 1`` proof registers, terminal leaves
-        carry Bob's measurement; SWAP tests follow the tree edges downwards
-        (``TEST_FANOUT``).  Returns ``None`` when a leaf measurement cannot
-        be described — the caller then falls back to the enumerated path.
+        ``register_state(node, slot)`` supplies the per-factor states of an
+        internal node's register.  The root is a fixed node holding Alice's
+        message, internal nodes are routers over their ``delta + 1`` proof
+        registers, terminal leaves carry Bob's measurement; SWAP tests follow
+        the tree edges downwards (``TEST_FANOUT``).  Job node ``i`` is tree
+        node ``self._orders[tree_index][i]``; the map names the proof
+        registers, one per tensor factor, that fill each proof row of the
+        job.  Returns ``None`` when a leaf measurement cannot be described —
+        the caller then falls back to the enumerated path.
         """
         tree = self.trees[tree_index]
         terminal_of_leaf = {leaf: term for term, leaf in tree.terminal_leaves.items()}
         terminal_index = {term: i for i, term in enumerate(self.network.terminals)}
-        builder = TreeJobBuilder(num_factors=len(self.one_way.factor_dims))
+        num_factors = len(self.one_way.factor_dims)
+        builder = TreeJobBuilder(num_factors=num_factors)
         index_of: Dict[NodeId, int] = {}
+        router_nodes = []
         for node in self._orders[tree_index]:
             parent = tree.parent(node)
             parent_index = -1 if parent is None else index_of[parent]
@@ -191,12 +200,12 @@ class OneWayToTreeProtocol(DQMAProtocol):
                 )
             elif children:
                 registers = tuple(
-                    tuple(self._register_factors(proof, tree_index, node, slot))
-                    for slot in range(len(children) + 1)
+                    tuple(register_state(node, slot)) for slot in range(len(children) + 1)
                 )
                 index_of[node] = builder.add_node(
                     parent_index, NODE_ROUTER, registers=registers, test=TEST_FANOUT
                 )
+                router_nodes.append(node)
             else:
                 terminal = terminal_of_leaf.get(node)
                 spec = None
@@ -207,20 +216,65 @@ class OneWayToTreeProtocol(DQMAProtocol):
                 index_of[node] = builder.add_node(
                     parent_index, NODE_FIXED, test=TEST_NONE, measurement=spec
                 )
-        return builder.build()
+        job = builder.build()
+        row_registers = {
+            row: tuple(
+                self._register_name(tree_index, node, slot, factor)
+                for factor in range(num_factors)
+            )
+            for node in router_nodes
+            for slot, row in enumerate(job.slots[index_of[node]])
+        }
+        return job, row_registers
 
     def _compile_program(
         self, inputs: Sequence[str], proof: ProductProof
     ) -> Optional[TreeProgram]:
         jobs = []
         for tree_index in self.trees:
-            job = self._compile_tree_job(tree_index, inputs, proof)
-            if job is None:
+            compiled = self._compile_tree_job(
+                tree_index, inputs, partial(self._register_factors, proof, tree_index)
+            )
+            if compiled is None:
                 return None
-            jobs.append(job)
+            jobs.append(compiled[0])
         return TreeProgram(
             jobs=tuple(jobs), terms=((1.0, tuple(range(len(jobs)))),)
         )
+
+    def strategy_batch(
+        self, inputs: Sequence[str], table: np.ndarray, register_rows: np.ndarray
+    ) -> Optional[Tuple[TreeStrategyBatch, ...]]:
+        """Product-proof strategies on ``inputs`` as one tree batch per verification tree.
+
+        ``table`` holds unit register states and ``register_rows[b, i]`` the
+        row strategy ``b`` places in register ``i`` of :meth:`proof_registers`.
+        Each tree's honest job compiles once as its batch's template; a
+        strategy's acceptance is the product of its values in the ``t``
+        batches, as the acceptance program multiplies the ``t`` tree jobs
+        (:meth:`~repro.engine.core.Engine.strategy_probabilities`).  Returns
+        ``None`` where the instance does not compile or its messages have
+        several tensor factors, so the search keeps the per-proof route.
+        """
+        if (
+            self._max_router_bundle > MAX_ROUTER_REGISTERS
+            or len(self.one_way.factor_dims) != 1
+        ):
+            return None
+        inputs = self.problem.validate_inputs(inputs)
+        registers = self.proof_registers()
+        batches = []
+        for tree_index in self.trees:
+            honest = tuple(self.one_way.message_factors(inputs[tree_index]))
+            compiled = self._compile_tree_job(
+                tree_index, inputs, lambda node, slot, register=honest: register
+            )
+            if compiled is None:
+                return None
+            batches.append(
+                template_strategy_batch(*compiled, registers, table, register_rows)
+            )
+        return tuple(batches)
 
     def _acceptance_program(
         self, inputs: Sequence[str], proof: Optional[ProductProof]

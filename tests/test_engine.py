@@ -11,9 +11,12 @@ import pytest
 
 from repro.comm.lsd import random_lsd_instance
 from repro.engine import (
+    NODE_FIXED,
+    NODE_SYM,
     RIGHT_DENSE,
     RIGHT_PROJECTOR,
     RIGHT_SWAP,
+    TEST_PERM,
     ChainJob,
     ChainNoise,
     ChainProgram,
@@ -22,6 +25,9 @@ from repro.engine import (
     Engine,
     OperatorCache,
     TransferMatrixBackend,
+    TreeJobBuilder,
+    TreeProgram,
+    TreeStrategyBatch,
     available_backends,
     default_engine,
     get_backend,
@@ -140,6 +146,90 @@ class TestChainJobsAndPrograms:
         np.testing.assert_array_equal(
             Engine(backend="dense").chain_strategy_probabilities(batch),
             DenseBackend().chain_probabilities(jobs),
+        )
+
+    @staticmethod
+    def _tree_template():
+        """A root SWAP-testing its fixed register against one symmetrized child."""
+        builder = TreeJobBuilder()
+        root = builder.add_node(
+            -1, NODE_FIXED, registers=(np.array([1.0, 0.0]),), test=TEST_PERM
+        )
+        builder.add_node(
+            root, NODE_SYM, registers=(np.array([0.0, 1.0]), np.array([0.6, 0.8]))
+        )
+        return builder.build()
+
+    def test_tree_strategy_batch_validation(self):
+        template, table = self._tree_template(), np.eye(2)
+        choices, rows = np.zeros((3, 2), dtype=int), np.array([1, 2])
+        batch = TreeStrategyBatch(template, table, choices, rows)
+        assert len(batch) == 3 and batch.stack().shape == (3, 3, 2)
+        # The table: at least one row, of the template's dimension.
+        with pytest.raises(DimensionMismatchError, match="dimension 2"):
+            TreeStrategyBatch(template, np.eye(3), choices, rows)
+        with pytest.raises(DimensionMismatchError, match="dimension 2"):
+            TreeStrategyBatch(template, np.zeros((0, 2)), choices[:0], rows)
+        with pytest.raises(DimensionMismatchError, match="dimension 2"):
+            TreeStrategyBatch(template, np.ones(2), choices, rows)
+        # Choices: integers naming table rows, one column per filled row.
+        with pytest.raises(ProtocolError, match="rows of the 2-row table"):
+            TreeStrategyBatch(template, table, choices + 2, rows)
+        with pytest.raises(ProtocolError, match="rows of the 2-row table"):
+            TreeStrategyBatch(template, table, choices - 1, rows)
+        with pytest.raises(ProtocolError, match="integer array"):
+            TreeStrategyBatch(template, table, choices.astype(float), rows)
+        with pytest.raises(ProtocolError, match="integer array"):
+            TreeStrategyBatch(template, table, np.zeros((3, 3), dtype=int), rows)
+        with pytest.raises(ProtocolError, match="integer array"):
+            TreeStrategyBatch(template, table, choices[:, :, None], rows)
+        # Rows: distinct integers naming rows of the template.
+        with pytest.raises(ProtocolError, match="3-row template"):
+            TreeStrategyBatch(template, table, choices, np.array([1, 3]))
+        with pytest.raises(ProtocolError, match="3-row template"):
+            TreeStrategyBatch(template, table, choices, np.array([-1, 2]))
+        with pytest.raises(ProtocolError, match="1-D integer"):
+            TreeStrategyBatch(template, table, choices, rows.astype(float))
+        with pytest.raises(ProtocolError, match="1-D integer"):
+            TreeStrategyBatch(template, table, choices, rows[None])
+        with pytest.raises(ProtocolError, match="only once"):
+            TreeStrategyBatch(template, table, choices, np.array([1, 1]))
+        # Templates of many-factor registers have no (K, d) table.
+        builder = TreeJobBuilder(num_factors=2)
+        root = builder.add_node(-1, NODE_FIXED, registers=((np.ones(2), np.ones(2)),), test=TEST_PERM)
+        builder.add_node(root, NODE_FIXED, registers=((np.ones(2), np.ones(2)),))
+        with pytest.raises(ProtocolError, match="single-factor"):
+            TreeStrategyBatch(builder.build(), table, choices, rows[:1])
+
+    def test_tree_strategy_batch_jobs_place_the_chosen_rows(self):
+        template = self._tree_template()
+        table = np.array([[0.0, 1.0], [0.6, 0.8], [0.8, -0.6]])
+        choices = np.array([[0, 2], [2, 1], [1, 1]])
+        batch = TreeStrategyBatch(template, table, choices, np.array([2, 1]))
+        jobs = batch.jobs()
+        for job, strategy in zip(jobs, choices):
+            np.testing.assert_array_equal(job.factors[0][0], template.factors[0][0])
+            np.testing.assert_array_equal(job.factors[0][[2, 1]], table[strategy])
+            assert job.signature == template.signature
+        np.testing.assert_array_equal(
+            Engine(backend="dense").tree_strategy_probabilities(batch),
+            DenseBackend().tree_probabilities(jobs),
+        )
+
+    def test_strategy_probabilities_multiply_like_programs(self):
+        template = self._tree_template()
+        table = np.array([[0.0, 1.0], [0.6, 0.8], [0.8, -0.6]])
+        first = TreeStrategyBatch(template, table, np.array([[0, 2], [2, 1]]), np.array([1, 2]))
+        second = TreeStrategyBatch(template, table, np.array([[1, 1], [0, 2]]), np.array([2, 1]))
+        engine = Engine()
+        values = engine.strategy_probabilities((first, second))
+        programs = [
+            TreeProgram(jobs=pair, terms=((1.0, (0, 1)),))
+            for pair in zip(first.jobs(), second.jobs())
+        ]
+        np.testing.assert_array_equal(values, engine.evaluate_programs(programs))
+        np.testing.assert_array_equal(
+            engine.strategy_probabilities((first,)), engine.tree_strategy_probabilities(first)
         )
 
     def test_program_term_validation_and_rejecting(self):

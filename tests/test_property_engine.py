@@ -44,6 +44,13 @@ whose dense reference is the scalar leaf-to-root recursion:
 
 Each structure is built one to three times with fresh states and channels,
 so the batched backends stack real signature groups.
+
+A :class:`~repro.engine.jobs.TreeStrategyBatch` (a single-factor template
+from the same strategies, 1 to 4 table rows filling a random set of its
+slot rows) must score every strategy exactly like its own
+:meth:`~repro.engine.jobs.TreeStrategyBatch.jobs` on the transfer-matrix and
+mock backends, bit for bit, and like the dense reference within 1e-9
+(complex64 within its parity tolerance).
 """
 
 from math import factorial
@@ -77,6 +84,7 @@ from repro.engine import (
     MockDeviceTransferMatrixBackend,
     TransferMatrixBackend,
     TreeJobBuilder,
+    TreeStrategyBatch,
     parity_tolerance,
 )
 from repro.protocols.chain import (
@@ -459,7 +467,7 @@ class _TreeSketch:
                 )
 
 
-def _tree_job(family, noisy, factors, arity, kind, seed, copy):
+def _tree_job(family, noisy, factors, arity, kind, seed, copy, max_error=0.2):
     noisy = noisy and family == "up"
     shape = np.random.default_rng(seed)
     dims = shape.integers(1, 4, 1 if noisy else factors)
@@ -481,7 +489,7 @@ def _tree_job(family, noisy, factors, arity, kind, seed, copy):
             **sketch.channels(dense_measurement=kind in (MEAS_DENSE, MEAS_DIAGONAL)),
         )
         sketch.up_node(root, arity, 0)
-    error = float(sketch.values.uniform(0.0, 0.2)) if sketch.values.integers(0, 3) else 0.0
+    error = float(sketch.values.uniform(0.0, max_error)) if sketch.values.integers(0, 3) else 0.0
     return sketch.builder.build(readout_error=error if noisy else 0.0)
 
 
@@ -510,4 +518,72 @@ class TestTreeDifferential:
         fast = TransferMatrixBackend(dtype="complex64").tree_probabilities(jobs)
         np.testing.assert_allclose(
             fast, reference, atol=parity_tolerance("complex64"), rtol=0.0
+        )
+
+
+# --------------------------------------------------------------------------
+# Tree strategy batches
+# --------------------------------------------------------------------------
+
+tree_strategy_specs = st.tuples(
+    st.sampled_from(["up", "fanout"]),  # family of the template
+    st.booleans(),  # noisy (up family)
+    st.integers(2, 6),  # arity of the top permutation test / fan-out width + 1
+    st.sampled_from(_MEAS_KINDS + (None,)),  # measuring root / first leaf
+    st.integers(1, 4),  # table rows K
+    st.integers(1, 6),  # strategies B
+    st.integers(0, 2**32 - 1),  # seed of the template, rows, table and choices
+)
+
+
+def _tree_strategy_batch(family, noisy, arity, kind, size, count, seed) -> TreeStrategyBatch:
+    """A single-factor template of the tree-IR strategies, with random proof slots."""
+    template = _tree_job(family, noisy, 1, arity, kind, seed, 0, max_error=0.1)
+    rng = np.random.default_rng([seed, 1])
+    slot_rows = sorted({row for slots in template.slots for row in slots})
+    rows = rng.choice(slot_rows, size=int(rng.integers(1, len(slot_rows) + 1)), replace=False)
+    dim = int(template.factors[0].shape[1])
+    table = np.stack([haar_random_state(dim, rng=rng) for _ in range(size)])
+    choices = rng.integers(0, size, size=(count, len(rows)))
+    return TreeStrategyBatch(template, table, choices, rows)
+
+
+class TestTreeStrategyBatchDifferential:
+    """Table-indexed tree strategy batches against their own ordinary tree jobs.
+
+    Templates are the tree-IR jobs above with one tensor factor: up-family
+    permutation tests of arity 2 to 6 under any measuring root, and fan-out
+    trees with routers and measuring leaves; clean, or noisy with
+    named-family and random-isometry channels and readout errors up to 0.1.
+    A random set of slot rows takes choices from 1 to 4 table rows.  The
+    transfer-matrix and mock backends gather each strategy's stack from the
+    table into the ordinary group evaluator, so they must equal their own
+    :meth:`TreeStrategyBatch.jobs` bit for bit (generic channels included);
+    the dense reference within 1e-9 and complex64 within its tolerance.
+    """
+
+    @given(spec=tree_strategy_specs)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_table_route_matches_its_jobs_bit_for_bit(self, spec):
+        batch = _tree_strategy_batch(*spec)
+        assert len(batch.jobs()) == len(batch)
+        for backend in (TransferMatrixBackend(), MockDeviceTransferMatrixBackend()):
+            table = backend.tree_strategy_probabilities(batch)
+            jobs = backend.tree_probabilities(batch.jobs())
+            np.testing.assert_array_equal(table.view(np.uint64), jobs.view(np.uint64))
+
+    @given(spec=tree_strategy_specs)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_table_route_matches_dense_reference(self, spec):
+        batch = _tree_strategy_batch(*spec)
+        reference = DenseBackend().tree_strategy_probabilities(batch)
+        for backend in (TransferMatrixBackend(), MockDeviceTransferMatrixBackend()):
+            np.testing.assert_allclose(
+                backend.tree_strategy_probabilities(batch), reference, atol=1e-9, rtol=0.0
+            )
+        np.testing.assert_allclose(
+            TransferMatrixBackend(dtype="complex64").tree_strategy_probabilities(batch),
+            reference,
+            atol=parity_tolerance("complex64"),
+            rtol=0.0,
         )
