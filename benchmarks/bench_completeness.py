@@ -19,6 +19,7 @@ from repro.protocols.greater_than import GreaterThanPathProtocol
 from repro.protocols.qma_to_dqma import LSDPathProtocol
 from repro.protocols.ranking import RankingVerificationProtocol
 from repro.protocols.relay import RelayEqualityProtocol
+from repro.quantum.channels import NoiseModel, channel_family
 from repro.quantum.fingerprint import ExactCodeFingerprint
 
 FINGERPRINTS = ExactCodeFingerprint(4, rng=7)
@@ -44,6 +45,22 @@ def test_completeness_relay(benchmark):
     protocol = RelayEqualityProtocol.on_path(4, 6, relay_spacing=2, segment_repetitions=4, fingerprints=FINGERPRINTS)
     value = benchmark(protocol.acceptance_probability, ("0110", "0110"))
     assert value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_relay_sampling_under_noise(benchmark):
+    """Algorithm 6 sampled route under depolarizing noise: equals the exact value.
+
+    The honest relay registers have one outcome each, so the 64-shot estimate
+    conditions every shot on the same outcome and must reproduce the noisy
+    exact acceptance, not the noiseless one.
+    """
+    fingerprints = ExactCodeFingerprint(2, rng=7)
+    noise = NoiseModel.uniform_link(channel_family("depolarizing")(0.3, fingerprints.dim))
+    protocol = RelayEqualityProtocol.on_path(
+        2, 4, relay_spacing=2, segment_repetitions=2, fingerprints=fingerprints, noise=noise
+    )
+    value = benchmark(protocol.estimate_acceptance_sampling, ("11", "11"), shots=64, rng=0)
+    assert value == pytest.approx(protocol.acceptance_probability(("11", "11")), abs=1e-12)
 
 
 def test_completeness_greater_than(benchmark):

@@ -106,15 +106,14 @@ def _search_point(
 ) -> dict:
     """One sweep point: honest acceptance and best structured cheat under noise.
 
-    The clean protocol is rebuilt as its noisy sibling inside the search
-    (``noise=`` threading), so every strategy batch lands on the
+    The clean protocol is rebuilt once as its noisy sibling, which the search
+    and the honest evaluations share, so every strategy batch lands on the
     density-matrix contraction path of the active backend.
     """
-    protocol.use_engine(engine)
+    noisy = protocol.use_engine(engine).with_noise(noise)
     search = fingerprint_strategy_soundness(
-        protocol, inputs, candidate_strings=_candidates(inputs), noise=noise
+        noisy, inputs, candidate_strings=_candidates(inputs)
     )
-    noisy = protocol.with_noise(noise)
     honest = noisy.acceptance_probability(inputs, None)
     completeness = noisy.acceptance_probability((inputs[0], inputs[0]), None)
     return {

@@ -43,6 +43,7 @@ from repro.engine import (
 from repro.exceptions import ProofError, ProtocolError
 from repro.network.topology import Network, NodeId
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import require_positive_integer
 
 
 @dataclass(frozen=True)
@@ -417,6 +418,7 @@ class DQMAProtocol(ABC):
         rng: RngLike = None,
     ) -> float:
         """Empirical acceptance frequency over independent runs."""
+        shots = require_positive_integer(shots, "shots")
         generator = ensure_rng(rng)
         hits = sum(1 for _ in range(shots) if self.run(inputs, proof, generator).accepted)
         return hits / shots

@@ -81,6 +81,29 @@ def _ordered_path_nodes(network: Network) -> List[NodeId]:
     return path
 
 
+def path_chain_noise(
+    noise: Optional[NoiseModel], nodes: Sequence[NodeId], dim: int, right_kind: str
+) -> Optional[ChainNoise]:
+    """``noise`` mapped onto the chain along ``nodes`` (``None`` for no noise).
+
+    The chain's registers pick up the model's link channel on every step
+    between consecutive nodes and the delivery channel of every interior
+    node; the end nodes' preparation channels act on the left state and on
+    the right end's reference, and every test carries the readout error.
+    """
+    if noise is None or noise.is_trivial:
+        return None
+    annotation = ChainNoise(
+        edge_channels=tuple(noise.link_channel(a, b) for a, b in zip(nodes, nodes[1:])),
+        node_channels=tuple(noise.node_channel(node) for node in nodes[1:-1]),
+        left_channel=noise.node_channel(nodes[0]),
+        right_channel=noise.node_channel(nodes[-1]),
+        readout_error=noise.readout_error,
+    )
+    annotation.validate(len(nodes) - 2, dim, right_kind)
+    return annotation
+
+
 class EqualityPathProtocol(DQMAProtocol):
     """Algorithm 3: the single-shot dQMA protocol ``P_pi`` for ``EQ`` on a path.
 
@@ -106,7 +129,9 @@ class EqualityPathProtocol(DQMAProtocol):
         self.path_nodes = _ordered_path_nodes(network)
         self.path_length = len(self.path_nodes) - 1
         self.noise = noise
-        self._chain_noise = self._build_chain_noise()
+        self._chain_noise = path_chain_noise(
+            noise, self.path_nodes, fingerprints.dim, RIGHT_PROJECTOR
+        )
 
     # -- layout --------------------------------------------------------------
 
@@ -135,28 +160,6 @@ class EqualityPathProtocol(DQMAProtocol):
         )
         sibling._engine = self._engine
         return sibling
-
-    def _build_chain_noise(self) -> Optional[ChainNoise]:
-        """The noise model mapped onto this path's edges and nodes (or ``None``)."""
-        if self.noise is None or self.noise.is_trivial:
-            return None
-        edges = tuple(
-            self.noise.link_channel(self.path_nodes[i], self.path_nodes[i + 1])
-            for i in range(self.path_length)
-        )
-        nodes = tuple(
-            self.noise.node_channel(self.path_nodes[i])
-            for i in range(1, self.path_length)
-        )
-        annotation = ChainNoise(
-            edge_channels=edges,
-            node_channels=nodes,
-            left_channel=self.noise.node_channel(self.path_nodes[0]),
-            right_channel=self.noise.node_channel(self.path_nodes[-1]),
-            readout_error=self.noise.readout_error,
-        )
-        annotation.validate(self.path_length - 1, self.fingerprints.dim, RIGHT_PROJECTOR)
-        return annotation
 
     @property
     def _noise_key(self):

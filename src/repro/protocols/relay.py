@@ -12,8 +12,9 @@ becomes ``~O(r n^(2/3))`` qubits versus the classical ``Omega(r n)`` bits.
 
 from __future__ import annotations
 
-from math import ceil
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import product as iter_product
+from math import ceil, prod
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,15 +22,15 @@ from repro.comm.problems import EqualityProblem
 from repro.exceptions import ProtocolError
 from repro.network.spanning_tree import build_verification_tree
 from repro.network.topology import Network, NodeId, path_network
-from repro.engine import RIGHT_SWAP, ChainJob, ChainNoise, ChainProgram
+from repro.engine import RIGHT_SWAP, ChainJob, ChainProgram
 from repro.protocols.base import DQMAProtocol, ProductProof, ProofRegister
 from repro.quantum.channels import NoiseModel
-from repro.protocols.chain import chain_acceptance_probability, right_end_swap_operator
-from repro.protocols.equality import _ordered_path_nodes
+from repro.protocols.equality import _ordered_path_nodes, path_chain_noise
 from repro.quantum.fingerprint import ExactCodeFingerprint, FingerprintScheme
 from repro.quantum.states import basis_state
 from repro.utils.bitstrings import bits_to_int, int_to_bits
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import require_positive_integer
 
 
 class RelayEqualityProtocol(DQMAProtocol):
@@ -85,7 +86,14 @@ class RelayEqualityProtocol(DQMAProtocol):
         self.relay_indices = self._relay_indices()
         self.anchor_indices = [0] + self.relay_indices + [self.path_length]
         self.noise = noise
-        self._segment_noise = self._build_segment_noise()
+        # The relay registers' computational-basis measurement stays noiseless
+        # (its outcome distribution is classical); each segment's fingerprint
+        # chain picks up the model along its stretch of the path, the right
+        # anchor's preparation channel acting on the SWAP test's reference.
+        self._segment_noise = [
+            path_chain_noise(noise, path_nodes[left : right + 1], fingerprints.dim, RIGHT_SWAP)
+            for left, right in zip(self.anchor_indices, self.anchor_indices[1:])
+        ]
 
     @classmethod
     def on_path(
@@ -121,44 +129,6 @@ class RelayEqualityProtocol(DQMAProtocol):
         )
         sibling._engine = self._engine
         return sibling
-
-    def _build_segment_noise(self) -> List[Optional[ChainNoise]]:
-        """The noise model mapped onto each segment's chain (fingerprint legs only).
-
-        The relay registers' computational-basis measurement stays noiseless
-        (its outcome distribution is classical); the fingerprint chains
-        between consecutive anchors pick up the model's link channels, the
-        interior nodes' delivery channels, both anchors' preparation
-        channels (the right anchor's applies to the SWAP test's reference
-        state) and the readout error of each SWAP test.
-        """
-        num_segments = len(self.anchor_indices) - 1
-        if self.noise is None or self.noise.is_trivial:
-            return [None] * num_segments
-        annotations: List[Optional[ChainNoise]] = []
-        for segment in range(num_segments):
-            left_anchor = self.anchor_indices[segment]
-            right_anchor = self.anchor_indices[segment + 1]
-            edges = tuple(
-                self.noise.link_channel(self.path_nodes[i], self.path_nodes[i + 1])
-                for i in range(left_anchor, right_anchor)
-            )
-            nodes = tuple(
-                self.noise.node_channel(self.path_nodes[i])
-                for i in range(left_anchor + 1, right_anchor)
-            )
-            annotation = ChainNoise(
-                edge_channels=edges,
-                node_channels=nodes,
-                left_channel=self.noise.node_channel(self.path_nodes[left_anchor]),
-                right_channel=self.noise.node_channel(self.path_nodes[right_anchor]),
-                readout_error=self.noise.readout_error,
-            )
-            annotation.validate(
-                right_anchor - left_anchor - 1, self.fingerprints.dim, RIGHT_SWAP
-            )
-            annotations.append(annotation)
-        return annotations
 
     @classmethod
     def on_tree(
@@ -269,6 +239,75 @@ class RelayEqualityProtocol(DQMAProtocol):
 
     # -- acceptance ------------------------------------------------------------
 
+    def _inputs_and_proof(
+        self, inputs: Sequence[str], proof: Optional[ProductProof]
+    ) -> Tuple[Tuple[str, ...], ProductProof]:
+        """Validated ``inputs`` with the caller's validated proof, or the honest one."""
+        inputs = self.problem.validate_inputs(inputs)
+        if proof is None:
+            return inputs, self.honest_proof(inputs)
+        self.validate_proof(proof)
+        return inputs, proof
+
+    def _relay_probabilities(self, proof: ProductProof) -> List[np.ndarray]:
+        """Computational-basis outcome probabilities of every relay register."""
+        return [
+            np.abs(proof.state(self._relay_register_name(index))) ** 2
+            for index in self.relay_indices
+        ]
+
+    def _chain_program(
+        self,
+        inputs: Sequence[str],
+        proof: ProductProof,
+        terms: Iterable[Tuple[float, Sequence[str]]],
+    ) -> ChainProgram:
+        """The chain program of ``(weight, relay outcome strings)`` terms.
+
+        A term conditions on one joint relay outcome: its job tuple multiplies
+        the chains of every segment and repetition copy, anchored at the
+        terminals' inputs and the outcome strings.  Jobs are deduplicated
+        across terms sharing anchor strings, so the backend contracts each
+        distinct chain once.
+        """
+        segments = list(zip(self.anchor_indices, self.anchor_indices[1:]))
+        copies = range(self.segment_repetitions)
+        segment_pairs = {
+            (segment, copy): [
+                (
+                    proof.state(self._fingerprint_register_name(index, 0, copy)),
+                    proof.state(self._fingerprint_register_name(index, 1, copy)),
+                )
+                for index in range(left + 1, right)
+            ]
+            for segment, (left, right) in enumerate(segments)
+            for copy in copies
+        }
+        jobs: List[ChainJob] = []
+        job_index: Dict[Tuple[int, int, str, str], int] = {}
+        program_terms = []
+        for weight, outcomes in terms:
+            anchors = [inputs[0], *outcomes, inputs[1]]
+            indices = []
+            for segment in range(len(segments)):
+                left_string, right_string = anchors[segment], anchors[segment + 1]
+                for copy in copies:
+                    key = (segment, copy, left_string, right_string)
+                    if key not in job_index:
+                        job_index[key] = len(jobs)
+                        jobs.append(
+                            ChainJob.from_states(
+                                self.fingerprints.state(left_string),
+                                segment_pairs[(segment, copy)],
+                                self.fingerprints.state(right_string),
+                                right_kind=RIGHT_SWAP,
+                                noise=self._segment_noise[segment],
+                            )
+                        )
+                    indices.append(job_index[key])
+            program_terms.append((weight, tuple(indices)))
+        return ChainProgram(jobs=tuple(jobs), terms=tuple(program_terms))
+
     def _acceptance_program(
         self, inputs: Sequence[str], proof: Optional[ProductProof]
     ) -> ChainProgram:
@@ -276,86 +315,31 @@ class RelayEqualityProtocol(DQMAProtocol):
 
         The relay registers are measured in the computational basis; for
         product proofs the joint outcome distribution is a product.  The
-        program enumerates the support of that distribution (the honest proof
-        has a single outcome per relay) — one term per joint outcome, whose
-        job tuple multiplies the chains of every segment and repetition copy.
-        Jobs are deduplicated across outcomes sharing anchor strings, so the
-        backend contracts each distinct chain once.  Raises when the support
-        is too large — use :meth:`estimate_acceptance_sampling` there.
+        program has one term per joint outcome of its support (the honest
+        proof has a single outcome per relay), weighted by the running
+        product of the relays' outcome probabilities.  Raises when the
+        support is too large — use :meth:`estimate_acceptance_sampling` there.
         """
-        inputs = self.problem.validate_inputs(inputs)
-        if proof is None:
-            proof = self.honest_proof(inputs)
-        else:
-            self.validate_proof(proof)
-
-        supports: List[List[Tuple[str, float]]] = []
-        total_outcomes = 1
-        for index in self.relay_indices:
-            amplitudes = proof.state(self._relay_register_name(index))
-            probabilities = np.abs(amplitudes) ** 2
-            support = [
+        inputs, proof = self._inputs_and_proof(inputs, proof)
+        supports = [
+            [
                 (int_to_bits(value, self.problem.input_length), float(p))
                 for value, p in enumerate(probabilities)
                 if p > 1e-12
             ]
-            supports.append(support)
-            total_outcomes *= len(support)
+            for probabilities in self._relay_probabilities(proof)
+        ]
+        total_outcomes = prod(len(support) for support in supports)
         if total_outcomes > self.MAX_EXACT_RELAY_OUTCOMES:
             raise ProtocolError(
                 f"relay outcome support of size {total_outcomes} is too large for exact "
                 "enumeration; use estimate_acceptance_sampling"
             )
-
-        num_segments = len(self.anchor_indices) - 1
-        segment_pairs: Dict[Tuple[int, int], List[Tuple[np.ndarray, np.ndarray]]] = {}
-        for segment in range(num_segments):
-            left_anchor = self.anchor_indices[segment]
-            right_anchor = self.anchor_indices[segment + 1]
-            for copy in range(self.segment_repetitions):
-                segment_pairs[(segment, copy)] = [
-                    (
-                        proof.state(self._fingerprint_register_name(index, 0, copy)),
-                        proof.state(self._fingerprint_register_name(index, 1, copy)),
-                    )
-                    for index in range(left_anchor + 1, right_anchor)
-                ]
-
-        jobs: List[ChainJob] = []
-        job_index: Dict[Tuple[int, int, str, str], int] = {}
-
-        def job_for(segment: int, copy: int, left_string: str, right_string: str) -> int:
-            key = (segment, copy, left_string, right_string)
-            if key not in job_index:
-                job_index[key] = len(jobs)
-                jobs.append(
-                    ChainJob.from_states(
-                        self.fingerprints.state(left_string),
-                        segment_pairs[(segment, copy)],
-                        self.fingerprints.state(right_string),
-                        right_kind=RIGHT_SWAP,
-                        noise=self._segment_noise[segment],
-                    )
-                )
-            return job_index[key]
-
-        terms: List[Tuple[float, Tuple[int, ...]]] = []
-
-        def recurse(position: int, joint: float, outcomes: List[str]) -> None:
-            if position == len(supports):
-                anchor_strings = [inputs[0]] + outcomes + [inputs[1]]
-                indices = tuple(
-                    job_for(segment, copy, anchor_strings[segment], anchor_strings[segment + 1])
-                    for segment in range(num_segments)
-                    for copy in range(self.segment_repetitions)
-                )
-                terms.append((joint, indices))
-                return
-            for value, probability in supports[position]:
-                recurse(position + 1, joint * probability, outcomes + [value])
-
-        recurse(0, 1.0, [])
-        return ChainProgram(jobs=tuple(jobs), terms=tuple(terms))
+        terms = (
+            (prod((p for _, p in joint), start=1.0), [value for value, _ in joint])
+            for joint in iter_product(*supports)
+        )
+        return self._chain_program(inputs, proof, terms)
 
     def estimate_acceptance_sampling(
         self,
@@ -366,76 +350,35 @@ class RelayEqualityProtocol(DQMAProtocol):
     ) -> float:
         """Monte-Carlo estimate of the acceptance probability (samples relay outcomes).
 
-        The sampling path evaluates the *noiseless* segment chains: it is the
-        large-support escape hatch for entangled relay registers, kept as the
-        ideal-protocol reference (``acceptance_probability`` honours the
-        noise model through the compiled program).
+        The route for relay registers whose joint outcome support is too large
+        to enumerate.  Each shot draws one outcome per relay register; the
+        sampled outcome tuples, each weighted ``1 / shots``, ride the chain
+        program of :meth:`acceptance_probability` (noise model included) and
+        evaluate as one engine batch.
         """
-        inputs = self.problem.validate_inputs(inputs)
-        if proof is None:
-            proof = self.honest_proof(inputs)
+        shots = require_positive_integer(shots, "shots")
+        inputs, proof = self._inputs_and_proof(inputs, proof)
         generator = ensure_rng(rng)
-        total = 0.0
-        for _ in range(shots):
-            outcomes = []
-            for index in self.relay_indices:
-                amplitudes = proof.state(self._relay_register_name(index))
-                probabilities = np.abs(amplitudes) ** 2
-                probabilities = probabilities / probabilities.sum()
-                value = int(generator.choice(len(probabilities), p=probabilities))
-                outcomes.append(int_to_bits(value, self.problem.input_length))
-            total += self._segments_acceptance(inputs, proof, outcomes)
-        return total / shots
-
-    def _segments_acceptance(
-        self, inputs: Sequence[str], proof: ProductProof, relay_outcomes: List[str]
-    ) -> float:
-        """Joint acceptance of all segments, conditioned on the relay measurement results."""
-        anchor_strings = [inputs[0]] + list(relay_outcomes) + [inputs[1]]
-        probability = 1.0
-        for segment in range(len(self.anchor_indices) - 1):
-            left_anchor = self.anchor_indices[segment]
-            right_anchor = self.anchor_indices[segment + 1]
-            left_string = anchor_strings[segment]
-            right_string = anchor_strings[segment + 1]
-            probability *= self._segment_acceptance(
-                proof, left_anchor, right_anchor, left_string, right_string
-            )
-            if probability == 0.0:
-                return 0.0
-        return probability
-
-    def _segment_acceptance(
-        self,
-        proof: ProductProof,
-        left_anchor: int,
-        right_anchor: int,
-        left_string: str,
-        right_string: str,
-    ) -> float:
-        left_state = self.fingerprints.state(left_string)
-        right_operator = right_end_swap_operator(self.fingerprints.state(right_string))
-        probability = 1.0
-        for copy in range(self.segment_repetitions):
-            pairs = []
-            for index in range(left_anchor + 1, right_anchor):
-                pairs.append(
-                    (
-                        proof.state(self._fingerprint_register_name(index, 0, copy)),
-                        proof.state(self._fingerprint_register_name(index, 1, copy)),
+        distributions = [p / p.sum() for p in self._relay_probabilities(proof)]
+        samples = [
+            (
+                1.0 / shots,
+                [
+                    int_to_bits(
+                        int(generator.choice(len(p), p=p)), self.problem.input_length
                     )
-                )
-            probability *= chain_acceptance_probability(left_state, pairs, right_operator)
-            if probability == 0.0:
-                return 0.0
-        return probability
+                    for p in distributions
+                ],
+            )
+            for _ in range(shots)
+        ]
+        return self.engine.evaluate_program(self._chain_program(inputs, proof, samples))
 
     # -- cost accounting ----------------------------------------------------------
 
     def total_proof_qubits_formula(self) -> float:
         """The paper's count of the total proof size (the displayed sum in Theorem 22)."""
         n = self.problem.input_length
-        spacing = self.relay_spacing
         num_relays = len(self.relay_indices)
         fingerprint_block = 2 * self.segment_repetitions * self.fingerprints.num_qubits
         num_plain_nodes = self.path_length - 1 - num_relays

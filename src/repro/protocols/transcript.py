@@ -21,6 +21,7 @@ from repro.protocols.base import ProductProof
 from repro.protocols.equality import EqualityPathProtocol
 from repro.quantum.swap_test import swap_test_accept_probability_pure
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import require_positive_integer
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,7 @@ def empirical_acceptance_from_transcripts(
     are fixed, so the empirical frequency converges to
     :meth:`EqualityPathProtocol.acceptance_probability`.
     """
+    shots = require_positive_integer(shots, "shots")
     generator = ensure_rng(rng)
     hits = 0
     for _ in range(shots):
@@ -147,6 +149,7 @@ def rejection_histogram(
     Useful for localising where along the chain a corrupted proof (or a
     divergent input) is detected.
     """
+    shots = require_positive_integer(shots, "shots")
     generator = ensure_rng(rng)
     counts: Dict[NodeId, int] = {node: 0 for node in protocol.path_nodes}
     for _ in range(shots):

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ProtocolError
+from repro.exceptions import ProofError, ProtocolError
+from repro.network.spanning_tree import build_verification_tree
+from repro.network.topology import random_tree_network
+from repro.protocols.base import ProductProof
 from repro.protocols.ranking import RankingVerificationProtocol
 from repro.protocols.relay import RelayEqualityProtocol
+from repro.quantum.channels import NoiseModel, channel_family
+from repro.quantum.fingerprint import ExactCodeFingerprint
 from repro.quantum.states import basis_state
 from repro.utils.bitstrings import bits_to_int
+from repro.utils.rng import ensure_rng
 
 
 class TestRankingCompleteness:
@@ -148,6 +154,30 @@ class TestRelayProtocol:
         estimate = protocol.estimate_acceptance_sampling(("1011", "1010"), shots=40, rng=0)
         assert abs(exact - estimate) < 0.2
 
+    def test_message_accounting_on_a_path(self):
+        protocol = RelayEqualityProtocol.on_path(
+            4, 6, relay_spacing=2, segment_repetitions=2, fingerprints=ExactCodeFingerprint(4, rng=7)
+        )
+        path = protocol.path_nodes
+        # Every edge, relay or not, carries one forwarded fingerprint (5 qubits) per copy.
+        assert protocol.message_qubits() == {edge: 10.0 for edge in zip(path, path[1:])}
+        assert len(protocol.message_qubits()) == 6
+        costs = protocol.cost_summary()
+        assert costs.local_message == 10.0
+        assert costs.total_message == 60.0
+
+    def test_message_accounting_on_a_tree_charges_only_its_path(self):
+        network = random_tree_network(10, 2, rng=4)
+        protocol = RelayEqualityProtocol.on_tree(
+            network, ExactCodeFingerprint(4, rng=7), relay_spacing=2, segment_repetitions=3
+        )
+        first, second = network.terminals
+        path = build_verification_tree(network, root=first).terminal_path(second)
+        messages = protocol.message_qubits()
+        assert set(messages) == set(zip(path, path[1:]))
+        assert len(messages) < len(network.edges)
+        assert set(messages.values()) == {15.0}
+
     def test_total_proof_formula_matches_layout(self, fingerprints4):
         protocol = RelayEqualityProtocol.on_path(4, 6, relay_spacing=2, segment_repetitions=2, fingerprints=fingerprints4)
         assert protocol.total_proof_qubits() == pytest.approx(protocol.total_proof_qubits_formula())
@@ -159,6 +189,91 @@ class TestRelayProtocol:
     def test_invalid_spacing(self, fingerprints4):
         with pytest.raises(ProtocolError):
             RelayEqualityProtocol.on_path(4, 5, relay_spacing=0, fingerprints=fingerprints4)
+
+
+class TestRelaySampling:
+    """The sampled estimator rides the exact chain program, noise model included."""
+
+    @staticmethod
+    def _noisy_protocol():
+        fingerprints = ExactCodeFingerprint(2, rng=7)
+        noise = NoiseModel.uniform_link(channel_family("depolarizing")(0.3, fingerprints.dim))
+        return RelayEqualityProtocol.on_path(
+            2, 4, relay_spacing=2, segment_repetitions=2, fingerprints=fingerprints, noise=noise
+        )
+
+    @pytest.mark.parametrize("inputs", [("11", "11"), ("11", "01")], ids=["yes", "no"])
+    def test_sampled_honest_proof_honours_noise(self, inputs):
+        # The honest relay registers have one outcome each, so every shot
+        # conditions on the same outcome and the estimate is exact.
+        protocol = self._noisy_protocol()
+        exact = protocol.acceptance_probability(inputs)
+        assert exact < 0.5
+        estimate = protocol.estimate_acceptance_sampling(inputs, shots=64, rng=0)
+        assert estimate == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("strength", [None, 0.2], ids=["clean", "noisy"])
+    def test_seeded_estimate_averages_the_drawn_outcomes(self, fingerprints4, strength):
+        # Two relay registers in superposition over three strings each (nine
+        # joint outcomes).  Draws run shots outer, relays inner, so a seeded
+        # estimate is the mean exact acceptance of the proofs collapsed onto
+        # the drawn outcomes, clean or noisy.
+        noise = None
+        if strength is not None:
+            channel = channel_family("depolarizing")(strength, fingerprints4.dim)
+            noise = NoiseModel.uniform_link(channel, readout_error=0.02)
+        protocol = RelayEqualityProtocol.on_path(
+            4, 6, relay_spacing=2, segment_repetitions=2, fingerprints=fingerprints4, noise=noise
+        )
+        inputs = ("1011", "1011")
+        proof = protocol.honest_proof(inputs)
+        supports = (("1011", "0100", "1111"), ("1011", "0001", "1010"))
+        for index, strings in zip(protocol.relay_indices, supports):
+            amplitudes = sum(
+                weight * basis_state(16, bits_to_int(string))
+                for weight, string in zip((0.8, 0.5, 0.33), strings)
+            )
+            proof = proof.replaced(f"Z[{index}]", amplitudes)
+        estimate = protocol.estimate_acceptance_sampling(inputs, proof, shots=24, rng=3)
+
+        generator = ensure_rng(3)
+        distributions = [
+            np.abs(proof.state(f"Z[{index}]")) ** 2 for index in protocol.relay_indices
+        ]
+        conditioned = []
+        for _ in range(24):
+            collapsed = proof
+            for index, p in zip(protocol.relay_indices, distributions):
+                value = int(generator.choice(len(p), p=p / p.sum()))
+                collapsed = collapsed.replaced(f"Z[{index}]", basis_state(16, value))
+            conditioned.append(protocol.acceptance_probability(inputs, collapsed))
+        assert len({round(value, 9) for value in conditioned}) > 1
+        assert estimate == pytest.approx(np.mean(conditioned), abs=1e-12)
+
+    def test_sampling_validates_a_callers_proof(self, fingerprints4):
+        protocol = RelayEqualityProtocol.on_path(
+            4, 4, relay_spacing=2, segment_repetitions=1, fingerprints=fingerprints4
+        )
+        inputs = ("1011", "1011")
+        honest = protocol.honest_proof(inputs)
+        states = {name: honest.state(name) for name in honest.register_names}
+        states["stray"] = basis_state(2, 0)
+        with pytest.raises(ProofError):
+            protocol.estimate_acceptance_sampling(inputs, ProductProof(states), shots=4, rng=0)
+
+    def test_outcome_support_guard_names_the_sampling_route(self, fingerprints4):
+        protocol = RelayEqualityProtocol.on_path(
+            4, 6, relay_spacing=1, segment_repetitions=1, fingerprints=fingerprints4
+        )
+        inputs = ("1011", "1011")
+        proof = protocol.honest_proof(inputs)
+        uniform = np.ones(16) / 4.0
+        for index in protocol.relay_indices:
+            proof = proof.replaced(f"Z[{index}]", uniform)
+        with pytest.raises(ProtocolError, match="use estimate_acceptance_sampling"):
+            protocol.acceptance_probability(inputs, proof)
+        estimate = protocol.estimate_acceptance_sampling(inputs, proof, shots=8, rng=1)
+        assert 0.0 <= estimate < 1.0
 
 
 def ExactCodeFingerprintFixture(input_length):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ProofError, ProtocolError
+from repro.exceptions import ProofError, ProtocolError, ReproError
 from repro.protocols.base import (
     CostSummary,
     ProductProof,
@@ -12,6 +12,8 @@ from repro.protocols.base import (
     soundness_repetitions,
 )
 from repro.protocols.equality import EqualityPathProtocol
+from repro.protocols.relay import RelayEqualityProtocol
+from repro.protocols.transcript import empirical_acceptance_from_transcripts, rejection_histogram
 from repro.quantum.states import basis_state
 
 
@@ -126,3 +128,29 @@ class TestRepeatedProtocol:
         estimate = base.estimate_acceptance(("101", "100"), shots=300, rng=1)
         exact = base.acceptance_probability(("101", "100"))
         assert abs(estimate - exact) < 0.15
+
+
+MONTE_CARLO_ESTIMATORS = {
+    "estimate_acceptance": lambda fingerprints, shots: EqualityPathProtocol.on_path(
+        3, 3, fingerprints
+    ).estimate_acceptance(("101", "100"), shots=shots, rng=0),
+    "estimate_acceptance_sampling": lambda fingerprints, shots: RelayEqualityProtocol.on_path(
+        3, 4, relay_spacing=2, segment_repetitions=1, fingerprints=fingerprints
+    ).estimate_acceptance_sampling(("101", "100"), shots=shots, rng=0),
+    "empirical_acceptance_from_transcripts": lambda fingerprints, shots: (
+        empirical_acceptance_from_transcripts(
+            EqualityPathProtocol.on_path(3, 3, fingerprints), ("101", "100"), shots=shots, rng=0
+        )
+    ),
+    "rejection_histogram": lambda fingerprints, shots: rejection_histogram(
+        EqualityPathProtocol.on_path(3, 3, fingerprints), ("101", "100"), shots=shots, rng=0
+    ),
+}
+
+
+@pytest.mark.parametrize("shots", [0, -3, 2.5, True])
+@pytest.mark.parametrize("estimator", sorted(MONTE_CARLO_ESTIMATORS))
+def test_monte_carlo_estimators_reject_invalid_shots(fingerprints3, estimator, shots):
+    with pytest.raises(ReproError, match="shots must be"):
+        MONTE_CARLO_ESTIMATORS[estimator](fingerprints3, shots)
+
