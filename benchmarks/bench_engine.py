@@ -307,14 +307,14 @@ def test_noisy_soundness_search_batched_vs_scalar_speedup(benchmark):
     def batched_search():
         protocol = EqualityPathProtocol.on_path(2, 5, NOISE_FINGERPRINTS)
         return fingerprint_strategy_soundness(
-            protocol, inputs, candidate_strings=candidates, noise=noise
+            protocol.with_noise(noise), inputs, candidate_strings=candidates
         )
 
     def scalar_search():
         protocol = EqualityPathProtocol.on_path(2, 5, NOISE_FINGERPRINTS)
         protocol.use_engine(Engine(backend="dense"))
         return fingerprint_strategy_soundness(
-            protocol, inputs, candidate_strings=candidates, batch_size=1, noise=noise
+            protocol.with_noise(noise), inputs, candidate_strings=candidates, batch_size=1
         )
 
     result = benchmark(batched_search)

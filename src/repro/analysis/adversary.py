@@ -11,32 +11,14 @@ fixed, each step being an exact eigenvector computation) with random restarts.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import DimensionMismatchError
-from repro.quantum.channels import KrausChannel, apply_channels_adjoint
 from repro.quantum.random_states import haar_random_state
 from repro.utils.rng import RngLike, ensure_rng
-
-
-def _with_channels(
-    operator: np.ndarray,
-    dims: Sequence[int],
-    channels: Optional[Sequence[Optional[KrausChannel]]],
-) -> np.ndarray:
-    """Fold per-factor delivery channels into the acceptance operator.
-
-    With channels the adversary optimises ``tr(E (C_1(rho_1) (x) ...))`` —
-    the proof the prover *sends* is noiseless, but each factor passes its
-    channel before the verifier measures.  In the Heisenberg picture that is
-    the noiseless optimisation of ``(C_1^+ (x) ...)(E)``, so the seesaw and
-    the random search run unchanged on the conjugated operator.
-    """
-    if channels is None:
-        return operator
-    return apply_channels_adjoint(operator, dims, channels)
+from repro.utils.validation import require_positive_integer
 
 
 def _validate(operator: np.ndarray, dims: Sequence[int]) -> Tuple[np.ndarray, List[int]]:
@@ -154,7 +136,6 @@ def seesaw_separable_acceptance(
     iterations: int = 30,
     restarts: int = 8,
     rng: RngLike = None,
-    channels: Optional[Sequence[Optional[KrausChannel]]] = None,
 ) -> Tuple[float, List[np.ndarray]]:
     """Lower bound on the best separable-proof acceptance, with the achieving proof.
 
@@ -170,27 +151,28 @@ def seesaw_separable_acceptance(
     restarts instead of a Python loop.  A restart leaves the active set after
     a full sweep without improvement, exactly as in the scalar recursion.
 
-    ``channels`` (one optional Kraus channel per factor) models noisy proof
-    delivery: the search then maximises the *noisy* acceptance over the pure
-    product proofs the prover sends (see :func:`_with_channels`).
+    ``iterations`` and ``restarts`` must be positive integers.  A noisy
+    protocol's ``acceptance_operator`` already carries its channels; to put
+    delivery noise on any other operator, pass it through
+    :func:`repro.quantum.channels.apply_channels_adjoint` first.
     """
+    require_positive_integer(iterations, "iterations")
+    require_positive_integer(restarts, "restarts")
     op, dims = _validate(operator, dims)
-    op = _with_channels(op, dims, channels)
     generator = ensure_rng(rng)
     k = len(dims)
-    num_restarts = max(restarts, 1)
     initial = [
-        [haar_random_state(dim, generator) for dim in dims] for _ in range(num_restarts)
+        [haar_random_state(dim, generator) for dim in dims] for _ in range(restarts)
     ]
     factors = [
-        np.stack([initial[restart][position] for restart in range(num_restarts)])
+        np.stack([initial[restart][position] for restart in range(restarts)])
         for position in range(k)
     ]
     op_tensor = op.reshape(tuple(dims) * 2)
     values = _batched_product_acceptance(op_tensor, dims, factors)
-    active = np.ones(num_restarts, dtype=bool)
-    for _ in range(max(iterations, 1)):
-        improved = np.zeros(num_restarts, dtype=bool)
+    active = np.ones(restarts, dtype=bool)
+    for _ in range(iterations):
+        improved = np.zeros(restarts, dtype=bool)
         for position in range(k):
             conditional = _conditional_operators_batched(op_tensor, dims, factors, position)
             hermitian = (conditional + np.conj(np.transpose(conditional, (0, 2, 1)))) / 2
@@ -214,18 +196,16 @@ def random_product_search(
     dims: Sequence[int],
     samples: int = 200,
     rng: RngLike = None,
-    channels: Optional[Sequence[Optional[KrausChannel]]] = None,
 ) -> float:
     """Best acceptance found by sampling Haar-random product proofs.
 
-    ``channels`` folds per-factor delivery noise into the operator, exactly
-    as in :func:`seesaw_separable_acceptance`.
+    ``samples`` (the number of proofs drawn) must be a positive integer.
     """
+    require_positive_integer(samples, "samples")
     op, dims = _validate(operator, dims)
-    op = _with_channels(op, dims, channels)
     generator = ensure_rng(rng)
     best = 0.0
-    for _ in range(max(samples, 1)):
+    for _ in range(samples):
         factors = [haar_random_state(dim, generator) for dim in dims]
         best = max(best, product_acceptance(op, factors))
     return best

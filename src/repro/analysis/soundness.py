@@ -38,9 +38,8 @@ import numpy as np
 
 from repro.analysis.adversary import seesaw_separable_acceptance
 from repro.engine.array_ops import parity_tolerance
-from repro.exceptions import ProtocolError
+from repro.exceptions import ProtocolError, ReproError
 from repro.protocols.base import DQMAProtocol, ProductProof, ProofRegister, unit_proof_state
-from repro.quantum.channels import NoiseModel
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_positive_integer
 
@@ -68,13 +67,6 @@ def _protocol_dtype(protocol: DQMAProtocol):
     """
     engine = getattr(protocol, "engine", None)
     return getattr(getattr(engine, "backend", None), "dtype", None)
-
-
-def _noisy_variant(protocol: DQMAProtocol, noise: Optional[NoiseModel]) -> DQMAProtocol:
-    """The protocol itself, or its ``with_noise`` sibling for a non-trivial model."""
-    if noise is None or noise.is_trivial:
-        return protocol
-    return protocol.with_noise(noise)
 
 
 @dataclass(frozen=True)
@@ -140,7 +132,6 @@ def fingerprint_strategy_soundness(
     candidate_strings: Optional[Iterable[str]] = None,
     max_assignments: int = 4096,
     batch_size: int = STRATEGY_BATCH_SIZE,
-    noise: Optional[NoiseModel] = None,
 ) -> StrategySearchResult:
     """Best acceptance over proofs built from fingerprints of candidate strings.
 
@@ -160,20 +151,17 @@ def fingerprint_strategy_soundness(
     the best cheating acceptance over all proofs, never a certificate that
     no better cheat exists.
 
-    A non-trivial ``noise`` model re-targets the evaluation at the
-    protocol's :meth:`~repro.protocols.base.DQMAProtocol.with_noise` sibling:
-    every batched strategy assignment then runs on the engine's
-    density-matrix path (``ChainNoise``/``TreeNoise``-annotated jobs), so the
-    search reports the best structured cheat *under* the channel model.  A
-    protocol constructed with its own noise model already evaluates noisily
-    without this argument.
+    The search evaluates the protocol as built: one constructed with a
+    noise model, or a :meth:`~repro.protocols.base.DQMAProtocol.with_noise`
+    sibling, runs every strategy on the engine's density-matrix path
+    (``ChainNoise``/``TreeNoise``-annotated jobs), so the search reports the
+    best structured cheat *under* that model.
     """
     require_positive_integer(max_assignments, "max_assignments")
     batch = require_positive_integer(batch_size, "batch_size")
     fingerprints = getattr(protocol, "fingerprints", None)
     if fingerprints is None:
         raise ProtocolError("fingerprint strategy search needs a fingerprint-based protocol")
-    protocol = _noisy_variant(protocol, noise)
     inputs = tuple(inputs)
     if candidate_strings is None:
         candidate_strings = list(dict.fromkeys(inputs))
@@ -301,7 +289,6 @@ def entangled_soundness_report(
     paper_bound: Optional[float] = None,
     run_seesaw: bool = False,
     rng: RngLike = None,
-    noise: Optional[NoiseModel] = None,
 ) -> SoundnessReport:
     """Full soundness report for a (small) path-protocol instance.
 
@@ -312,21 +299,19 @@ def entangled_soundness_report(
     optimum.  The seesaw needs the dense acceptance operator, so it is
     skipped on instances past the dense builder's size guard.
 
-    With a non-trivial ``noise`` model every quantity is computed on the
-    protocol's noisy sibling: honest and strategy-search acceptances ride
-    the engine's density-matrix path, and the entangled optimum is the
-    sibling's ``noisy_optimal_cheating_probability`` (the top eigenvalue of
-    the channel-conjugated operator) — the seesaw then bounds the noisy
-    *separable* adversary from below.  The paper bound stays the noiseless
-    protocol's bound: the report asks whether realistic hardware still
-    respects the ideal soundness statement.
+    Every quantity is read from ``protocol`` as built.  Under a noise model
+    (given at construction or through ``with_noise``) the honest and
+    strategy-search acceptances ride the engine's density-matrix path, the
+    entangled optimum is the top eigenvalue of the channel-conjugated
+    operator, and the seesaw bounds the noisy *separable* adversary from
+    below.  The paper bound stays the noiseless protocol's bound: the report
+    asks whether realistic hardware still respects the ideal soundness
+    statement.
     """
     inputs = tuple(inputs)
-    evaluated = _noisy_variant(protocol, noise)
-    noisy = evaluated is not protocol
-    honest_acceptance = evaluated.acceptance_probability(inputs, None)
+    honest_acceptance = protocol.acceptance_probability(inputs, None)
     try:
-        search = fingerprint_strategy_soundness(evaluated, inputs)
+        search = fingerprint_strategy_soundness(protocol, inputs)
         best_found = search.best_acceptance
         best_strategy: Optional[str] = search.best_strategy
     except ProtocolError:
@@ -334,8 +319,7 @@ def entangled_soundness_report(
         best_strategy = "honest"
 
     optimal = None
-    prefix = "noisy_" if noisy else ""
-    optimum = getattr(evaluated, f"{prefix}optimal_cheating_probability", None)
+    optimum = getattr(protocol, "optimal_cheating_probability", None)
     if optimum is not None:
         # Past the optimum's dimension guard the report degrades to the
         # structured search alone (optimal_entangled stays None).
@@ -345,11 +329,11 @@ def entangled_soundness_report(
             pass
     if optimal is not None and run_seesaw:
         try:
-            operator = getattr(evaluated, f"{prefix}acceptance_operator")(inputs)
+            operator = protocol.acceptance_operator(inputs)
         except ProtocolError:
             operator = None  # past the dense builder's guard: no seesaw
         if operator is not None:
-            dims = [register.dim for register in evaluated.proof_registers()]
+            dims = [register.dim for register in protocol.proof_registers()]
             seesaw_value, _ = seesaw_separable_acceptance(operator, dims, rng=ensure_rng(rng))
             if seesaw_value > best_found:
                 best_found = seesaw_value
@@ -365,7 +349,7 @@ def entangled_soundness_report(
         optimal_entangled_acceptance=optimal,
         paper_bound=paper_bound,
         best_strategy=best_strategy,
-        bound_slack=paper_bound_slack(_protocol_dtype(evaluated)),
+        bound_slack=paper_bound_slack(_protocol_dtype(protocol)),
     )
 
 
@@ -375,8 +359,11 @@ def repetition_soundness(single_shot_acceptance: float, repetitions: int) -> flo
     For product proofs the copies are independent, so the best cheating
     probability of the repeated protocol is the single-shot optimum raised to
     the number of repetitions — the quantity driving the Algorithm 4 analysis.
+    ``repetitions`` must be a positive integer.
     """
-    if repetitions <= 0:
-        raise ProtocolError("repetition count must be positive")
+    try:
+        require_positive_integer(repetitions, "repetition count")
+    except ReproError as error:
+        raise ProtocolError(str(error)) from None
     p = min(max(single_shot_acceptance, 0.0), 1.0)
     return float(p**repetitions)

@@ -219,9 +219,9 @@ def gap_collapse_sweep(
     best cheat, so ``gap`` (completeness minus it) and ``bound_margin`` (the
     bound minus it) are *upper* bounds on the true gap and margin.  On the
     default instance at strength 0.5 the report prints gap 0.1001, while the
-    exact noisy optimum (``noisy_optimal_cheating_probability``) leaves
-    0.0707.  ``exceeds_paper_bound = True`` is conclusive; ``False`` is not a
-    certificate.
+    exact optimum of the noisy protocol (its ``optimal_cheating_probability``)
+    leaves 0.0707.  ``exceeds_paper_bound = True`` is conclusive; ``False``
+    is not a certificate.
     """
     if strengths is None:
         strengths = default_collapse_strengths()

@@ -40,7 +40,7 @@ from repro.engine import (
     default_engine,
     get_backend,
 )
-from repro.exceptions import ProofError, ProtocolError
+from repro.exceptions import ProofError, ProtocolError, ReproError
 from repro.network.topology import Network, NodeId
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import require_positive_integer
@@ -444,11 +444,13 @@ class RepeatedProtocol(DQMAProtocol):
     """
 
     def __init__(self, base: DQMAProtocol, repetitions: int):
-        if repetitions <= 0:
-            raise ProtocolError("number of repetitions must be positive")
+        try:
+            require_positive_integer(repetitions, "number of repetitions")
+        except ReproError as error:
+            raise ProtocolError(str(error)) from None
         super().__init__(base.problem, base.network)
         self.base = base
-        self.repetitions = int(repetitions)
+        self.repetitions = repetitions
 
     @staticmethod
     def _copy_name(name: str, copy: int) -> str:

@@ -12,13 +12,12 @@ Both protocols accept an optional :class:`~repro.quantum.channels.NoiseModel`
 assigning Kraus channels to the network's links (registers in transit) and
 nodes (proof delivery / input preparation) plus a measurement readout error;
 a non-empty model switches the compiled jobs onto the engine's
-density-matrix path.  :meth:`EqualityPathProtocol.acceptance_operator`
-stays noiseless by design (it characterises the ideal protocol the noisy
-runs are compared against); :meth:`EqualityPathProtocol.
-noisy_acceptance_operator` is the same build with the path's channels.  The
-exact optima (:meth:`EqualityPathProtocol.optimal_cheating_probability` and
-its noisy twin) diagonalise that operator on small proof spaces and run
-Lanczos on the matrix-free chain sweep on larger ones.
+density-matrix path.  :meth:`EqualityPathProtocol.acceptance_operator` and
+the exact optimum :meth:`EqualityPathProtocol.optimal_cheating_probability`
+fold in the same channels, so every soundness quantity describes the
+protocol as built; ``with_noise(None)`` is its ideal protocol.  The optimum
+diagonalises the operator on small proof spaces and runs Lanczos on the
+matrix-free chain sweep on larger ones.
 """
 
 from __future__ import annotations
@@ -153,7 +152,9 @@ class EqualityPathProtocol(DQMAProtocol):
 
         The noisy-soundness analyses use this to re-evaluate an existing
         protocol's strategy batches on the engine's density-matrix path
-        without re-deriving the layout.
+        without re-deriving the layout; ``with_noise(None)`` is the ideal
+        protocol.  The sibling's operator cache entries stay apart from this
+        protocol's because every cache key carries :attr:`_noise_key`.
         """
         sibling = type(self)(
             self.network, self.fingerprints, problem=self.problem, noise=noise
@@ -302,28 +303,32 @@ class EqualityPathProtocol(DQMAProtocol):
     def acceptance_operator(self, inputs: Sequence[str]) -> np.ndarray:
         """Exact acceptance operator over (possibly entangled) proofs — small instances.
 
-        Cached on the engine's operator cache: soundness sweeps evaluate the
-        same layout/input combination many times.
-        """
-        return self._chain_operator(inputs, None)
-
-    def noisy_acceptance_operator(self, inputs: Sequence[str]) -> np.ndarray:
-        """Acceptance operator of the *noisy* protocol (small instances).
-
-        Equals :meth:`acceptance_operator` when the protocol carries no
-        noise; otherwise the chain's channels are folded into the operator
-        in the Heisenberg picture (see :func:`repro.protocols.chain.
+        A noisy protocol folds its chain's channels into the operator in the
+        Heisenberg picture (see :func:`repro.protocols.chain.
         chain_acceptance_operator`), the right end's preparation channel
-        acting on its reference projector.  Its largest eigenvalue is the
-        optimal *entangled* cheating probability under the noise model.
+        acting on its reference projector; ``with_noise(None)`` gives the
+        ideal protocol's operator.  Cached on the engine's operator cache:
+        soundness sweeps evaluate the same layout/input combination many
+        times.
         """
-        return self._chain_operator(inputs, self._chain_noise)
+        inputs = self.problem.validate_inputs(inputs)
 
-    def noisy_optimal_cheating_probability(self, inputs: Sequence[str]) -> float:
-        """Maximum acceptance over all (entangled) proofs under the protocol's noise."""
-        return self._optimum(inputs, self._chain_noise)
+        def build() -> np.ndarray:
+            *arguments, noise = self._chain_arguments(inputs)
+            return chain_acceptance_operator(*arguments, noise=noise)
 
-    def _chain_arguments(self, inputs: Sequence[str], annotation: Optional[ChainNoise]) -> tuple:
+        return self.engine.cached_operator(
+            (
+                "eq-chain-operator",
+                self.fingerprints.cache_token,
+                self.path_length,
+                self._noise_key,
+                tuple(inputs),
+            ),
+            build,
+        )
+
+    def _chain_arguments(self, inputs: Sequence[str]) -> tuple:
         """``(left state, dim, m, right accept element, noise)`` of the chain.
 
         The right end's preparation channel acts on its reference projector,
@@ -331,7 +336,7 @@ class EqualityPathProtocol(DQMAProtocol):
         operator and the matrix-free sweep.
         """
         right = self._right_operator(inputs[1])
-        noise = annotation
+        noise = self._chain_noise
         if noise is not None and noise.right_channel is not None:
             right = noise.right_channel.apply(right)
             noise = dataclass_replace(noise, right_channel=None)
@@ -343,44 +348,21 @@ class EqualityPathProtocol(DQMAProtocol):
             noise,
         )
 
-    def _chain_operator(
-        self, inputs: Sequence[str], annotation: Optional[ChainNoise]
-    ) -> np.ndarray:
-        """The cached chain operator under ``annotation`` (``None``: noiseless)."""
-        inputs = self.problem.validate_inputs(inputs)
+    def optimal_cheating_probability(self, inputs: Sequence[str]) -> float:
+        """Maximum acceptance over all (entangled) proofs — the soundness supremum.
 
-        def build() -> np.ndarray:
-            *arguments, noise = self._chain_arguments(inputs, annotation)
-            return chain_acceptance_operator(*arguments, noise=noise)
-
-        return self.engine.cached_operator(
-            (
-                "eq-chain-operator",
-                self.fingerprints.cache_token,
-                self.path_length,
-                None if annotation is None else annotation.key,
-                tuple(inputs),
-            ),
-            build,
-        )
-
-    def _optimum(self, inputs: Sequence[str], annotation: Optional[ChainNoise]) -> float:
-        """Largest eigenvalue of the chain operator under ``annotation``.
-
-        Proof spaces up to :data:`~repro.protocols.chain.DENSE_OPTIMUM_MAX_DIM`
-        diagonalise the cached dense operator; larger ones run Lanczos on the
-        matrix-free sweep, which needs no operator and lifts the dense
-        builder's size guard.
+        The largest eigenvalue of :meth:`acceptance_operator`, under the
+        protocol's own noise.  Proof spaces up to
+        :data:`~repro.protocols.chain.DENSE_OPTIMUM_MAX_DIM` diagonalise the
+        cached dense operator; larger ones run Lanczos on the matrix-free
+        sweep, which needs no operator and lifts the dense builder's size
+        guard.
         """
         if self.fingerprints.dim ** (2 * (self.path_length - 1)) <= DENSE_OPTIMUM_MAX_DIM:
-            return optimal_entangled_acceptance(self._chain_operator(inputs, annotation))
+            return optimal_entangled_acceptance(self.acceptance_operator(inputs))
         inputs = self.problem.validate_inputs(inputs)
-        *arguments, noise = self._chain_arguments(inputs, annotation)
+        *arguments, noise = self._chain_arguments(inputs)
         return optimal_sweep_acceptance(*arguments, noise=noise)
-
-    def optimal_cheating_probability(self, inputs: Sequence[str]) -> float:
-        """Maximum acceptance over all (entangled) proofs — the soundness supremum."""
-        return self._optimum(inputs, None)
 
     # -- paper parameters -------------------------------------------------------
 

@@ -15,6 +15,7 @@ from repro.analysis.soundness import (
     repetition_soundness,
 )
 from repro.exceptions import DimensionMismatchError, ProtocolError, ReproError
+from repro.protocols.base import RepeatedProtocol
 from repro.protocols.chain import chain_acceptance_operator, optimal_entangled_acceptance
 from repro.protocols.equality import EqualityPathProtocol
 from repro.quantum.random_states import haar_random_state
@@ -218,3 +219,52 @@ class TestSoundnessReports:
         assert np.isclose(repetition_soundness(0.9, 10), 0.9**10)
         with pytest.raises(ProtocolError):
             repetition_soundness(0.9, 0)
+
+
+_REPEATED_BASE = EqualityPathProtocol.on_path(1, 2)
+
+#: Entry points taking a count: (call on the small operator, error class, name
+#: in the message).  Repetition counts keep raising ProtocolError.
+COUNT_ENTRY_POINTS = {
+    "RepeatedProtocol": (
+        lambda operator, count: RepeatedProtocol(_REPEATED_BASE, count),
+        ProtocolError,
+        "repetitions",
+    ),
+    "repetition_soundness": (
+        lambda operator, count: repetition_soundness(0.5, count),
+        ProtocolError,
+        "repetition count",
+    ),
+    "seesaw-iterations": (
+        lambda operator, count: seesaw_separable_acceptance(
+            operator, [2, 2], iterations=count, rng=0
+        ),
+        ReproError,
+        "iterations",
+    ),
+    "seesaw-restarts": (
+        lambda operator, count: seesaw_separable_acceptance(
+            operator, [2, 2], restarts=count, rng=0
+        ),
+        ReproError,
+        "restarts",
+    ),
+    "random_product_search": (
+        lambda operator, count: random_product_search(operator, [2, 2], samples=count, rng=0),
+        ReproError,
+        "samples",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "count", [0, -3, 2.9, True, "3"], ids=["zero", "negative", "float", "bool", "string"]
+)
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_counts_must_be_positive_integers(small_operator, entry, count):
+    # These used to be truncated (2.9 ran 2 copies), clamped to one
+    # iteration, restart or sample, taken as 1 (True), or raise TypeError.
+    call, error, name = COUNT_ENTRY_POINTS[entry]
+    with pytest.raises(error, match=name):
+        call(small_operator, count)

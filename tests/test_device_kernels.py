@@ -202,17 +202,16 @@ def _noisy_search_model(channel):
 
 
 def _noisy_search(engine, channel, batch_size):
-    """The batched noisy strategy search on a clean protocol + noise= threading."""
+    """The batched noisy strategy search on the ``with_noise`` sibling of a clean protocol."""
     from repro.analysis.soundness import fingerprint_strategy_soundness
 
     protocol = EqualityPathProtocol.on_path(2, 4, NOISE_FINGERPRINTS)
     protocol.use_engine(engine)
     return fingerprint_strategy_soundness(
-        protocol,
+        protocol.with_noise(_noisy_search_model(channel)),
         ("11", "10"),
         candidate_strings=("11", "10", "01"),
         batch_size=batch_size,
-        noise=_noisy_search_model(channel),
     )
 
 
@@ -227,8 +226,7 @@ class TestNoisySoundnessParity:
     The dense side evaluates every strategy one job at a time (batch size 1)
     through definitional Kraus sums; the batched side runs the same search
     through stacked superoperator contractions.  Agreement at the dtype's
-    parity tolerance pins the whole noise=... threading path per channel
-    family.
+    parity tolerance pins the whole ``with_noise`` path per channel family.
     """
 
     def test_search_matches_scalar_dense_reference(self, channel, dtype, backend):

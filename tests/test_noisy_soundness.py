@@ -1,10 +1,11 @@
-"""Noise-aware adversarial soundness: the ``noise=`` threading end to end.
+"""Noise-aware adversarial soundness: the protocol's own noise model end to end.
 
-Covers the full path from :func:`fingerprint_strategy_soundness(...,
-noise=...)` down to the engine's density-matrix contraction: equivalence
-with protocols constructed noisy, the ``with_noise`` siblings of every
-protocol family, the Heisenberg-picture noisy acceptance operator against
-the engine's scalar Kraus-sum numbers, dtype-derived paper-bound slack,
+Covers the full path from :func:`fingerprint_strategy_soundness` on a
+noisy protocol down to the engine's density-matrix contraction: a
+``with_noise`` sibling against the protocol constructed noisy, the
+``with_noise`` siblings of every protocol family, the Heisenberg-picture
+acceptance operator of a noisy protocol against the engine's numbers, the
+entangled report on noisy protocols, dtype-derived paper-bound slack,
 pickle/byte stability of the result dataclasses through the sharded pool,
 the path search's table route (bit for bit against its per-strategy jobs and
 the per-proof search, and its device traffic), and the registered
@@ -15,6 +16,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.soundness import (
     SoundnessReport,
@@ -42,6 +45,7 @@ from repro.protocols.from_one_way import OneWayToTreeProtocol
 from repro.protocols.relay import RelayEqualityProtocol
 from repro.quantum.channels import CHANNEL_FAMILIES, NoiseModel, channel_family
 from repro.quantum.fingerprint import ExactCodeFingerprint
+from repro.quantum.random_states import haar_random_state
 
 FINGERPRINTS = ExactCodeFingerprint(2, rng=11)
 CHANNELS = ("depolarizing", "dephasing", "amplitude-damping")
@@ -59,13 +63,13 @@ def _path_protocol(noise=None):
 
 
 class TestNoiseThreading:
-    """``noise=`` must be exactly equivalent to constructing the protocol noisy."""
+    """A ``with_noise`` sibling must be exactly equivalent to constructing the protocol noisy."""
 
     @pytest.mark.parametrize("channel", CHANNELS)
     def test_search_matches_noisily_constructed_protocol(self, channel):
         noise = _model(channel)
         threaded = fingerprint_strategy_soundness(
-            _path_protocol(), NO_INSTANCE, noise=noise
+            _path_protocol().with_noise(noise), NO_INSTANCE
         )
         direct = fingerprint_strategy_soundness(_path_protocol(noise), NO_INSTANCE)
         assert threaded.best_strategy == direct.best_strategy
@@ -76,7 +80,7 @@ class TestNoiseThreading:
     def test_trivial_noise_keeps_the_pure_state_path(self):
         clean = fingerprint_strategy_soundness(_path_protocol(), NO_INSTANCE)
         trivial = fingerprint_strategy_soundness(
-            _path_protocol(), NO_INSTANCE, noise=NoiseModel()
+            _path_protocol().with_noise(NoiseModel()), NO_INSTANCE
         )
         assert trivial.best_strategy == clean.best_strategy
         assert trivial.best_acceptance == clean.best_acceptance
@@ -86,14 +90,14 @@ class TestNoiseThreading:
         # with the pure-state evaluation to reference precision.
         clean = fingerprint_strategy_soundness(_path_protocol(), NO_INSTANCE)
         zero = fingerprint_strategy_soundness(
-            _path_protocol(), NO_INSTANCE, noise=_model("depolarizing", 0.0, 0.0)
+            _path_protocol().with_noise(_model("depolarizing", 0.0, 0.0)), NO_INSTANCE
         )
         np.testing.assert_allclose(zero.best_acceptance, clean.best_acceptance, atol=1e-9)
 
     @pytest.mark.parametrize("channel", CHANNELS)
     def test_noise_threading_in_entangled_report(self, channel):
         noise = _model(channel)
-        report = entangled_soundness_report(_path_protocol(), NO_INSTANCE, noise=noise)
+        report = entangled_soundness_report(_path_protocol().with_noise(noise), NO_INSTANCE)
         direct = entangled_soundness_report(_path_protocol(noise), NO_INSTANCE)
         np.testing.assert_allclose(
             report.honest_acceptance, direct.honest_acceptance, atol=1e-12
@@ -167,10 +171,6 @@ class TestWithNoise:
         )
         with pytest.raises(ProtocolError, match="does not support noise models"):
             one_way.with_noise(_model("depolarizing"))
-        with pytest.raises(ProtocolError, match="does not support noise models"):
-            fingerprint_strategy_soundness(
-                one_way, NO_INSTANCE, noise=_model("depolarizing")
-            )
 
 
 class TestNoisyAcceptanceOperator:
@@ -186,7 +186,7 @@ class TestNoisyAcceptanceOperator:
         noise = NoiseModel.depolarizing(0.15, 2, readout_error=0.03)
         protocol = self._small_protocol(noise)
         inputs = ("1", "0")
-        operator = protocol.noisy_acceptance_operator(inputs)
+        operator = protocol.acceptance_operator(inputs)
         registers = protocol.proof_registers()
         total = 2 ** len(registers)
         assert operator.shape == (total, total)
@@ -211,19 +211,89 @@ class TestNoisyAcceptanceOperator:
             via_operator = float(np.real(joint.conj() @ operator @ joint))
             np.testing.assert_allclose(via_operator, via_engine, atol=1e-9)
 
+    @given(
+        path_length=st.integers(2, 4),
+        link=st.sampled_from((None,) + tuple(CHANNEL_FAMILIES)),
+        link_strength=st.floats(0.0, 1.0),
+        node=st.sampled_from((None,) + tuple(CHANNEL_FAMILIES)),
+        node_strength=st.floats(0.0, 1.0),
+        readout_error=st.floats(0.0, 0.1),
+        inputs=st.tuples(st.sampled_from("01"), st.sampled_from("01")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_operator_matches_engine_on_haar_random_product_proofs(
+        self, path_length, link, link_strength, node, node_strength, readout_error, inputs, seed
+    ):
+        noise = NoiseModel(
+            link=None if link is None else channel_family(link)(link_strength, 2),
+            node=None if node is None else channel_family(node)(node_strength, 2),
+            readout_error=readout_error,
+        )
+        protocol = EqualityPathProtocol.on_path(
+            1, path_length, small_fingerprints(1), noise=noise
+        ).use_engine(Engine(backend=TransferMatrixBackend(dtype="complex128")))
+        generator = np.random.default_rng(seed)
+        registers = protocol.proof_registers()
+        proof = ProductProof(
+            {register.name: haar_random_state(2, generator) for register in registers}
+        )
+        joint = np.array([1.0 + 0.0j])
+        for register in registers:
+            joint = np.kron(joint, proof.state(register.name))
+        via_operator = np.real(np.vdot(joint, protocol.acceptance_operator(inputs) @ joint))
+        via_engine = protocol.acceptance_probability(inputs, proof)
+        assert abs(via_operator - via_engine) <= 1e-12
+
+    def test_report_reads_every_quantity_from_the_noisy_protocol(self):
+        noise = NoiseModel.depolarizing(0.15, 2, readout_error=0.03)
+        inputs = ("1", "0")
+        built = self._small_protocol(noise)
+        report = entangled_soundness_report(built, inputs, run_seesaw=True, rng=5)
+        optimum = built.optimal_cheating_probability(inputs)
+        # The noisy optimum, well below the clean protocol's 0.6545.
+        assert optimum == pytest.approx(0.5466, abs=1e-4)
+        assert abs(report.optimal_entangled_acceptance - optimum) <= 1e-12
+        # No cheat the report claims beats what the noisy protocol allows.
+        assert report.best_found_acceptance <= optimum + 1e-9
+        sibling = self._small_protocol(None).with_noise(noise)
+        assert entangled_soundness_report(sibling, inputs, run_seesaw=True, rng=5) == report
+
+    @pytest.mark.parametrize("order", [("clean", "noisy"), ("noisy", "clean")], ids="-".join)
+    def test_siblings_sharing_an_engine_keep_their_cache_entries_apart(self, order):
+        # A clean protocol and its with_noise sibling share one engine and its
+        # operator cache; only the noise key in the cache key tells them apart.
+        noise = NoiseModel.depolarizing(0.15, 2, readout_error=0.03)
+        inputs = ("1", "0")
+        expected = {}
+        for label, model in (("clean", None), ("noisy", noise)):
+            alone = self._small_protocol(model).use_engine(Engine(backend=TransferMatrixBackend()))
+            expected[label] = (
+                alone.acceptance_operator(inputs),
+                alone.optimal_cheating_probability(inputs),
+            )
+        assert expected["clean"][1] == pytest.approx(0.6545, abs=1e-4)
+        assert expected["noisy"][1] == pytest.approx(0.5466, abs=1e-4)
+        clean = self._small_protocol(None).use_engine(Engine(backend=TransferMatrixBackend()))
+        siblings = {"clean": clean, "noisy": clean.with_noise(noise)}
+        assert siblings["noisy"].engine is clean.engine
+        for label in order:
+            operator, optimum = expected[label]
+            np.testing.assert_array_equal(siblings[label].acceptance_operator(inputs), operator)
+            assert siblings[label].optimal_cheating_probability(inputs) == optimum
+
     def test_noiseless_annotation_falls_back_to_pure_operator(self):
-        protocol = self._small_protocol(None)
         inputs = ("1", "0")
         np.testing.assert_allclose(
-            protocol.noisy_acceptance_operator(inputs),
-            protocol.acceptance_operator(inputs),
+            self._small_protocol(NoiseModel()).acceptance_operator(inputs),
+            self._small_protocol(None).acceptance_operator(inputs),
             atol=1e-12,
         )
 
     def test_entangled_report_is_self_consistent_under_noise(self):
         noise = NoiseModel.depolarizing(0.15, 2, readout_error=0.03)
         report = entangled_soundness_report(
-            self._small_protocol(None), ("1", "0"), noise=noise, run_seesaw=True, rng=5
+            self._small_protocol(None).with_noise(noise), ("1", "0"), run_seesaw=True, rng=5
         )
         assert report.optimal_entangled_acceptance is not None
         # The entangled optimum dominates every product strategy found.
@@ -240,10 +310,8 @@ class TestNoisyAcceptanceOperator:
         # r = 7 has a 4096-dimensional proof space: the dense builder refuses
         # it, the protocol's matrix-free optimum does not, and the seesaw
         # (which needs the dense operator) is skipped.
-        protocol = EqualityPathProtocol.on_path(1, 7, small_fingerprints(1))
-        report = entangled_soundness_report(
-            protocol, ("1", "0"), noise=noise, run_seesaw=True, rng=0
-        )
+        protocol = EqualityPathProtocol.on_path(1, 7, small_fingerprints(1), noise=noise)
+        report = entangled_soundness_report(protocol, ("1", "0"), run_seesaw=True, rng=0)
         assert report.optimal_entangled_acceptance is not None
         assert report.optimal_entangled_acceptance >= report.best_found_acceptance - 1e-9
         assert report.best_strategy != "seesaw"
@@ -293,7 +361,7 @@ class TestPickleStability:
 
     def test_strategy_search_result_roundtrip(self):
         result = fingerprint_strategy_soundness(
-            _path_protocol(), NO_INSTANCE, noise=_model("depolarizing")
+            _path_protocol(_model("depolarizing")), NO_INSTANCE
         )
         restored = pickle.loads(pickle.dumps(result))
         assert restored.best_strategy == result.best_strategy
@@ -301,13 +369,13 @@ class TestPickleStability:
         assert restored.num_assignments == result.num_assignments
         # Re-running the identical search pickles to the identical bytes.
         rerun = fingerprint_strategy_soundness(
-            _path_protocol(), NO_INSTANCE, noise=_model("depolarizing")
+            _path_protocol(_model("depolarizing")), NO_INSTANCE
         )
         assert pickle.dumps(rerun) == pickle.dumps(result)
 
     def test_soundness_report_roundtrip(self):
         report = entangled_soundness_report(
-            _path_protocol(), NO_INSTANCE, noise=_model("dephasing")
+            _path_protocol(_model("dephasing")), NO_INSTANCE
         )
         restored = pickle.loads(pickle.dumps(report))
         assert restored == report
@@ -356,13 +424,17 @@ def _lattice_noise(family, strength):
 def _lattice_searches(protocol_type, engine):
     results = []
     for path_length, point in LATTICE:
-        protocol = protocol_type.on_path(2, path_length, LATTICE_FINGERPRINTS)
+        protocol = protocol_type.on_path(
+            2,
+            path_length,
+            LATTICE_FINGERPRINTS,
+            noise=None if point is None else _lattice_noise(*point),
+        )
         results.append(
             fingerprint_strategy_soundness(
                 protocol.use_engine(engine),
                 LATTICE_INPUTS,
                 candidate_strings=LATTICE_CANDIDATES,
-                noise=None if point is None else _lattice_noise(*point),
             )
         )
     return results
@@ -400,13 +472,14 @@ class TestStrategyTableRoute:
     @staticmethod
     def _mock_search(path_length, batch_size):
         backend = MockDeviceTransferMatrixBackend()
-        protocol = EqualityPathProtocol.on_path(2, path_length, LATTICE_FINGERPRINTS)
+        protocol = EqualityPathProtocol.on_path(
+            2, path_length, LATTICE_FINGERPRINTS, noise=_lattice_noise("depolarizing", 0.15)
+        )
         result = fingerprint_strategy_soundness(
             protocol.use_engine(Engine(backend=backend)),
             LATTICE_INPUTS,
             candidate_strings=LATTICE_CANDIDATES,
             batch_size=batch_size,
-            noise=_lattice_noise("depolarizing", 0.15),
         )
         chunks = -(-(result.num_assignments + 1) // batch_size)
         return backend.xp, chunks

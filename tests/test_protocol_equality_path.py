@@ -120,10 +120,10 @@ class TestMatrixFreeOptimum:
         )
         protocol = EqualityPathProtocol.on_path(1, path_length, small_fingerprints(), noise=noise)
         assert protocol._chain_noise.right_channel is not None
-        dense = optimal_entangled_acceptance(protocol.noisy_acceptance_operator(("0", "1")))
-        optimal = protocol.noisy_optimal_cheating_probability(("0", "1"))
+        dense = optimal_entangled_acceptance(protocol.acceptance_operator(("0", "1")))
+        optimal = protocol.optimal_cheating_probability(("0", "1"))
         assert abs(optimal - dense) <= 1e-12
-        assert optimal < protocol.optimal_cheating_probability(("1", "1"))
+        assert optimal < protocol.with_noise(None).optimal_cheating_probability(("1", "1"))
 
     def test_optimum_past_the_dense_guard(self):
         protocol = EqualityPathProtocol.on_path(1, 7, small_fingerprints())  # N = 4096

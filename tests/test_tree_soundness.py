@@ -139,10 +139,10 @@ class _RecordingEngine(Engine):
 
 def _search(factory, noise, engine, per_proof=False, batch_size=256):
     protocol = factory(per_proof).use_engine(engine)
+    if noise is not None:
+        protocol = protocol.with_noise(noise)
     inputs = _no_instance(protocol.network.num_terminals)
-    return fingerprint_strategy_soundness(
-        protocol, inputs, noise=noise, batch_size=batch_size
-    )
+    return fingerprint_strategy_soundness(protocol, inputs, batch_size=batch_size)
 
 
 @pytest.mark.parametrize("label, factory, noise", LATTICE, ids=[point[0] for point in LATTICE])
