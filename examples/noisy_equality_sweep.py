@@ -4,7 +4,7 @@ This example shows the full noise pipeline on the Algorithm 3 equality
 protocol:
 
 1. build Kraus channels and wrap them in a :class:`NoiseModel`,
-2. instantiate one protocol per noise strength,
+2. build one protocol and take its ``with_noise`` sibling per noise strength,
 3. evaluate *every* sweep point in a single batched engine call
    (noisy jobs group by structure, not channel strength), and
 4. read off how completeness and the yes/no decision gap degrade.
@@ -39,13 +39,15 @@ def main() -> None:
     fingerprints = ExactCodeFingerprint(input_length=3, rng=7)
     strengths = np.linspace(0.0, 0.5, 11)
 
+    # One clean protocol, then one sibling per strength: `with_noise` shares
+    # the layout and maps only the model, and every sibling's honest program
+    # reuses the clean one the engine compiled once, with its own channels.
+    engine = Engine()  # the default batched transfer-matrix backend
+    base = EqualityPathProtocol.on_path(
+        input_length=3, path_length=4, fingerprints=fingerprints
+    ).use_engine(engine)
     protocols = [
-        EqualityPathProtocol.on_path(
-            input_length=3,
-            path_length=4,
-            fingerprints=fingerprints,
-            noise=NoiseModel.uniform_link(depolarizing_channel(p, fingerprints.dim)),
-        )
+        base.with_noise(NoiseModel.uniform_link(depolarizing_channel(p, fingerprints.dim)))
         for p in strengths
     ]
 
@@ -59,10 +61,8 @@ def main() -> None:
     yes_instance = ("101", "101")  # equal inputs: ideal completeness is 1
     no_instance = ("101", "110")  # unequal inputs: the honest prover still tries
 
-    engine = Engine()  # the default batched transfer-matrix backend
     programs = []
     for protocol in protocols:
-        protocol.use_engine(engine)
         programs.append(protocol.acceptance_program(yes_instance))
         programs.append(protocol.acceptance_program(no_instance))
 

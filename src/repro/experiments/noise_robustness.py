@@ -9,11 +9,14 @@ yes-instance (the completeness) and a no-instance (the honest-prover
 acceptance on unequal inputs), reporting the *decision gap* between the two
 — the margin a verifier retains for telling the cases apart.
 
-Every point of a sweep compiles to an engine program whose jobs carry that
-point's channel annotations; all points are evaluated through **one** batched
-engine call (noisy jobs group by structure, not by channel strength), so a
-256-point sweep costs a handful of stacked density contractions — the
-workload benchmarked in ``benchmarks/bench_engine.py``.
+Each sweep builds one clean protocol and takes its ``with_noise`` sibling
+per strength: siblings share the layout, and their honest programs share one
+clean template per instance in the engine cache, so a point costs one noise
+mapping and one annotated copy of the template, not a protocol build and a
+compile.  All points are evaluated through **one** batched engine call (noisy
+jobs group by structure, not by channel strength), so a 256-point sweep costs
+a handful of stacked density contractions — the workload benchmarked in
+``benchmarks/bench_engine.py`` and ``perfbench/``.
 
 Three protocol families are registered as runner scenarios
 (``noise-robustness-path`` / ``-tree`` / ``-relay``), plus a channel-family
@@ -22,15 +25,15 @@ comparison at fixed strength (``noise-channels``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.engine.core import default_engine
 from repro.exceptions import ProtocolError
 from repro.experiments.records import ExperimentRow
+from repro.experiments.tree_soundness import no_instance
 from repro.network.topology import star_network
-from repro.protocols.base import DQMAProtocol
 from repro.protocols.equality import EqualityPathProtocol, EqualityTreeProtocol
 from repro.protocols.relay import RelayEqualityProtocol
 from repro.quantum.channels import NoiseModel, channel_family
@@ -62,22 +65,32 @@ def default_channel_names() -> List[str]:
 
 def _sweep_rows(
     experiment: str,
-    protocols: Sequence[DQMAProtocol],
+    base: Union[EqualityPathProtocol, EqualityTreeProtocol, RelayEqualityProtocol],
+    channel: str,
     strengths: Sequence[float],
+    readout_error: float,
     yes_inputs: Sequence[str],
     no_inputs: Sequence[str],
 ) -> List[ExperimentRow]:
     """Evaluate completeness and no-instance acceptance for every noise point.
 
-    All programs (every strength, both instances) are compiled first and
-    handed to the engine in a single ``evaluate_programs`` batch.  The sweep
-    runs on the process-wide default engine, so pool workers evaluating many
-    chunks reuse one operator cache instead of rebuilding it per chunk.
+    Every strength evaluates ``base.with_noise`` of a uniform link model of
+    that strength, so the sweep compiles each instance once: the engine
+    caches the clean honest template, and each point attaches its annotation
+    to it.  All programs (every strength, both instances) are handed to the
+    engine in a single ``evaluate_programs`` batch, on the process-wide
+    default engine, so pool workers evaluating many chunks of a sweep share
+    its two templates instead of compiling them per chunk.
     """
     engine = default_engine()
+    base.use_engine(engine)
+    build = channel_family(channel)
+    dim = base.fingerprints.dim
     programs = []
-    for protocol in protocols:
-        protocol.use_engine(engine)
+    for strength in strengths:
+        protocol = base.with_noise(
+            NoiseModel.uniform_link(build(strength, dim), readout_error)
+        )
         for inputs in (yes_inputs, no_inputs):
             program = protocol.acceptance_program(inputs)
             if program is None:
@@ -115,23 +128,13 @@ def path_noise_sweep(
     readout_error: float = 0.0,
 ) -> List[ExperimentRow]:
     """Algorithm 3 equality on a path under uniform link noise."""
-    fingerprints = ExactCodeFingerprint(input_length, rng=7)
-    build = channel_family(channel)
-    protocols = [
-        EqualityPathProtocol.on_path(
-            input_length,
-            path_length,
-            fingerprints,
-            noise=NoiseModel.uniform_link(
-                build(strength, fingerprints.dim), readout_error
-            ),
-        )
-        for strength in strengths
-    ]
+    base = EqualityPathProtocol.on_path(
+        input_length, path_length, ExactCodeFingerprint(input_length, rng=7)
+    )
     yes = "1" * input_length
     no = "0" + "1" * (input_length - 1)
     return _sweep_rows(
-        "noise-path", protocols, strengths, (yes, yes), (yes, no)
+        "noise-path", base, channel, strengths, readout_error, (yes, yes), (yes, no)
     )
 
 
@@ -143,25 +146,13 @@ def tree_noise_sweep(
     readout_error: float = 0.0,
 ) -> List[ExperimentRow]:
     """Algorithm 5 equality on a star network under uniform link noise."""
-    fingerprints = ExactCodeFingerprint(input_length, rng=7)
-    build = channel_family(channel)
-    network = star_network(num_terminals)
-    protocols = [
-        EqualityTreeProtocol(
-            network,
-            fingerprints,
-            noise=NoiseModel.uniform_link(
-                build(strength, fingerprints.dim), readout_error
-            ),
-        )
-        for strength in strengths
-    ]
-    yes = "1" * input_length
-    no = "0" + "1" * (input_length - 1)
-    yes_inputs = tuple([yes] * num_terminals)
-    no_inputs = tuple([yes] * (num_terminals - 1) + [no])
+    no_inputs = no_instance(input_length, num_terminals)
+    yes_inputs = ("1" * input_length,) * num_terminals
+    base = EqualityTreeProtocol(
+        star_network(num_terminals), ExactCodeFingerprint(input_length, rng=7)
+    )
     return _sweep_rows(
-        "noise-tree", protocols, strengths, yes_inputs, no_inputs
+        "noise-tree", base, channel, strengths, readout_error, yes_inputs, no_inputs
     )
 
 
@@ -174,25 +165,17 @@ def relay_noise_sweep(
     readout_error: float = 0.0,
 ) -> List[ExperimentRow]:
     """Algorithm 6 relay equality under uniform link noise on its fingerprint legs."""
-    fingerprints = ExactCodeFingerprint(input_length, rng=7)
-    build = channel_family(channel)
-    protocols = [
-        RelayEqualityProtocol.on_path(
-            input_length,
-            path_length,
-            relay_spacing=2,
-            segment_repetitions=segment_repetitions,
-            fingerprints=fingerprints,
-            noise=NoiseModel.uniform_link(
-                build(strength, fingerprints.dim), readout_error
-            ),
-        )
-        for strength in strengths
-    ]
+    base = RelayEqualityProtocol.on_path(
+        input_length,
+        path_length,
+        relay_spacing=2,
+        segment_repetitions=segment_repetitions,
+        fingerprints=ExactCodeFingerprint(input_length, rng=7),
+    )
     yes = "1" * input_length
     no = "0" + "1" * (input_length - 1)
     return _sweep_rows(
-        "noise-relay", protocols, strengths, (yes, yes), (yes, no)
+        "noise-relay", base, channel, strengths, readout_error, (yes, yes), (yes, no)
     )
 
 

@@ -106,9 +106,9 @@ def _search_point(
 ) -> dict:
     """One sweep point: honest acceptance and best structured cheat under noise.
 
-    The clean protocol is rebuilt once as its noisy sibling, which the search
-    and the honest evaluations share, so every strategy batch lands on the
-    density-matrix contraction path of the active backend.
+    The search and the honest evaluations share the clean protocol's noisy
+    sibling (its layout, with only the noise mapped), so every strategy
+    batch lands on the density-matrix contraction path of the active backend.
     """
     noisy = protocol.use_engine(engine).with_noise(noise)
     search = fingerprint_strategy_soundness(
@@ -141,12 +141,12 @@ def channel_family_soundness_sweep(
     engine = default_engine()
     fingerprints = ExactCodeFingerprint(input_length, rng=7)
     inputs = _no_instance(input_length)
+    protocol = EqualityPathProtocol.on_path(input_length, path_length, fingerprints)
     rows = []
     for channel, strength in points:
         noise = NoiseModel.uniform_link(
             channel_family(channel)(float(strength), fingerprints.dim), readout_error
         )
-        protocol = EqualityPathProtocol.on_path(input_length, path_length, fingerprints)
         values = _search_point(protocol, inputs, noise, engine)
         values.update({"channel": channel, "noise": float(strength)})
         rows.append(
@@ -229,13 +229,13 @@ def gap_collapse_sweep(
     fingerprints = ExactCodeFingerprint(input_length, rng=7)
     inputs = _no_instance(input_length)
     build = channel_family(channel)
+    protocol = EqualityPathProtocol.on_path(input_length, path_length, fingerprints)
+    bound = 1.0 - protocol.single_shot_soundness_gap()
     rows = []
     for strength in strengths:
         noise = NoiseModel.uniform_link(
             build(float(strength), fingerprints.dim), readout_error
         )
-        protocol = EqualityPathProtocol.on_path(input_length, path_length, fingerprints)
-        bound = 1.0 - protocol.single_shot_soundness_gap()
         values = _search_point(protocol, inputs, noise, engine)
         best = values["best_found_acceptance"]
         values.update(

@@ -24,6 +24,7 @@ from repro.analysis.soundness import fingerprint_strategy_soundness, paper_bound
 from repro.engine.core import default_engine
 from repro.exceptions import ProtocolError, TopologyError
 from repro.experiments.records import ExperimentRow
+from repro.experiments.tree_soundness import no_instance
 from repro.network.topology import (
     Network,
     cycle_network,
@@ -97,12 +98,6 @@ def build_topology(descriptor: TopologyDescriptor, num_terminals: int) -> Networ
     raise TopologyError(f"unknown topology kind {kind!r}")
 
 
-def _no_instance(input_length: int, num_terminals: int) -> Tuple[str, ...]:
-    yes = "1" * input_length
-    divergent = "0" + "1" * (input_length - 1)
-    return tuple([yes] * (num_terminals - 1) + [divergent])
-
-
 def topology_soundness_sweep(
     input_length: int = 2,
     num_terminals: int = 3,
@@ -117,10 +112,10 @@ def topology_soundness_sweep(
     best cheat, so ``respects_bound = True`` is not a certificate; only
     ``False`` is conclusive.
     """
+    inputs = no_instance(input_length, num_terminals)
     if topologies is None:
         topologies = default_soundness_topologies()
     fingerprints = ExactCodeFingerprint(input_length, rng=5)
-    inputs = _no_instance(input_length, num_terminals)
     rows: List[ExperimentRow] = []
     for descriptor in topologies:
         network = build_topology(descriptor, num_terminals)
@@ -162,14 +157,13 @@ def topology_noise_sweep(
     through one batched engine call (heterogeneous tree shapes simply land
     in separate contraction groups).
     """
+    no_inputs = no_instance(input_length, num_terminals)
+    yes_inputs = ("1" * input_length,) * num_terminals
     if topologies is None:
         topologies = default_noise_topologies()
     fingerprints = ExactCodeFingerprint(input_length, rng=7)
     build = channel_family(channel)
     noise = NoiseModel.uniform_link(build(strength, fingerprints.dim), readout_error)
-    yes = "1" * input_length
-    yes_inputs = tuple([yes] * num_terminals)
-    no_inputs = _no_instance(input_length, num_terminals)
 
     engine = default_engine()
     programs = []

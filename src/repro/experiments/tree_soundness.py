@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.analysis.soundness import fingerprint_strategy_soundness, paper_bound_slack
 from repro.comm.one_way import FingerprintEqualityOneWay
 from repro.comm.problems import EqualityProblem
+from repro.exceptions import ProtocolError
 from repro.experiments.records import ExperimentRow
 from repro.network.topology import (
     Network,
@@ -49,7 +50,19 @@ def network_zoo(num_terminals: int = 3) -> List[Tuple[str, Network]]:
     ]
 
 
-def _no_instance(input_length: int, num_terminals: int) -> Tuple[str, ...]:
+def no_instance(input_length: int, num_terminals: int) -> Tuple[str, ...]:
+    """The multi-terminal sweeps' no-instance of ``EQ``: one terminal diverges.
+
+    Every terminal holds ``1^n`` but the last, which holds ``0 1^(n-1)``.
+    Raises :class:`~repro.exceptions.ProtocolError` for fewer than two
+    terminals: a single input is always equal to itself, so there is no
+    no-instance, and a soundness or gap row on one would report the yes
+    case as a cheat (the sweeps call this before any other work).
+    """
+    if num_terminals < 2:
+        raise ProtocolError(
+            f"an EQ no-instance needs at least two terminals, got {num_terminals}"
+        )
     yes = "1" * input_length
     divergent = "0" + "1" * (input_length - 1)
     return tuple([yes] * (num_terminals - 1) + [divergent])
@@ -58,8 +71,7 @@ def _no_instance(input_length: int, num_terminals: int) -> Tuple[str, ...]:
 def _strategy_sweep(
     tag: str,
     protocol_factory,
-    input_length: int,
-    num_terminals: int,
+    inputs: Tuple[str, ...],
     networks: Optional[Sequence[Tuple[str, Network]]],
 ) -> List[ExperimentRow]:
     """Shared sweep body: one batched strategy search per network family.
@@ -67,9 +79,8 @@ def _strategy_sweep(
     ``best_found_acceptance`` is a lower bound on the best cheat, so
     ``respects_bound = True`` is not a certificate (see the module docstring).
     """
-    inputs = _no_instance(input_length, num_terminals)
     rows: List[ExperimentRow] = []
-    for name, network in networks if networks is not None else network_zoo(num_terminals):
+    for name, network in networks if networks is not None else network_zoo(len(inputs)):
         protocol = protocol_factory(network)
         honest = protocol.acceptance_probability(inputs)
         search = fingerprint_strategy_soundness(protocol, inputs)
@@ -101,12 +112,12 @@ def tree_soundness_sweep(
     ``best_found_acceptance`` is a structured-search lower bound on the best
     cheat; ``respects_bound = True`` is not a certificate.
     """
+    inputs = no_instance(input_length, num_terminals)
     fingerprints = ExactCodeFingerprint(input_length, rng=5)
     return _strategy_sweep(
         "soundness-tree",
         lambda network: EqualityTreeProtocol(network, fingerprints),
-        input_length,
-        num_terminals,
+        inputs,
         networks,
     )
 
@@ -121,13 +132,13 @@ def one_way_tree_soundness_sweep(
     ``best_found_acceptance`` is a structured-search lower bound on the best
     cheat; ``respects_bound = True`` is not a certificate.
     """
+    inputs = no_instance(input_length, num_terminals)
     one_way = FingerprintEqualityOneWay(ExactCodeFingerprint(input_length, rng=6))
     return _strategy_sweep(
         "soundness-one-way-tree",
         lambda network: forall_pairs_protocol(
             EqualityProblem(input_length), one_way, num_terminals, network=network
         ),
-        input_length,
-        num_terminals,
+        inputs,
         networks,
     )

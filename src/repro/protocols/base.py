@@ -16,18 +16,20 @@ The central abstractions are
     the repeated protocol accepts iff it accepts in every copy.
 
 Noise-capable protocols (equality on paths and trees, the relay protocol)
-additionally accept a :class:`~repro.quantum.channels.NoiseModel` and
-translate it into engine-level channel annotations when compiling their
-acceptance programs; the base class needs no noise hooks because the
-annotations live on the compiled jobs.
+additionally accept a :class:`~repro.quantum.channels.NoiseModel`, map it
+onto their layout as engine-level channel annotations, and attach those to
+the jobs of their acceptance programs (:func:`annotated_program` for the
+cached clean honest programs); the base class needs no noise hooks because
+the annotations live on the compiled jobs.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from dataclasses import replace as dataclass_replace
 from math import ceil, log2
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -103,6 +105,32 @@ def template_strategy_batch(
     columns = np.array([column[row_registers[row][0]] for row in rows], dtype=np.intp)
     return TreeStrategyBatch(
         template, table, register_rows[:, columns], np.array(rows, dtype=np.intp)
+    )
+
+
+Program = TypeVar("Program", bound=TreeProgram)
+
+
+def annotated_program(program: Program, noises: Sequence[Any]) -> Program:
+    """``program`` with job ``i`` carrying the channel annotation ``noises[i]``.
+
+    Each entry is ``None`` or an annotation of its job's family (a
+    :class:`~repro.engine.jobs.ChainNoise` or a
+    :class:`~repro.engine.jobs.TreeNoise`), already validated against the
+    job's layout.  ``with_noise`` siblings share one clean honest program
+    per layout and inputs (cached on the engine) and attach their own
+    annotations here, so the engine receives the jobs a noisy compile would
+    build, with the same arrays.  Returns ``program`` itself when every
+    entry is ``None``.
+    """
+    if all(noise is None for noise in noises):
+        return program
+    return type(program)(
+        jobs=tuple(
+            job if noise is None else dataclass_replace(job, noise=noise)
+            for job, noise in zip(program.jobs, noises)
+        ),
+        terms=program.terms,
     )
 
 
@@ -226,10 +254,11 @@ class DQMAProtocol(ABC):
     def with_noise(self, noise) -> "DQMAProtocol":
         """A sibling protocol evaluating under the given noise model.
 
-        Noise-capable protocols override this to rebuild themselves with the
-        model mapped onto their network (sharing the injected engine); the
-        noisy-soundness analyses rely on it to move strategy batches onto the
-        engine's density-matrix path.
+        Noise-capable protocols override this to return a sibling that
+        shares their layout and injected engine and maps only the model onto
+        the network; the noise sweeps and the noisy-soundness analyses rely
+        on it to move honest programs and strategy batches onto the engine's
+        density-matrix path.
         """
         raise ProtocolError(
             f"{type(self).__name__} does not support noise models; "

@@ -22,6 +22,7 @@ matrix-free chain sweep on larger ones.
 
 from __future__ import annotations
 
+from copy import copy as shallow_copy
 from dataclasses import replace as dataclass_replace
 from itertools import product as iter_product
 from math import ceil
@@ -38,6 +39,7 @@ from repro.protocols.base import (
     ProductProof,
     ProofRegister,
     RepeatedProtocol,
+    annotated_program,
     soundness_repetitions,
     template_strategy_batch,
 )
@@ -53,6 +55,7 @@ from repro.engine import (
     ChainStrategyBatch,
     TreeJob,
     TreeJobBuilder,
+    TreeNoise,
     TreeProgram,
     TreeStrategyBatch,
 )
@@ -103,6 +106,36 @@ def path_chain_noise(
     return annotation
 
 
+def verification_tree_noise(
+    noise: Optional[NoiseModel], tree: VerificationTree, order: Sequence[NodeId]
+) -> Optional[TreeNoise]:
+    """``noise`` mapped onto the tree job compiled in ``order`` (``None`` for no noise).
+
+    Job node ``i`` is tree node ``order[i]``.  It picks up its physical
+    node's delivery/preparation channel and, when its parent sits on another
+    physical node, the link channel toward that parent (shadow leaves stay
+    inside their physical node); every test carries the readout error.  An
+    annotation with no channel and perfect readout is ``None``, like a job
+    built without one.
+    """
+    if noise is None or noise.is_trivial:
+        return None
+    up_channels = []
+    node_channels = []
+    for node in order:
+        physical = tree.shadow_of.get(node, node)
+        parent = tree.parent(node)
+        up_channel = None
+        if parent is not None:
+            parent_physical = tree.shadow_of.get(parent, parent)
+            if parent_physical != physical:
+                up_channel = noise.link_channel(physical, parent_physical)
+        up_channels.append(up_channel)
+        node_channels.append(noise.node_channel(physical))
+    annotation = TreeNoise(tuple(up_channels), tuple(node_channels), noise.readout_error)
+    return None if annotation.is_trivial else annotation
+
+
 class EqualityPathProtocol(DQMAProtocol):
     """Algorithm 3: the single-shot dQMA protocol ``P_pi`` for ``EQ`` on a path.
 
@@ -127,10 +160,7 @@ class EqualityPathProtocol(DQMAProtocol):
         self.fingerprints = fingerprints
         self.path_nodes = _ordered_path_nodes(network)
         self.path_length = len(self.path_nodes) - 1
-        self.noise = noise
-        self._chain_noise = path_chain_noise(
-            noise, self.path_nodes, fingerprints.dim, RIGHT_PROJECTOR
-        )
+        self._map_noise(noise)
 
     # -- layout --------------------------------------------------------------
 
@@ -148,19 +178,25 @@ class EqualityPathProtocol(DQMAProtocol):
         return cls(path_network(path_length), fingerprints, noise=noise)
 
     def with_noise(self, noise: Optional[NoiseModel]) -> "EqualityPathProtocol":
-        """A sibling protocol with ``noise`` mapped onto this path (engine shared).
+        """A sibling protocol with ``noise`` mapped onto this path.
 
-        The noisy-soundness analyses use this to re-evaluate an existing
-        protocol's strategy batches on the engine's density-matrix path
-        without re-deriving the layout; ``with_noise(None)`` is the ideal
-        protocol.  The sibling's operator cache entries stay apart from this
-        protocol's because every cache key carries :attr:`_noise_key`.
+        The sibling shares this protocol's network, problem, fingerprints,
+        engine and path nodes; only the chain annotation is re-derived, so a
+        noise sweep costs one mapping per strength, not a rebuild.  Its honest
+        programs attach that annotation to the clean template every protocol
+        on this layout shares in the engine cache.  ``with_noise(None)`` is
+        the ideal protocol.  The operator cache entries of siblings stay apart
+        because their keys carry :attr:`_noise_key`.
         """
-        sibling = type(self)(
-            self.network, self.fingerprints, problem=self.problem, noise=noise
-        )
-        sibling._engine = self._engine
+        sibling = shallow_copy(self)
+        sibling._map_noise(noise)
         return sibling
+
+    def _map_noise(self, noise: Optional[NoiseModel]) -> None:
+        self.noise = noise
+        self._chain_noise = path_chain_noise(
+            noise, self.path_nodes, self.fingerprints.dim, RIGHT_PROJECTOR
+        )
 
     @property
     def _noise_key(self):
@@ -215,28 +251,26 @@ class EqualityPathProtocol(DQMAProtocol):
         # array, skipping the ProductProof round-trip entirely.  The right end
         # is the rank-one fingerprint measurement |h_y><h_y|, carried as its
         # defining vector so backends fold it into the chain contraction.
+        # The job is clean: siblings attach their own annotation to it.
         fingerprint = self.fingerprints.state(x)
         pairs = np.broadcast_to(fingerprint, (self.path_length - 1, 2, fingerprint.size))
         return ChainJob.from_arrays(
-            fingerprint,
-            pairs,
-            self.fingerprints.state(y),
-            right_kind=RIGHT_PROJECTOR,
-            noise=self._chain_noise,
+            fingerprint, pairs, self.fingerprints.state(y), right_kind=RIGHT_PROJECTOR
         )
 
     def _acceptance_program(
         self, inputs: Sequence[str], proof: Optional[ProductProof]
     ) -> ChainProgram:
         if proof is None:
-            # Key on the raw input tuple: a hit implies an identical tuple was
-            # validated when the program was first built.
+            # The clean template is keyed by value and without the noise, so
+            # every sibling on this layout shares it.  Key on the raw input
+            # tuple: a hit implies an identical tuple was validated when the
+            # program was first built.
             cache = self.engine.cache
             key = (
                 "eq-honest-program",
                 self.fingerprints.cache_token,
                 self.path_length,
-                self._noise_key,
                 tuple(inputs),
             )
             program = cache.get(key)
@@ -245,7 +279,7 @@ class EqualityPathProtocol(DQMAProtocol):
                 program = cache.put(
                     key, ChainProgram.single(self._honest_job(inputs[0], inputs[1]))
                 )
-            return program
+            return annotated_program(program, (self._chain_noise,))
         else:
             inputs = self.problem.validate_inputs(inputs)
             self.validate_proof(proof)
@@ -408,16 +442,25 @@ class EqualityTreeProtocol(DQMAProtocol):
             raise ProtocolError("fingerprint scheme and problem disagree on the input length")
         super().__init__(problem, network)
         self.fingerprints = fingerprints
-        self.noise = noise
         self.tree: VerificationTree = build_verification_tree(network, root=root)
-        self._input_nodes = set(self.tree.terminal_leaves.values())
-        self._terminal_of_input_node = {
-            leaf: terminal for terminal, leaf in self.tree.terminal_leaves.items()
+        terminals = list(network.terminals)
+        self._input_index = {
+            leaf: terminals.index(terminal)
+            for terminal, leaf in self.tree.terminal_leaves.items()
         }
+        self._input_nodes = set(self._input_index)
         self._proof_nodes = [
             node for node in self.tree.nodes if node not in self._input_nodes
         ]
         self._compile_order = self.tree.topological_order()
+        position = {node: index for index, node in enumerate(self._compile_order)}
+        # The clean honest job is a function of this key, the fingerprints
+        # and the inputs: each node's parent in compile order (-1 for the
+        # root) and the input that feeds it (``None`` for proof nodes).
+        self._layout_key = tuple(
+            (position.get(self.tree.parent(node), -1), self._input_index.get(node))
+            for node in self._compile_order
+        )
         test_arities = [
             1 + len(self.tree.children(node))
             for node in self._compile_order
@@ -425,20 +468,27 @@ class EqualityTreeProtocol(DQMAProtocol):
             and not (node in self._input_nodes and node != self.tree.root)
         ]
         self._max_test_arity = max(test_arities) if test_arities else 0
+        self._map_noise(noise)
 
     # -- layout --------------------------------------------------------------
 
     def with_noise(self, noise: Optional[NoiseModel]) -> "EqualityTreeProtocol":
-        """A sibling protocol with ``noise`` on this network's verification tree."""
-        sibling = type(self)(
-            self.network,
-            self.fingerprints,
-            problem=self.problem,
-            root=self.tree.root,
-            noise=noise,
-        )
-        sibling._engine = self._engine
+        """A sibling protocol with ``noise`` on this network's verification tree.
+
+        The sibling shares this protocol's network, problem, fingerprints,
+        engine, verification tree and compile order; only the tree annotation
+        (:func:`verification_tree_noise`) is re-derived.  Its honest programs
+        attach that annotation to the clean template every protocol on this
+        layout shares in the engine cache.  ``with_noise(None)`` is the ideal
+        protocol.
+        """
+        sibling = shallow_copy(self)
+        sibling._map_noise(noise)
         return sibling
+
+    def _map_noise(self, noise: Optional[NoiseModel]) -> None:
+        self.noise = noise
+        self._tree_noise = verification_tree_noise(noise, self.tree, self._compile_order)
 
     def _register_name(self, node: NodeId, slot: int) -> str:
         return f"R[{node},{slot}]"
@@ -481,12 +531,10 @@ class EqualityTreeProtocol(DQMAProtocol):
     # -- acceptance ------------------------------------------------------------
 
     def _input_of_node(self, node: NodeId, inputs: Sequence[str]) -> str:
-        terminal = self._terminal_of_input_node[node]
-        terminal_index = list(self.network.terminals).index(terminal)
-        return inputs[terminal_index]
+        return inputs[self._input_index[node]]
 
     def _compile_tree_job(
-        self, inputs: Sequence[str], register_state
+        self, inputs: Sequence[str], register_state, noise: Optional[TreeNoise] = None
     ) -> Tuple[TreeJob, Dict[int, Tuple[str, ...]]]:
         """Compile one instance to a :class:`TreeJob` and its proof-row map.
 
@@ -497,30 +545,18 @@ class EqualityTreeProtocol(DQMAProtocol):
         as an engine job instead of a pattern enumeration.  Job node ``i``
         is tree node ``self._compile_order[i]``; the map names the proof
         register that fills each proof row of the job (a one-tuple: the
-        registers have one tensor factor).
-
-        A non-empty noise model annotates every node with its physical
-        link's channel (toward the parent — shadow leaves stay inside their
-        physical node and pick up no link noise) and its physical node's
-        delivery/preparation channel.
+        registers have one tensor factor).  ``noise`` is the job's channel
+        annotation: the protocol's own is :attr:`_tree_noise`, and ``None``
+        compiles the clean job.
         """
         builder = TreeJobBuilder()
         index_of = {}
         proof_nodes = []
         root = self.tree.root
-        noise = None if self.noise is None or self.noise.is_trivial else self.noise
         for node in self._compile_order:
             parent = self.tree.parent(node)
             parent_index = -1 if parent is None else index_of[parent]
             has_children = bool(self.tree.children(node))
-            up_channel = node_channel = None
-            if noise is not None:
-                physical = self.tree.shadow_of.get(node, node)
-                node_channel = noise.node_channel(physical)
-                if parent is not None:
-                    parent_physical = self.tree.shadow_of.get(parent, parent)
-                    if parent_physical != physical:
-                        up_channel = noise.link_channel(physical, parent_physical)
             if node in self._input_nodes:
                 tests = TEST_PERM if node == root and has_children else TEST_NONE
                 index_of[node] = builder.add_node(
@@ -528,8 +564,6 @@ class EqualityTreeProtocol(DQMAProtocol):
                     NODE_FIXED,
                     registers=(self.fingerprints.state(self._input_of_node(node, inputs)),),
                     test=tests,
-                    up_channel=up_channel,
-                    node_channel=node_channel,
                 )
             else:
                 index_of[node] = builder.add_node(
@@ -537,11 +571,9 @@ class EqualityTreeProtocol(DQMAProtocol):
                     NODE_SYM,
                     registers=(register_state(node, 0), register_state(node, 1)),
                     test=TEST_PERM if has_children else TEST_NONE,
-                    up_channel=up_channel,
-                    node_channel=node_channel,
                 )
                 proof_nodes.append(node)
-        job = builder.build(readout_error=0.0 if noise is None else noise.readout_error)
+        job = builder.build(noise=noise)
         row_registers = {
             job.slots[index_of[node]][slot]: (self._register_name(node, slot),)
             for node in proof_nodes
@@ -555,21 +587,30 @@ class EqualityTreeProtocol(DQMAProtocol):
         if self._max_test_arity > MAX_PERM_TEST_ARITY:
             return None  # oversized fan-out: fall back to the enumerated path
         if proof is None:
-            # Key on the raw input tuple: a hit implies an identical tuple was
-            # validated when the program was first built.
+            # The clean template is keyed by value and without the noise, so
+            # every sibling on this layout shares it.  Key on the raw input
+            # tuple: a hit implies an identical tuple was validated when the
+            # program was first built.
             cache = self.engine.cache
-            key = ("eq-tree-honest-program", self, tuple(inputs))
+            key = (
+                "eq-tree-honest-program",
+                self.fingerprints.cache_token,
+                self._layout_key,
+                tuple(inputs),
+            )
             program = cache.get(key)
             if program is None:
                 inputs = self.problem.validate_inputs(inputs)
                 honest = self.fingerprints.state(inputs[0])
                 job, _ = self._compile_tree_job(inputs, lambda node, slot: honest)
                 program = cache.put(key, TreeProgram.single(job))
-            return program
+            return annotated_program(program, (self._tree_noise,))
         inputs = self.problem.validate_inputs(inputs)
         self.validate_proof(proof)
         job, _ = self._compile_tree_job(
-            inputs, lambda node, slot: proof.state(self._register_name(node, slot))
+            inputs,
+            lambda node, slot: proof.state(self._register_name(node, slot)),
+            self._tree_noise,
         )
         return TreeProgram.single(job)
 
@@ -590,7 +631,9 @@ class EqualityTreeProtocol(DQMAProtocol):
             return None
         inputs = self.problem.validate_inputs(inputs)
         honest = self.fingerprints.state(inputs[0])
-        job, row_registers = self._compile_tree_job(inputs, lambda node, slot: honest)
+        job, row_registers = self._compile_tree_job(
+            inputs, lambda node, slot: honest, self._tree_noise
+        )
         return (
             template_strategy_batch(
                 job, row_registers, self.proof_registers(), table, register_rows

@@ -12,6 +12,7 @@ becomes ``~O(r n^(2/3))`` qubits versus the classical ``Omega(r n)`` bits.
 
 from __future__ import annotations
 
+from copy import copy as shallow_copy
 from itertools import product as iter_product
 from math import ceil, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -23,7 +24,7 @@ from repro.exceptions import ProtocolError
 from repro.network.spanning_tree import build_verification_tree
 from repro.network.topology import Network, NodeId, path_network
 from repro.engine import RIGHT_SWAP, ChainJob, ChainProgram
-from repro.protocols.base import DQMAProtocol, ProductProof, ProofRegister
+from repro.protocols.base import DQMAProtocol, ProductProof, ProofRegister, annotated_program
 from repro.quantum.channels import NoiseModel
 from repro.protocols.equality import _ordered_path_nodes, path_chain_noise
 from repro.quantum.fingerprint import ExactCodeFingerprint, FingerprintScheme
@@ -85,15 +86,7 @@ class RelayEqualityProtocol(DQMAProtocol):
         self.segment_repetitions = int(segment_repetitions)
         self.relay_indices = self._relay_indices()
         self.anchor_indices = [0] + self.relay_indices + [self.path_length]
-        self.noise = noise
-        # The relay registers' computational-basis measurement stays noiseless
-        # (its outcome distribution is classical); each segment's fingerprint
-        # chain picks up the model along its stretch of the path, the right
-        # anchor's preparation channel acting on the SWAP test's reference.
-        self._segment_noise = [
-            path_chain_noise(noise, path_nodes[left : right + 1], fingerprints.dim, RIGHT_SWAP)
-            for left, right in zip(self.anchor_indices, self.anchor_indices[1:])
-        ]
+        self._map_noise(noise)
 
     @classmethod
     def on_path(
@@ -117,18 +110,30 @@ class RelayEqualityProtocol(DQMAProtocol):
         )
 
     def with_noise(self, noise: Optional[NoiseModel]) -> "RelayEqualityProtocol":
-        """A sibling protocol with ``noise`` on this relay path (engine shared)."""
-        sibling = type(self)(
-            self.network,
-            self.fingerprints,
-            relay_spacing=self.relay_spacing,
-            segment_repetitions=self.segment_repetitions,
-            problem=self.problem,
-            path_nodes=list(self.path_nodes),
-            noise=noise,
-        )
-        sibling._engine = self._engine
+        """A sibling protocol with ``noise`` on this relay path.
+
+        The sibling shares this protocol's network, problem, fingerprints,
+        engine, path nodes and relay anchors; only the segment annotations
+        are re-derived.  Its honest programs attach them to the clean
+        template every protocol on this layout shares in the engine cache.
+        ``with_noise(None)`` is the ideal protocol.
+        """
+        sibling = shallow_copy(self)
+        sibling._map_noise(noise)
         return sibling
+
+    def _map_noise(self, noise: Optional[NoiseModel]) -> None:
+        # The relay registers' computational-basis measurement stays noiseless
+        # (its outcome distribution is classical); each segment's fingerprint
+        # chain picks up the model along its stretch of the path, the right
+        # anchor's preparation channel acting on the SWAP test's reference.
+        self.noise = noise
+        self._segment_noise = [
+            path_chain_noise(
+                noise, self.path_nodes[left : right + 1], self.fingerprints.dim, RIGHT_SWAP
+            )
+            for left, right in zip(self.anchor_indices, self.anchor_indices[1:])
+        ]
 
     @classmethod
     def on_tree(
@@ -261,14 +266,15 @@ class RelayEqualityProtocol(DQMAProtocol):
         inputs: Sequence[str],
         proof: ProductProof,
         terms: Iterable[Tuple[float, Sequence[str]]],
-    ) -> ChainProgram:
-        """The chain program of ``(weight, relay outcome strings)`` terms.
+    ) -> Tuple[ChainProgram, Tuple[int, ...]]:
+        """The clean chain program of ``(weight, relay outcome strings)`` terms.
 
         A term conditions on one joint relay outcome: its job tuple multiplies
         the chains of every segment and repetition copy, anchored at the
         terminals' inputs and the outcome strings.  Jobs are deduplicated
         across terms sharing anchor strings, so the backend contracts each
-        distinct chain once.
+        distinct chain once.  Returns the program with each job's segment
+        index; :meth:`_annotated` attaches the segments' noise.
         """
         segments = list(zip(self.anchor_indices, self.anchor_indices[1:]))
         copies = range(self.segment_repetitions)
@@ -284,6 +290,7 @@ class RelayEqualityProtocol(DQMAProtocol):
             for copy in copies
         }
         jobs: List[ChainJob] = []
+        job_segments: List[int] = []
         job_index: Dict[Tuple[int, int, str, str], int] = {}
         program_terms = []
         for weight, outcomes in terms:
@@ -301,12 +308,17 @@ class RelayEqualityProtocol(DQMAProtocol):
                                 segment_pairs[(segment, copy)],
                                 self.fingerprints.state(right_string),
                                 right_kind=RIGHT_SWAP,
-                                noise=self._segment_noise[segment],
                             )
                         )
+                        job_segments.append(segment)
                     indices.append(job_index[key])
             program_terms.append((weight, tuple(indices)))
-        return ChainProgram(jobs=tuple(jobs), terms=tuple(program_terms))
+        program = ChainProgram(jobs=tuple(jobs), terms=tuple(program_terms))
+        return program, tuple(job_segments)
+
+    def _annotated(self, program: ChainProgram, segments: Sequence[int]) -> ChainProgram:
+        """``program`` with every job carrying its segment's noise annotation."""
+        return annotated_program(program, [self._segment_noise[segment] for segment in segments])
 
     def _acceptance_program(
         self, inputs: Sequence[str], proof: Optional[ProductProof]
@@ -319,7 +331,31 @@ class RelayEqualityProtocol(DQMAProtocol):
         proof has a single outcome per relay), weighted by the running
         product of the relays' outcome probabilities.  Raises when the
         support is too large — use :meth:`estimate_acceptance_sampling` there.
+        The honest program's clean template is cached on the engine under
+        the layout by value, so every sibling on this layout shares it.
         """
+        if proof is None:
+            # Key on the raw input tuple: a hit implies an identical tuple was
+            # validated when the program was first built.
+            cache = self.engine.cache
+            key = (
+                "relay-honest-program",
+                self.fingerprints.cache_token,
+                self.path_length,
+                self.relay_spacing,
+                self.segment_repetitions,
+                tuple(inputs),
+            )
+            template = cache.get(key)
+            if template is None:
+                template = cache.put(key, self._enumerated_program(inputs, None))
+            return self._annotated(*template)
+        return self._annotated(*self._enumerated_program(inputs, proof))
+
+    def _enumerated_program(
+        self, inputs: Sequence[str], proof: Optional[ProductProof]
+    ) -> Tuple[ChainProgram, Tuple[int, ...]]:
+        """The clean program over the relay outcome support of ``proof`` (honest for ``None``)."""
         inputs, proof = self._inputs_and_proof(inputs, proof)
         supports = [
             [
@@ -372,7 +408,8 @@ class RelayEqualityProtocol(DQMAProtocol):
             )
             for _ in range(shots)
         ]
-        return self.engine.evaluate_program(self._chain_program(inputs, proof, samples))
+        program, segments = self._chain_program(inputs, proof, samples)
+        return self.engine.evaluate_program(self._annotated(program, segments))
 
     # -- cost accounting ----------------------------------------------------------
 
