@@ -127,9 +127,13 @@ __all__ = [
     "__version__",
 ]
 
-# Arm the runtime sanitizer when REPRO_SANITIZE is truthy (no-op otherwise).
-# Pool and subprocess workers inherit the variable through the environment,
-# so every dispatch path sanitizes itself on import.
-from repro.lint.sanitize import install_from_env as _install_sanitizer_from_env
+# Arm the runtime sanitizer when REPRO_SANITIZE is truthy; a misspelt value
+# raises.  Pool and subprocess workers inherit the variable through the
+# environment, so every dispatch path sanitizes itself on import.  The linter
+# package is imported only then, so a plain import never loads it.
+from repro.utils.env import env_bool as _env_bool
 
-_install_sanitizer_from_env()
+if _env_bool("REPRO_SANITIZE"):
+    from repro.lint.sanitize import install as _install_sanitizer
+
+    _install_sanitizer()

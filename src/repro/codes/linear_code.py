@@ -30,7 +30,14 @@ class LinearCode:
         gen = np.asarray(self.generator, dtype=np.int64) % 2
         if gen.ndim != 2 or gen.size == 0:
             raise EncodingError("generator matrix must be a non-empty 2-D array")
+        # Read-only like the dataclass itself: fingerprints key their cache
+        # tokens on a digest of this matrix taken once.
+        gen.flags.writeable = False
         object.__setattr__(self, "generator", gen)
+
+    def __reduce__(self):
+        # Unpickle through __post_init__: numpy drops the read-only flag.
+        return (type(self), (self.generator,))
 
     @property
     def message_length(self) -> int:

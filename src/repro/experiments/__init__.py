@@ -20,14 +20,15 @@ that the report generator (:mod:`repro.experiments.report`) renders and the
   path, tree and relay protocol families.
 * :mod:`repro.experiments.topologies` — soundness and noise sweeps across
   grid, ring and random-graph networks (verification-tree families).
-* :mod:`repro.experiments.runner` — the unified scenario registry and
+* :mod:`repro.experiments.runner` — the unified scenario registry, the
+  :class:`SweepSpec` grid declarations of swept scenarios, and
   :class:`ExperimentRunner` (optional sharded process-pool parallelism) that
   the report generator and the benchmark harness route through.
-* :mod:`repro.experiments.sweep` — the sweep-sharding layer:
-  :class:`SweepSpec` grid declarations, chunk planning, per-worker engine
-  reuse, merged cache statistics, and ``PoolRun``, the one pooled dispatch
-  core (launcher, operator pack, planning, draining, cost book) behind the
-  runner's pooled/async paths and :func:`run_sweep_sharded`.
+* :mod:`repro.experiments.sweep` — the sweep-sharding layer: chunk
+  planning, per-worker engine reuse, merged cache statistics, and
+  ``PoolRun``, the one pooled dispatch core (launcher, operator pack,
+  planning, draining, cost book) behind the runner's pooled/async paths and
+  ``run_sweep_sharded``.
 * :mod:`repro.experiments.streaming` — streaming chunk consumption:
   per-chunk progress events, chunk-level failure isolation and fail-fast
   cancellation.
@@ -36,6 +37,12 @@ that the report generator (:mod:`repro.experiments.report`) renders and the
   :mod:`repro.experiments.costmodel` — the measured per-point cost book.
 * :mod:`repro.experiments.catalog` — the registry rendered as the README's
   scenario table (``python -m repro.experiments.catalog``).
+
+This package does not import the pooled stack (sweep, streaming, launchers,
+cost model), so a serial run never loads it.  Import ``run_sweep_sharded``
+from :mod:`repro.experiments.sweep`, and ``ChunkEvent``, ``ChunkFailure``,
+``PrintProgressListener``, ``ProgressListener`` and ``SweepAborted`` from
+:mod:`repro.experiments.streaming`.
 """
 
 from repro.experiments.catalog import scenario_catalog_markdown
@@ -50,20 +57,13 @@ from repro.experiments.runner import (
     ExperimentRunner,
     PartialScenarioResult,
     ScenarioFailure,
+    SweepSpec,
     available_scenarios,
     failed_scenarios,
     get_scenario,
     register_scenario,
     run_scenario,
 )
-from repro.experiments.streaming import (
-    ChunkEvent,
-    ChunkFailure,
-    PrintProgressListener,
-    ProgressListener,
-    SweepAborted,
-)
-from repro.experiments.sweep import SweepSpec, run_sweep_sharded
 from repro.experiments.topologies import topology_noise_sweep, topology_soundness_sweep
 from repro.experiments.table1 import table1_rows
 from repro.experiments.table2 import table2_rows, table2_verification_rows
@@ -72,18 +72,12 @@ from repro.experiments.crossover import crossover_sweep, find_crossover, long_pa
 from repro.experiments.soundness_scaling import soundness_scaling_sweep
 
 __all__ = [
-    "ChunkEvent",
-    "ChunkFailure",
     "ExperimentRow",
     "ExperimentRunner",
     "PartialScenarioResult",
-    "PrintProgressListener",
-    "ProgressListener",
     "ScenarioFailure",
-    "SweepAborted",
     "SweepSpec",
     "failed_scenarios",
-    "run_sweep_sharded",
     "topology_noise_sweep",
     "topology_soundness_sweep",
     "available_scenarios",

@@ -53,15 +53,17 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.experiments.runner import (
     ExperimentRunner,
     available_scenarios,
     failed_scenarios,
 )
-from repro.experiments.streaming import PrintProgressListener, Progress
 from repro.utils.env import env_set
+
+if TYPE_CHECKING:
+    from repro.experiments.streaming import Progress
 
 #: Report sections, in order; each is a registered runner scenario.
 REPORT_SCENARIOS = [
@@ -194,6 +196,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv.remove("--parallel")
     progress: Progress = None
     if "--progress" in argv:
+        from repro.experiments.streaming import PrintProgressListener
+
         argv.remove("--progress")
         parallel = True  # chunk events only exist on the pooled path
         progress = PrintProgressListener(sys.stderr)

@@ -3,7 +3,7 @@
 Every table and figure of the paper is registered here as a named *scenario*
 (a module-level callable returning :class:`ExperimentRow` records plus a
 display title).  Scenarios that are parameter sweeps additionally declare a
-:class:`~repro.experiments.sweep.SweepSpec` naming their grid, which lets the
+:class:`SweepSpec` naming their grid, which lets the
 :class:`ExperimentRunner` parallelize at *sweep-point* granularity: grids are
 compiled into chunks, chunks are dispatched across a process pool whose
 workers each keep one engine (and operator cache) alive for their lifetime,
@@ -11,7 +11,9 @@ and rows are reassembled in deterministic grid order — so a single 256-point
 sweep saturates the pool instead of pinning one core.  The pooled path runs
 on :class:`~repro.experiments.sweep.PoolRun`, which owns the launcher, the
 operator pack, chunk planning and the cost book; the runner only submits
-each scenario, drains the events and assembles per-scenario results.
+each scenario, drains the events and assembles per-scenario results.  The
+pooled stack (sweep, streaming, launchers, cost model) is imported by the
+methods that use it, so a serial run never loads it.
 
 Failures are isolated per *chunk* on the pooled path: a crashing chunk is
 recorded as a :class:`~repro.experiments.streaming.ChunkFailure` while its
@@ -35,14 +37,13 @@ Usage::
 
 from __future__ import annotations
 
+import inspect
 import traceback as traceback_module
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ProtocolError
-from repro.experiments.launchers import Launcher
-from repro.experiments.streaming import ChunkFailure, Progress
 from repro.experiments.crossover import (
     crossover_default_lengths,
     crossover_sweep,
@@ -73,13 +74,6 @@ from repro.experiments.soundness_scaling import (
     repetition_curve,
     soundness_scaling_sweep,
 )
-from repro.experiments.sweep import (
-    PoolRun,
-    SweepSpec,
-    _accepted_kwargs,
-    check_pool_sizes,
-    merge_worker_stats,
-)
 from repro.experiments.topologies import (
     default_noise_topologies,
     default_soundness_topologies,
@@ -107,6 +101,72 @@ from repro.experiments.table3 import (
     table3_rows,
     upper_vs_lower_consistency,
 )
+
+if TYPE_CHECKING:
+    from repro.experiments.launchers import Launcher
+    from repro.experiments.streaming import ChunkFailure, Progress
+    from repro.experiments.sweep import PoolRun
+
+
+def check_pool_sizes(
+    chunk_size: Optional[int] = None, max_workers: Optional[int] = None
+) -> None:
+    """Reject a chunk size or worker count below 1 (``None`` lets the pool choose)."""
+    for label, value in (("chunk_size", chunk_size), ("max_workers", max_workers)):
+        if value is not None and value < 1:
+            raise ProtocolError(f"{label} must be at least 1, got {value!r}")
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Declares a scenario's parameter grid for sharded execution.
+
+    Attributes
+    ----------
+    grid_param:
+        Name of the builder keyword that carries the grid (``"strengths"``,
+        ``"parameter_grid"``, ``"networks"``, ...).  Dispatch works by calling
+        the scenario's builder with this keyword bound to a chunk of points.
+    grid:
+        Module-level callable returning the default grid.  It receives the
+        subset of the scenario's resolved keyword arguments its signature
+        accepts, so defaults may depend on other parameters (e.g. the
+        tree-soundness network zoo depends on ``num_terminals``).
+    chunk_size:
+        Optional fixed chunk size (at least 1); when ``None`` the planner
+        sizes chunks to the worker count
+        (:data:`~repro.experiments.sweep.CHUNKS_PER_WORKER` chunks per
+        worker).
+    """
+
+    grid_param: str
+    grid: Callable[..., Sequence[Any]]
+    chunk_size: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        check_pool_sizes(chunk_size=self.chunk_size)
+
+    def points(self, kwargs: Mapping[str, Any]) -> List[Any]:
+        """The grid points this scenario will sweep under ``kwargs``.
+
+        An explicit (non-``None``) grid in ``kwargs`` wins; otherwise the
+        declared default-grid callable produces it.
+        """
+        explicit = kwargs.get(self.grid_param)
+        if explicit is not None:
+            return list(explicit)
+        return list(self.grid(**_accepted_kwargs(self.grid, kwargs)))
+
+
+def _accepted_kwargs(function: Callable, kwargs: Mapping[str, Any]) -> Dict[str, Any]:
+    """The subset of ``kwargs`` that ``function``'s signature accepts."""
+    parameters = inspect.signature(function).parameters
+    if any(
+        parameter.kind is inspect.Parameter.VAR_KEYWORD
+        for parameter in parameters.values()
+    ):
+        return dict(kwargs)
+    return {key: value for key, value in kwargs.items() if key in parameters}
 
 
 @dataclass(frozen=True)
@@ -384,6 +444,8 @@ class ExperimentRunner:
         return self.last_results
 
     def _open_pool(self) -> PoolRun:
+        from repro.experiments.sweep import PoolRun
+
         self._pool = PoolRun(
             self.launcher,
             max_workers=self.max_workers,
@@ -438,6 +500,8 @@ class ExperimentRunner:
         *every* completed task, survivors of partially-failed scenarios
         included, so pool work is never undercounted.
         """
+        from repro.experiments.sweep import merge_worker_stats
+
         pool.save_costs()
         results: "OrderedDict[str, ScenarioResult]" = OrderedDict()
         for name in self.names:

@@ -5,9 +5,11 @@ whole scenario as the unit of parallel work, so one 256-point sweep pinned a
 single core while the rest of the pool idled.  This module makes the *sweep
 point* the unit instead:
 
-* a :class:`SweepSpec` attached to a scenario declares which builder keyword
-  carries the parameter grid (channel strengths, ``(n, r, t)`` tuples, path
-  lengths, topology descriptors) and how the default grid is derived;
+* a :class:`~repro.experiments.runner.SweepSpec` attached to a scenario
+  declares which builder keyword carries the parameter grid (channel
+  strengths, ``(n, r, t)`` tuples, path lengths, topology descriptors) and
+  how the default grid is derived; it lives beside ``Scenario`` so that
+  registering scenarios never imports this module, and is re-exported here;
 * the planners compile the grid into contiguous chunks: the static
   equal-count fallback (:func:`resolve_chunk_size` + :func:`partition_points`)
   and the cost-model-driven :func:`plan_chunks`, which sizes *variable-width*
@@ -42,7 +44,6 @@ benchmark harness pin down.
 
 from __future__ import annotations
 
-import inspect
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
@@ -60,6 +61,7 @@ from repro.experiments.launchers import (
     worker_token,
 )
 from repro.experiments.records import ExperimentRow
+from repro.experiments.runner import SweepSpec, check_pool_sizes
 from repro.lint.sanitize import maybe_probe
 from repro.experiments.streaming import (
     ChunkCollector,
@@ -112,66 +114,6 @@ MIN_POINTS_PER_CHUNK = 2
 
 #: Points per probe chunk when a cold grid is measured in-run.
 PROBE_CHUNK_POINTS = 2
-
-
-def check_pool_sizes(
-    chunk_size: Optional[int] = None, max_workers: Optional[int] = None
-) -> None:
-    """Reject a chunk size or worker count below 1 (``None`` lets the pool choose)."""
-    for label, value in (("chunk_size", chunk_size), ("max_workers", max_workers)):
-        if value is not None and value < 1:
-            raise ProtocolError(f"{label} must be at least 1, got {value!r}")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Declares a scenario's parameter grid for sharded execution.
-
-    Attributes
-    ----------
-    grid_param:
-        Name of the builder keyword that carries the grid (``"strengths"``,
-        ``"parameter_grid"``, ``"networks"``, ...).  Dispatch works by calling
-        the scenario's builder with this keyword bound to a chunk of points.
-    grid:
-        Module-level callable returning the default grid.  It receives the
-        subset of the scenario's resolved keyword arguments its signature
-        accepts, so defaults may depend on other parameters (e.g. the
-        tree-soundness network zoo depends on ``num_terminals``).
-    chunk_size:
-        Optional fixed chunk size (at least 1); when ``None`` the planner
-        sizes chunks to the worker count (:data:`CHUNKS_PER_WORKER` chunks
-        per worker).
-    """
-
-    grid_param: str
-    grid: Callable[..., Sequence[Any]]
-    chunk_size: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        check_pool_sizes(chunk_size=self.chunk_size)
-
-    def points(self, kwargs: Mapping[str, Any]) -> List[Any]:
-        """The grid points this scenario will sweep under ``kwargs``.
-
-        An explicit (non-``None``) grid in ``kwargs`` wins; otherwise the
-        declared default-grid callable produces it.
-        """
-        explicit = kwargs.get(self.grid_param)
-        if explicit is not None:
-            return list(explicit)
-        return list(self.grid(**_accepted_kwargs(self.grid, kwargs)))
-
-
-def _accepted_kwargs(function: Callable, kwargs: Mapping[str, Any]) -> Dict[str, Any]:
-    """The subset of ``kwargs`` that ``function``'s signature accepts."""
-    parameters = inspect.signature(function).parameters
-    if any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    ):
-        return dict(kwargs)
-    return {key: value for key, value in kwargs.items() if key in parameters}
 
 
 def partition_points(points: Sequence[Any], chunk_size: int) -> List[List[Any]]:

@@ -84,6 +84,20 @@ class OneWayToTreeProtocol(DQMAProtocol):
         for index, terminal in enumerate(network.terminals):
             self.trees[index] = build_verification_tree(network, root=terminal)
         self._orders = {index: tree.topological_order() for index, tree in self.trees.items()}
+        # The honest program is a function of this key, the one-way protocol
+        # and the inputs: per tree, each node's parent in compile order (-1
+        # for the root) and the input its leaf measures (``None`` for the
+        # other nodes).  Tree ``j`` is rooted at terminal ``j``.
+        terminal_index = {terminal: i for i, terminal in enumerate(network.terminals)}
+        layouts = []
+        for index, tree in self.trees.items():
+            order = self._orders[index]
+            position = {node: rank for rank, node in enumerate(order)}
+            leaf_input = {leaf: terminal_index[term] for term, leaf in tree.terminal_leaves.items()}
+            layouts.append(
+                tuple((position.get(tree.parent(node), -1), leaf_input.get(node)) for node in order)
+            )
+        self._layout_key = tuple(layouts)
         self._max_router_bundle = max(
             (
                 len(tree.children(node)) + 1
@@ -282,8 +296,15 @@ class OneWayToTreeProtocol(DQMAProtocol):
         if self._max_router_bundle > MAX_ROUTER_REGISTERS:
             return None  # oversized fan-out: fall back to the enumerated path
         if proof is None:
+            # Keyed by value, so equal protocols share the program; a hit
+            # implies an identical input tuple was validated when it was built.
             cache = self.engine.cache
-            key = ("ow-tree-honest-program", self, tuple(inputs))
+            key = (
+                "ow-tree-honest-program",
+                self.one_way.cache_token,
+                self._layout_key,
+                tuple(inputs),
+            )
             program = cache.get(key)
             if program is None:
                 inputs = self.problem.validate_inputs(inputs)

@@ -153,12 +153,13 @@ class ExactCodeFingerprint(FingerprintScheme):
                 f"code message length {code.message_length} does not match input length {input_length}"
             )
         self.code = code
+        # The states are a pure function of the generator matrix, which the
+        # code keeps read-only, so its digest is taken once per instance.
+        generator = np.ascontiguousarray(code.generator, dtype=np.int64)
+        self._generator_digest = hashlib.sha256(generator.tobytes()).hexdigest()[:16]
 
     def _token_fields(self) -> tuple:
-        # The states are a pure function of the generator matrix.
-        generator = np.ascontiguousarray(self.code.generator, dtype=np.int64)
-        digest = hashlib.sha256(generator.tobytes()).hexdigest()[:16]
-        return (self.code.codeword_length, digest)
+        return (self.code.codeword_length, self._generator_digest)
 
     @property
     def dim(self) -> int:

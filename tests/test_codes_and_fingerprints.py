@@ -1,11 +1,18 @@
 """Tests for the classical codes and the quantum fingerprint schemes."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.codes.linear_code import hadamard_code, random_linear_code, repetition_code
 from repro.exceptions import EncodingError
-from repro.quantum.fingerprint import SimulatedFingerprint, fingerprint_register_qubits
+from repro.quantum.fingerprint import (
+    ExactCodeFingerprint,
+    HadamardCodeFingerprint,
+    SimulatedFingerprint,
+    fingerprint_register_qubits,
+)
 from repro.utils.bitstrings import all_bitstrings
 
 
@@ -95,6 +102,32 @@ class TestExactCodeFingerprint:
     def test_wrong_length_rejected(self, fingerprints3):
         with pytest.raises(EncodingError):
             fingerprints3.state("01")
+
+    def test_generator_is_read_only(self, fingerprints3):
+        for code in (fingerprints3.code, pickle.loads(pickle.dumps(fingerprints3.code))):
+            generator = code.generator
+            with pytest.raises(ValueError):
+                generator[0, 0] = 1 - generator[0, 0]
+
+    def test_cache_token_hashes_the_generator_once(self, monkeypatch):
+        from repro.quantum import fingerprint as fingerprint_module
+
+        calls = []
+        sha256 = fingerprint_module.hashlib.sha256
+
+        def counting_sha256(data):
+            calls.append(len(data))
+            return sha256(data)
+
+        monkeypatch.setattr(fingerprint_module.hashlib, "sha256", counting_sha256)
+        scheme = ExactCodeFingerprint(2, rng=7)
+        tokens = {scheme.cache_token for _ in range(5)}
+        assert len(calls) == 1
+        # The token's value is the one earlier releases keyed operator packs on.
+        assert tokens == {("fp", "ExactCodeFingerprint", 2, 8, "3613d8b3e538e629")}
+        assert HadamardCodeFingerprint(3).cache_token == (
+            "fp", "HadamardCodeFingerprint", 3, 8, "0fd1f33b88cd6389"
+        )
 
 
 class TestHadamardFingerprint:

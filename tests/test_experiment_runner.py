@@ -299,22 +299,42 @@ class TestUpFrontValidation:
                 run_sweep_sharded("table1", launcher="serial", bogus=1)
 
 
-def test_report_import_loads_no_process_machinery():
-    """``import repro.experiments.report`` must not pull in pool machinery or graph/science stacks."""
+def test_report_import_loads_no_process_machinery(tmp_path):
+    """A serial import and run of the report load no pooled stack, linter or graph stack.
+
+    Checked in one fresh interpreter after ``import repro.experiments.report``
+    and again after a serial report of two swept scenarios and an unswept one.
+    """
     import repro
 
     source_root = str(pathlib.Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    env.pop("REPRO_SANITIZE", None)
     code = (
-        "import sys, repro.experiments.report; "
-        "print([m for m in ('asyncio', 'multiprocessing', 'subprocess', "
-        "'concurrent.futures.process', 'networkx', 'scipy') if m in sys.modules])"
+        "import sys\n"
+        "FORBIDDEN = ('asyncio', 'multiprocessing', 'subprocess', 'concurrent.futures',\n"
+        "    'repro.experiments.launchers', 'repro.experiments.sweep',\n"
+        "    'repro.experiments.costmodel', 'repro.experiments.streaming',\n"
+        "    'repro.lint', 'networkx', 'scipy')\n"
+        "def loaded():\n"
+        "    return [m for m in FORBIDDEN if m in sys.modules]\n"
+        "from repro.experiments import report\n"
+        "print(loaded())\n"
+        "text, failed = report.generate_report_status(\n"
+        "    scenarios=['table1', 'noise-robustness-path', 'crossover-points'])\n"
+        "assert not failed and 'Noise' in text, failed\n"
+        "print(loaded())\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines() == ["[]", "[]"]
 
 
 class TestReportRoutesThroughRunner:

@@ -1,5 +1,10 @@
 """The runtime sanitizer: cache guard, pickle probe, transfer budget."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -58,6 +63,51 @@ def test_install_from_env(monkeypatch):
         assert is_enabled()
     finally:
         uninstall()
+
+
+def _import_repro(sanitize, tmp_path):
+    """``import repro`` in a fresh interpreter under ``REPRO_SANITIZE=sanitize``.
+
+    Prints whether the linter package is loaded, then whether the guards are
+    armed (which imports the sanitizer when it is not loaded yet).
+    """
+    import repro
+
+    source_root = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    env.pop("REPRO_SANITIZE", None)
+    if sanitize is not None:
+        env["REPRO_SANITIZE"] = sanitize
+    code = (
+        "import sys, repro\n"
+        "print('repro.lint' in sys.modules)\n"
+        "from repro.lint import sanitize\n"
+        "print(sanitize.is_enabled())\n"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
+
+
+class TestImportHook:
+    """``import repro`` arms the guards only under a truthy ``REPRO_SANITIZE``."""
+
+    def test_truthy_value_arms_the_guards(self, tmp_path):
+        result = _import_repro("1", tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "True"]
+
+    def test_unset_variable_leaves_the_linter_unloaded(self, tmp_path):
+        result = _import_repro(None, tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False", "False"]
+
+    def test_misspelt_value_raises_at_import(self, tmp_path):
+        result = _import_repro("maybe", tmp_path)
+        assert result.returncode != 0
+        assert "ProtocolError" in result.stderr
+        assert "REPRO_SANITIZE" in result.stderr
 
 
 # -- frozen-cache guard ------------------------------------------------------

@@ -1,18 +1,23 @@
 """Tests for the one-way-protocol-to-network construction (Algorithm 9, Theorems 30/32)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.comm.one_way import FingerprintEqualityOneWay
 from repro.comm.problems import EqualityProblem, ForAllPairsProblem
+from repro.engine import Engine
 from repro.exceptions import ProtocolError
-from repro.network.topology import path_network
+from repro.network.topology import binary_tree_network, path_network, star_network
+from repro.quantum.fingerprint import ExactCodeFingerprint
 from repro.protocols.from_one_way import (
     OneWayToTreeProtocol,
     forall_pairs_protocol,
     hamming_distance_protocol,
 )
-from repro.protocols.base import ProductProof
+from repro.protocols.base import DQMAProtocol, ProductProof
 
 
 class TestHammingProtocol:
@@ -85,6 +90,60 @@ class TestGenericForAllPairs:
         single = protocol.acceptance_probability(("101", "101", "011"))
         repeated = protocol.repeated(25).acceptance_probability(("101", "101", "011"))
         assert np.isclose(repeated, single**25, atol=1e-9)
+
+
+def _flatten(value):
+    """Every leaf of a nested cache key."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _flatten(item)
+    else:
+        yield value
+
+
+class TestHonestProgramKey:
+    """Theorem 32's honest program is cached by value, never by protocol object."""
+
+    INPUTS = ("01", "01", "11")
+
+    @staticmethod
+    def _protocol(network):
+        one_way = FingerprintEqualityOneWay(ExactCodeFingerprint(2, rng=7))
+        return forall_pairs_protocol(EqualityProblem(2), one_way, 3, network=network)
+
+    @staticmethod
+    def _program_keys(engine):
+        return [key for key in engine.cache._entries if key[0] == "ow-tree-honest-program"]
+
+    def test_equal_protocols_share_one_entry(self):
+        engine = Engine()
+        first = self._protocol(star_network(3)).use_engine(engine)
+        value = first.acceptance_probability(self.INPUTS)
+        misses = engine.cache.stats().misses
+        second = self._protocol(star_network(3)).use_engine(engine)
+        assert second.acceptance_probability(self.INPUTS) == value
+        assert engine.cache.stats().misses == misses
+        keys = self._program_keys(engine)
+        assert len(keys) == 1
+        assert not any(isinstance(leaf, DQMAProtocol) for leaf in _flatten(keys[0]))
+        alive = weakref.ref(first)
+        del first
+        gc.collect()
+        assert alive() is None, "the engine cache must not keep a protocol alive"
+
+    def test_a_different_network_gets_its_own_entry(self):
+        networks = (star_network(3), binary_tree_network(2, num_terminals=3))
+        alone = [
+            self._protocol(network).use_engine(Engine()).acceptance_probability(self.INPUTS)
+            for network in networks
+        ]
+        shared = Engine()
+        together = [
+            self._protocol(network).use_engine(shared).acceptance_probability(self.INPUTS)
+            for network in networks
+        ]
+        assert [value.hex() for value in together] == [value.hex() for value in alone]
+        assert len(self._program_keys(shared)) == 2
 
 
 class TestCosts:
