@@ -15,7 +15,9 @@ protocol's ``strategy_batch`` compiles each chunk to strategy batches whose
 values multiply to each strategy's acceptance.  A path chunk is one
 :class:`~repro.engine.jobs.ChainStrategyBatch`: because every SWAP test
 couples only adjacent registers, the transfer-matrix backend scores it from
-per-register state tables and adjacent-pair overlap tables.  A tree chunk is
+per-register tables: one Gram of the table states for a clean chunk, the
+densities of its registers and the traces of the pairs its strategies read
+for a noisy one.  A tree chunk is
 one :class:`~repro.engine.jobs.TreeStrategyBatch` per verification tree: the
 honest job compiles once as the template, and the transfer-matrix backend
 gathers every strategy's row stack from the table into its ordinary tree

@@ -19,9 +19,13 @@ from repro.utils.bitstrings import bitstring_to_array, validate_bitstring
 from repro.utils.rng import RngLike, ensure_rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearCode:
-    """A binary linear code given by its generator matrix (one row per message bit)."""
+    """A binary linear code given by its generator matrix (one row per message bit).
+
+    Codes compare and hash by value, the shape and bytes of the reduced
+    generator, so equal codes share set and dict entries.
+    """
 
     generator: np.ndarray
     _min_distance_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -38,6 +42,17 @@ class LinearCode:
     def __reduce__(self):
         # Unpickle through __post_init__: numpy drops the read-only flag.
         return (type(self), (self.generator,))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinearCode):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
+
+    def _value(self) -> tuple:
+        return (self.generator.shape, self.generator.tobytes())
 
     @property
     def message_length(self) -> int:

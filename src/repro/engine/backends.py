@@ -14,9 +14,10 @@ Two evaluation strategies ship with the library:
     structure signature, and evaluates each group through the
     device-agnostic contraction kernels of :mod:`repro.engine.kernels`: all
     SWAP-test overlaps of a group come from one batched Gram product (or,
-    for noisy groups, one gathered trace einsum), the symmetrization
-    recursion runs vectorized over the batch, and measurement expectations
-    are one more einsum.  Every chain group goes through the single kernel
+    for noisy groups, one trace per distinct pair of densities), the
+    symmetrization recursion runs vectorized over the batch, and
+    measurement expectations are one more einsum.  Every chain group goes
+    through the single kernel
     :func:`~repro.engine.kernels.chain_probabilities`, and every tree group
     through the single group evaluator of :func:`~repro.engine.
     tree_contraction.tree_probabilities_batched`.  This is the fast path
@@ -51,8 +52,10 @@ reference builds every register as Kraus-sum density matrices (a clean row
 is its pure projector) and routes noisy chains through the degenerate-path
 tree of :meth:`ChainJob.to_tree_job`; the transfer-matrix backend contracts
 whole noisy groups — including sweeps where every job carries a different
-noise strength — in one stacked product.  An absent or structurally empty
-annotation evaluates exactly like a clean job.
+noise strength — from one table of the group's distinct densities and one
+trace per distinct pair of them (:func:`repro.engine.kernels.
+density_table`, :func:`~repro.engine.kernels.pair_traces`).  An absent or
+structurally empty annotation evaluates exactly like a clean job.
 
 Backends are registered by name so experiment configuration can select them
 with a string (``"dense"`` / ``"transfer-matrix"`` / ``"transfer-matrix-
@@ -231,35 +234,30 @@ class TransferMatrixBackend(SimulationBackend):
 
         Row 0 of a group's state stack is the left state, rows 1 .. 2m the
         intermediate pairs, and (structured ends) the measurement vector
-        last — stacked straight into place on the host.  A noisy group turns
-        its rows into densities first; both run through
-        :func:`repro.engine.kernels.chain_probabilities` on this backend's
-        array module.
+        last — one host concatenation of every job's rows.  A noisy group
+        turns its rows into one density per distinct register form
+        (:func:`repro.engine.kernels.chain_density_table`) and indexes it;
+        both run through :func:`repro.engine.kernels.chain_probabilities`
+        on this backend's array module.
         """
         results = np.empty(len(jobs), dtype=np.float64)
         for (m, dim, right_kind, noisy), indices in group_jobs_by_shape(jobs).items():
             group = [jobs[i] for i in indices]
-            batch = len(group)
             dense_end = right_kind == RIGHT_DENSE
-            rows = np.empty((batch, 1 + 2 * m + (0 if dense_end else 1), dim), dtype=np.complex128)
-            np.stack([job.left for job in group], out=rows[:, 0])
-            if m:
-                np.stack(
-                    [job.pairs for job in group],
-                    out=rows[:, 1 : 1 + 2 * m].reshape(batch, m, 2, dim),
-                )
-            rights = None
-            if dense_end:
-                rights = np.stack([job.right_operator for job in group])
-            else:
-                np.stack([job.right_operator for job in group], out=rows[:, -1])
-            eps = None
+            pieces: List[np.ndarray] = []
+            for job in group:
+                pieces += (job.left[None], job.pairs.reshape(2 * m, dim))
+                if not dense_end:
+                    pieces.append(job.right_operator[None])
+            rows = np.concatenate(pieces, dtype=np.complex128).reshape(len(group), -1, dim)
+            rights = np.stack([job.right_operator for job in group]) if dense_end else None
+            table = eps = None
             if noisy:
                 noises = [job.noise for job in group]
-                rows = kernels.chain_density_rows(self.dtype, rows, noises, m, right_kind)
+                table, rows = kernels.chain_density_table(self.dtype, rows, noises, m, right_kind)
                 eps = np.array([noise.readout_error for noise in noises])
             values = kernels.chain_probabilities(
-                self.xp, self.dtype, rows, rights, eps, m, right_kind
+                self.xp, self.dtype, rows, rights, eps, m, right_kind, table
             )
             results[indices] = np.clip(values, 0.0, 1.0)
         return results
@@ -267,29 +265,29 @@ class TransferMatrixBackend(SimulationBackend):
     def chain_strategy_probabilities(self, batch: ChainStrategyBatch) -> np.ndarray:
         """Score every strategy of ``batch`` from per-register tables.
 
-        A clean batch stacks ``[left; table; target]``.  A noisy one runs
-        :func:`repro.engine.kernels.chain_density_rows` on ``K`` virtual
-        jobs, job ``k`` holding table row ``k`` in every pair slot, so each
-        table density is the one an ordinary job of the batch would build.
-        Both go through :func:`repro.engine.kernels.
-        chain_strategy_probabilities` on this backend's array module.
+        A clean batch stacks ``[left; table; target]`` for
+        :func:`repro.engine.kernels.chain_strategy_probabilities`.  A noisy
+        one builds the densities of its registers only
+        (:func:`repro.engine.kernels.chain_strategy_density_table`), so each
+        is the one an ordinary job of the batch would build, and gathers
+        every strategy's rows of them into
+        :func:`repro.engine.kernels.chain_probabilities`.  Both run on this
+        backend's array module.
         """
-        m, size = batch.num_intermediate, len(batch.table)
-        eps = None
+        m = batch.num_intermediate
         if batch.is_noisy:
-            states = np.empty((size, 2 + 2 * m, batch.dim), dtype=np.complex128)
-            states[:, 0] = batch.left
-            states[:, 1:-1] = batch.table[:, None]
-            states[:, -1] = batch.right_operator
-            rows = kernels.chain_density_rows(
-                self.dtype, states, [batch.noise] * size, m, batch.right_kind
+            table, rows = kernels.chain_strategy_density_table(
+                self.dtype, batch.left, batch.table, batch.choices, batch.right_operator, batch.noise
             )
             eps = np.full(len(batch), batch.noise.readout_error)
+            values = kernels.chain_probabilities(
+                self.xp, self.dtype, rows, None, eps, m, batch.right_kind, table
+            )
         else:
             rows = np.concatenate([batch.left[None], batch.table, batch.right_operator[None]])
-        values = kernels.chain_strategy_probabilities(
-            self.xp, self.dtype, rows, batch.choices, eps, m, batch.right_kind
-        )
+            values = kernels.chain_strategy_probabilities(
+                self.xp, self.dtype, rows, batch.choices, m, batch.right_kind
+            )
         return np.clip(values, 0.0, 1.0)
 
 

@@ -3,9 +3,10 @@
 The hot paths of :class:`~repro.engine.backends.TransferMatrixBackend` and
 :mod:`repro.engine.tree_contraction` — the one chain kernel
 :func:`chain_probabilities` (clean and noisy groups of any length), its
-table-indexed twin :func:`chain_strategy_probabilities` for strategy
+table-indexed twin :func:`chain_strategy_probabilities` for clean strategy
 batches, the vectorized symmetrization recursion, the channel grid
-application and the signature-grouped tree Gram products — live here as pure functions
+application, the density and pair-trace tables of noisy groups and the
+signature-grouped tree Gram products — live here as pure functions
 parameterized by ``(xp, dtype)``:
 
 * ``xp`` is an :class:`~repro.engine.array_ops.ArrayModule` (numpy by
@@ -19,12 +20,23 @@ parameterized by ``(xp, dtype)``:
   the dtype policy that keeps the complex64 path inside its 1e-5 parity
   tolerance (see :func:`repro.engine.array_ops.parity_tolerance`).
 
+A noisy group contracts distinct densities, not per-job stacks.
+:func:`density_table` builds one density per distinct (register state,
+kept channel, sent channel) form of the batch, keyed by state content and
+:attr:`~repro.quantum.channels.KrausChannel.key`, and gives every register
+its rows of that table; :func:`pair_traces` computes one Hilbert-Schmidt
+trace ``Tr(rho sigma)`` per distinct pair of table rows and scatters it to
+every job that reads it.  Chain jobs, chain strategy batches and tree
+groups all index those two tables, so a noise sweep of many strengths pays
+for its few states once and each value keeps the bits it would get alone.
+
 Einsum contractions route through :func:`cached_einsum`: the contraction
 path of every ``(equation, shape-signature)`` pair is computed once with
 ``np.einsum_path`` and replayed on later calls (``optimize=path``), so
 sweeps that evaluate thousands of identically-shaped groups never re-derive
 a path.  Modules without numpy-style path support (torch) fall through to
-their own einsum.
+their own einsum.  The pair-trace einsum, whose shape changes with every
+batch, skips the cache.
 """
 
 from __future__ import annotations
@@ -59,8 +71,8 @@ def cached_einsum(xp: ArrayModule, equation: str, *operands: Any) -> Any:
     Two-operand contractions cache ``optimize=False``: with a single pairwise
     contraction there is no ordering to optimize, and numpy's "optimized"
     route (reshape + BLAS matmul) measurably loses to the direct einsum loop
-    on the small-dimension trace gathers of the noisy path.  Path replay pays
-    off exactly where ordering matters — three operands and up.
+    on small-dimension traces.  Path replay pays off exactly where ordering
+    matters — three operands and up.
     """
     global _einsum_path_hits, _einsum_path_misses
     if not xp.supports_einsum_path:
@@ -146,55 +158,169 @@ def apply_noise_grid(
     return apply_channel_grid(grid, np.asarray(densities, dtype=dtype))
 
 
-def chain_density_rows(
+def density_table(
+    dtype: np.dtype,
+    states: np.ndarray,
+    kept: Sequence[Optional[KrausChannel]],
+    sent: Sequence[Optional[KrausChannel]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One density per distinct register form of a batch.
+
+    Register ``i`` is the pure state ``states[i]`` (a host ``(N, d)``
+    stack); its *kept* form is ``kept[i]`` applied to its projector, its
+    *sent* form ``sent[i]`` applied on top (``None`` skips a channel).
+    States are keyed by content, channels by
+    :attr:`~repro.quantum.channels.KrausChannel.key` (``None`` for an absent
+    or identity channel), so a batch pays one projector per distinct (state,
+    kept channel) pair, one :func:`apply_noise_grid` row for each of them
+    when any kept channel applies, and one row per distinct (kept form, sent
+    channel) pair.  The named families' closed forms act element-wise, so
+    each density gets the bits a per-job stack would give it; generic
+    channels' superoperator matmul may move a last bit with its row count.
+
+    Returns ``(table, ids)``: the host ``(T, d, d)`` densities in the
+    contraction dtype, kept forms first, and the ``(N, 2)`` table rows of
+    every register's kept and sent forms.
+    """
+    # Each channel object's value key, read once per call in request order.
+    keys: Dict[Optional[KrausChannel], Optional[Tuple]] = {None: None}
+    for channel in dict.fromkeys((*kept, *sent)):
+        if channel is not None:
+            keys[channel] = None if channel.is_identity else channel.key
+    states = np.ascontiguousarray(states)
+    contents = states.view(np.dtype((np.void, states.shape[1] * states.itemsize)))
+    holders: Dict[bytes, int] = {}
+    kept_rows: Dict[Tuple, int] = {}
+    sent_rows: Dict[Tuple, int] = {}
+    kept_sources: List[int] = []
+    kept_grid: List[Optional[KrausChannel]] = []
+    sent_sources: List[int] = []
+    sent_grid: List[Optional[KrausChannel]] = []
+    ids: List[int] = []
+    for index, (content, first, second) in enumerate(zip(contents.ravel().tolist(), kept, sent)):
+        # The first register holding this state stands for all of them.
+        holder = holders.setdefault(content, index)
+        key = keys[first]
+        row = kept_rows.setdefault((holder, key), len(kept_sources))
+        if row == len(kept_sources):
+            kept_sources.append(holder)
+            kept_grid.append(None if key is None else first)
+        key = keys[second]
+        if key is None:
+            ids += (row, row)
+            continue
+        sent_row = sent_rows.setdefault((row, key), len(sent_sources))
+        if sent_row == len(sent_sources):
+            sent_sources.append(row)
+            sent_grid.append(second)
+        ids += (row, ~sent_row)  # counted from the table's end, see below
+    vectors = np.asarray(states[kept_sources], dtype=dtype)
+    pure = vectors[:, None, :, None] * vectors.conj()[:, None, None, :]
+    table = pure[:, 0]
+    # One grid row per distinct form, so the grid's rows are the table's; an
+    # absent or identity kept channel is None in kept_grid.
+    if any(kept_grid):
+        table = apply_noise_grid([[channel] for channel in kept_grid], pure, dtype)[:, 0]
+    if sent_grid:
+        sent_forms = apply_noise_grid(
+            [[channel] for channel in sent_grid], table[sent_sources][:, None], dtype
+        )[:, 0]
+        # Sent form t sits t + 1 rows from the end, where ~t points.
+        table = np.concatenate([table, sent_forms[::-1]])
+    return table, np.array(ids, dtype=np.intp).reshape(-1, 2) % len(table)
+
+
+def _distinct(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ascending distinct values of an integer array and the position of
+    every value among them, in the array's shape.
+
+    Sorts (memory linear in ``codes.size``, whatever the values' range)
+    instead of calling ``np.unique``, which imports ``numpy.ma`` on first
+    use.
+    """
+    ordered = np.sort(codes, axis=None)
+    starts = np.empty(ordered.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    distinct = ordered[starts]
+    return distinct, distinct.searchsorted(codes)
+
+
+def pair_traces(xp: ArrayModule, densities: Any, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``Tr(rho_a rho_b)`` for every requested pair of table rows, as host float64.
+
+    ``densities`` is the ``(T, d, d)`` table on the module; ``first`` and
+    ``second`` are host integer arrays of table rows that broadcast to one
+    shape, the shape of the result.  Each distinct ordered pair is traced
+    once, by the einsum ``"bkij,bkji->bk"`` on gathered ``(1, P, d, d)``
+    operands, and scattered back to every request, so a pair's value does
+    not depend on the batch it came in.
+    """
+    size = int(densities.shape[0])
+    # C order: the result takes the layout of the codes, and the recursion's
+    # small matmuls can round differently on a transposed stack.
+    codes = np.ascontiguousarray(first * size + second)
+    distinct, position = _distinct(codes)
+    rows_a, rows_b = np.divmod(distinct[None], size)
+    traces = _paired_traces(xp, densities[rows_a], densities[rows_b])
+    return _accumulate(xp, xp.real(traces))[0][position]
+
+
+def _paired_traces(xp: ArrayModule, first: Any, second: Any) -> Any:
+    """``Tr(a_k b_k)`` of two stacked ``(B, K, d, d)`` operands, on the module.
+
+    The einsum ``"bkij,bkji->bk"`` sums each trace in an order that does not
+    depend on ``B`` or ``K``, so a trace keeps its bits whatever batch it is
+    computed in.  Two operands leave no contraction order to choose (a
+    cached path would be ``False``) and the shapes change from call to call,
+    so the path cache is skipped.
+    """
+    options = {"optimize": False} if xp.supports_einsum_path else {}
+    return xp.einsum("bkij,bkji->bk", first, second, **options)
+
+
+def chain_density_table(
     dtype: np.dtype,
     states: np.ndarray,
     noises: Sequence[ChainNoise],
     num_intermediate: int,
     right_kind: str,
-) -> np.ndarray:
-    """The density rows of one noisy chain group, for :func:`chain_probabilities`.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The density table of one noisy chain group, for :func:`chain_probabilities`.
 
     ``states`` is the host ``(B, R, d)`` pure-state stack of the group in the
     clean row layout (left state, intermediate pairs, and the measurement
     target last for vector right ends); ``noises`` the per-job
     :class:`~repro.engine.jobs.ChainNoise` annotations.  Returns the
-    ``(B, 1 + 4m [+ 1], d, d)`` density stack: row 0 is the left state as
-    *sent* across edge 0, rows ``1 .. 2m`` the pairs in *kept* form (node
-    channel applied), rows ``2m + 1 .. 4m`` the same pairs in *sent* form
+    :func:`density_table` of the group's registers and the ``(B, 1 + 4m
+    [+ 1])`` table rows of every job: entry 0 is the left state as *sent*
+    across edge 0, entries ``1 .. 2m`` the pairs in *kept* form (node
+    channel applied), ``2m + 1 .. 4m`` the same pairs in *sent* form
     (outgoing edge channel on top), and the target last with the right
     end's preparation noise.  Every job may carry its own channels, so a
-    noise-strength sweep is one stack.
+    noise-strength sweep is one table.
     """
-    batch, _, dim = states.shape
+    batch, width, dim = states.shape
     m = num_intermediate
     vector_end = right_kind != RIGHT_DENSE
-    working = np.asarray(states, dtype=dtype)
-
-    def pure(vectors: np.ndarray) -> np.ndarray:
-        return vectors[:, :, :, None] * vectors.conj()[:, :, None, :]
-
-    kept_grid = [
-        [noise.left_channel] + [noise.node_channels[node] for node in range(m) for _ in range(2)]
-        for noise in noises
-    ]
-    sent_grid = [
-        [noise.edge_channels[0]]
-        + [noise.edge_channels[node + 1] for node in range(m) for _ in range(2)]
-        for noise in noises
-    ]
-    kept = apply_noise_grid(kept_grid, pure(working[:, : 1 + 2 * m]), dtype)
-    sent = apply_noise_grid(sent_grid, kept, dtype)
-    rows = np.empty((batch, 1 + 4 * m + int(vector_end), dim, dim), dtype=dtype)
-    rows[:, 0] = sent[:, 0]
-    rows[:, 1 : 1 + 2 * m] = kept[:, 1:]
-    rows[:, 1 + 2 * m : 1 + 4 * m] = sent[:, 1:]
-    if vector_end:
-        # Right-end preparation noise acts on the verifier's reference
-        # state, i.e. the measurement target density.
-        right_grid = [[noise.right_channel] for noise in noises]
-        rows[:, -1:] = apply_noise_grid(right_grid, pure(working[:, -1:]), dtype)
-    return rows
+    kept: List[Optional[KrausChannel]] = []
+    sent: List[Optional[KrausChannel]] = []
+    for noise in noises:
+        kept.append(noise.left_channel)
+        sent.append(noise.edge_channels[0])
+        for node in range(m):
+            kept += (noise.node_channels[node],) * 2
+            sent += (noise.edge_channels[node + 1],) * 2
+        if vector_end:
+            # Right-end preparation noise acts on the verifier's reference
+            # state, i.e. the measurement target density.
+            kept.append(noise.right_channel)
+            sent.append(None)
+    table, ids = density_table(dtype, states.reshape(-1, dim), kept, sent)
+    # A job's register r has its kept form in column 2r, its sent form in 2r + 1.
+    pairs = range(2, 2 + 4 * m, 2)
+    layout = [1, *pairs, *(column + 1 for column in pairs)] + ([2 * width - 2] if vector_end else [])
+    return table, np.take(ids.reshape(batch, 2 * width), layout, axis=1)
 
 
 @lru_cache(maxsize=128)
@@ -239,49 +365,57 @@ def chain_probabilities(
     eps: Optional[np.ndarray],
     num_intermediate: int,
     right_kind: str,
+    table: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Evaluate one ``(m, d, kind, noisy)`` chain group.
 
-    ``rows`` is the host row stack: ``(B, 1 + 2m [+ 1], d)`` pure states for
-    a clean group (left state, intermediate pairs, and the measurement
-    target last for vector right ends), or the ``(B, 1 + 4m [+ 1], d, d)``
-    densities of :func:`chain_density_rows` for a noisy one, whose extra
-    rows are the pairs' *sent* forms (a clean register is sent as kept).
-    ``rights`` is the ``(B, d, d)`` operator stack of a dense right end, else
-    ``None``; ``eps`` the per-job readout errors, or ``None`` for perfect
-    readout.
+    ``rows`` is the host row stack of a clean group, ``(B, 1 + 2m [+ 1],
+    d)`` pure states (left state, intermediate pairs, and the measurement
+    target last for vector right ends).  A noisy group passes the host
+    density ``table`` and, as ``rows``, its ``(B, 1 + 4m [+ 1])`` table
+    rows from :func:`chain_density_table`, whose extra entries are the
+    pairs' *sent* forms (a clean register is sent as kept).  ``rights`` is
+    the ``(B, d, d)`` operator stack of a dense right end, else ``None``;
+    ``eps`` the per-job readout errors, or ``None`` for perfect readout.
 
     The transfer recursion reads O(m) squared overlaps, one per row pair of
     a single list that serves step 1, the transfer steps and a vector right
     end.  A clean group reads them out of one batched Gram product of its
-    state rows; a noisy group gathers exactly those pairs of densities into
-    one Hilbert-Schmidt trace einsum.  Every test factor passes the readout
-    flip, and the recursion folds the factors in host float64.  A chain
-    without intermediate nodes forwards row 0 under both bits, with weight
-    1/2 each.
+    state rows; a noisy group reads its pairs of table rows from
+    :func:`pair_traces`, one trace per distinct pair.  Every test factor
+    passes the readout flip, and the recursion folds the factors in host
+    float64.  A chain without intermediate nodes forwards row 0 under both
+    bits, with weight 1/2 each.
     """
     m = num_intermediate
-    noisy = rows.ndim == 4
+    noisy = table is not None
     dense_end = right_kind == RIGHT_DENSE
     rows_a, rows_b, final_rows = _chain_row_pairs(
         m, 2 * m if noisy else 0, -1 if dense_end else rows.shape[1] - 1
     )
-    states = xp.asarray(rows, dtype=dtype)
     if noisy:
-        overlaps = _accumulate(
-            xp,
-            xp.real(cached_einsum(xp, "bkij,bkji->bk", states[:, rows_a], states[:, rows_b])),
-        )
+        states = xp.asarray(table, dtype=dtype)
+        overlaps = pair_traces(xp, states, rows[:, rows_a], rows[:, rows_b])
     else:
+        states = xp.asarray(rows, dtype=dtype)
         gram = xp.matmul(xp.conj(states), xp.transpose(states, (0, 2, 1)))
         overlaps = _accumulate(xp, xp.abs(gram) ** 2)[:, rows_a, rows_b]
     accepts = None
     if dense_end:
         operators = xp.asarray(rights, dtype=dtype)
-        final_states = states[:, final_rows]
         if noisy:
-            values = cached_einsum(xp, "bij,bsji->bs", operators, final_states)
+            # Each final density paired with its job's operator, both stacks
+            # C-contiguous like the pair traces' operands, so a job's accepts
+            # do not depend on its group (a gather through a transposed index
+            # array would reorder the einsum's sums).
+            finals = states[rows[:, final_rows].ravel()]
+            values = _paired_traces(
+                xp,
+                xp.stack([operators, operators], axis=1),
+                finals.reshape(len(rows), 2, *finals.shape[1:]),
+            )
         else:
+            final_states = states[:, final_rows]
             values = (xp.matmul(xp.conj(final_states), operators) * final_states).sum(-1)
         accepts = _accumulate(xp, xp.real(values))
     return _fold_chain_tests(overlaps, accepts, eps, m, right_kind)
@@ -319,87 +453,83 @@ def _fold_chain_tests(
     return np.sum(weights * accepts, axis=1)
 
 
+def chain_strategy_density_table(
+    dtype: np.dtype,
+    left: np.ndarray,
+    candidates: np.ndarray,
+    choices: np.ndarray,
+    right: np.ndarray,
+    noise: ChainNoise,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The density table of a noisy strategy batch, for :func:`chain_probabilities`.
+
+    ``left``, ``candidates`` (the ``(K, d)`` state table), ``choices`` (``(B,
+    m, 2)`` candidate rows), ``right`` and ``noise`` are a
+    :class:`~repro.engine.jobs.ChainStrategyBatch`'s fields.  The table
+    holds the left state as sent, each candidate kept at node ``j`` and
+    sent past edge ``j + 1``, and the target, built by :func:`density_table`
+    like the densities of the batch's own jobs; a node's two slots see the
+    same channels, so one register per (node, candidate) serves both.  Returns
+    the table and every strategy's ``(B, 2 + 4m)`` table rows in the layout
+    of :func:`chain_density_table`.
+    """
+    batch, m = choices.shape[0], choices.shape[1]
+    size = len(candidates)
+    kept = [noise.left_channel]
+    sent = [noise.edge_channels[0]]
+    for node in range(m):
+        kept += (noise.node_channels[node],) * size
+        sent += (noise.edge_channels[node + 1],) * size
+    table, ids = density_table(
+        dtype,
+        np.concatenate([left[None], np.tile(candidates, (m, 1)), right[None]]),
+        kept + [noise.right_channel],
+        sent + [None],
+    )
+    registers = 1 + (np.arange(m)[:, None] * size + choices).reshape(batch, 2 * m)
+    ends = np.broadcast_to(ids[[0, -1], [1, 0]], (batch, 2))
+    rows = np.concatenate(
+        [ends[:, :1], ids[registers, 0], ids[registers, 1], ends[:, 1:]], axis=1
+    )
+    return table, rows
+
+
 def chain_strategy_probabilities(
     xp: ArrayModule,
     dtype: np.dtype,
     rows: np.ndarray,
     choices: np.ndarray,
-    eps: Optional[np.ndarray],
     num_intermediate: int,
     right_kind: str,
 ) -> np.ndarray:
-    """Evaluate a :class:`~repro.engine.jobs.ChainStrategyBatch` from tables.
+    """Evaluate a clean :class:`~repro.engine.jobs.ChainStrategyBatch` from its table.
 
-    ``rows`` is the host table stack: the ``(K + 2, d)`` states ``[left;
-    table; target]`` of a clean batch, or for a noisy one the ``(K, 2 + 4m,
-    d, d)`` densities :func:`chain_density_rows` builds for ``K`` virtual
-    jobs, job ``k`` holding table row ``k`` in every pair slot.
-    ``choices`` is the batch's ``(B, m, 2)`` array of table rows, ``eps``
-    the per-strategy readout errors or ``None``; the right end is a vector.
-
-    Every register slot gets a table of candidate rows: a clean register is
-    its state, a noisy one its kept density at node ``j`` or its sent
-    density past edge ``j + 1`` (a node's two slots see the same channels,
-    so slot 0's rows stand for both).  A clean batch reads all pair
-    overlaps from one Gram product of its state rows; a noisy one computes
-    only the adjacent-pair tables (left with node 0, node ``j`` sent with
-    node ``j + 1`` kept, the target with the last node sent) through
-    :func:`chain_probabilities`' trace einsum, on one stack that crosses to
-    the device once.  Each strategy gathers its O(m) overlaps by index on
-    the host and folds them through the shared recursion tail, so it gets
-    the bits its own chain job would (generic channels apart: their
-    superoperator matmul may move a last bit with the row count).
+    ``rows`` is the host ``(K + 2, d)`` state stack ``[left; table;
+    target]``, ``choices`` the batch's ``(B, m, 2)`` array of table rows;
+    the right end is a vector.  All pair overlaps come from one Gram
+    product of the stack, and each strategy gathers its O(m) overlaps by
+    index on the host and folds them through :func:`chain_probabilities`'
+    recursion tail, so it gets the bits its own chain job would.  (A noisy
+    batch builds :func:`chain_strategy_density_table` and runs through
+    :func:`chain_probabilities` itself.)
     """
     m = num_intermediate
     batch = choices.shape[0]
-    noisy = rows.ndim == 4
-    node = np.repeat(np.arange(m), 2)
-    # Job row r of a strategy is row base[r] + picks[:, column[r]] of the
-    # table stack; column 0 of picks is zero for the fixed left and target.
+    size = rows.shape[0] - 2
+    # Job row r of a strategy is stack row base[r] + picks[:, column[r]];
+    # column 0 of picks is zero for the fixed left and target.
     picks = np.concatenate(
         [np.zeros((batch, 1), dtype=np.intp), choices.reshape(batch, 2 * m)], axis=1
     )
-    pair_columns = 1 + np.arange(2 * m)
-    if noisy:
-        size, dim = rows.shape[0], rows.shape[-1]
-        table = np.concatenate(
-            [
-                rows[0, :1],
-                rows[:, 1 : 1 + 2 * m : 2].swapaxes(0, 1).reshape(m * size, dim, dim),
-                rows[:, 1 + 2 * m : 1 + 4 * m : 2].swapaxes(0, 1).reshape(m * size, dim, dim),
-                rows[0, -1:],
-            ]
-        )
-        base = np.concatenate([[0], 1 + size * node, 1 + size * (m + node), [1 + 2 * m * size]])
-        column = np.concatenate([[0], pair_columns, pair_columns, [0]])
-        rows_a, rows_b, _ = _chain_row_pairs(m, 2 * m, 4 * m + 1)
-        # One (first row, first row, size, size) block per adjacent register
-        # pair the tests read; its pairs run over the first register's rows.
-        counts = np.where(column > 0, size, 1)
-        blocks = dict.fromkeys(
-            zip(*(array.tolist() for array in (base[rows_a], base[rows_b], counts[rows_a], counts[rows_b])))
-        )
-        index_a = np.concatenate([np.repeat(a + np.arange(na), nb) for a, _, na, nb in blocks])
-        index_b = np.concatenate([np.tile(b + np.arange(nb), na) for _, b, na, nb in blocks])
-        states = xp.asarray(table, dtype=dtype)
-        lookup = np.zeros((len(table), len(table)))
-        lookup[index_a, index_b] = _accumulate(
-            xp,
-            xp.real(
-                cached_einsum(xp, "bkij,bkji->bk", states[index_a][None], states[index_b][None])
-            ),
-        )[0]
-    else:
-        size = rows.shape[0] - 2
-        base = np.concatenate([[0], np.ones(2 * m, dtype=np.intp), [size + 1]])
-        column = np.concatenate([[0], pair_columns, [0]])
-        rows_a, rows_b, _ = _chain_row_pairs(m, 0, 2 * m + 1)
-        states = xp.asarray(rows[None], dtype=dtype)
-        gram = xp.matmul(xp.conj(states), xp.transpose(states, (0, 2, 1)))
-        lookup = _accumulate(xp, xp.abs(gram) ** 2)[0]
+    base = np.concatenate([[0], np.ones(2 * m, dtype=np.intp), [size + 1]])
+    column = np.concatenate([[0], 1 + np.arange(2 * m), [0]])
+    rows_a, rows_b, _ = _chain_row_pairs(m, 0, 2 * m + 1)
+    states = xp.asarray(rows[None], dtype=dtype)
+    gram = xp.matmul(xp.conj(states), xp.transpose(states, (0, 2, 1)))
+    lookup = _accumulate(xp, xp.abs(gram) ** 2)[0]
     unified = base + picks[:, column]
     overlaps = lookup[unified[:, rows_a], unified[:, rows_b]]
-    return _fold_chain_tests(overlaps, None, eps, m, right_kind)
+    return _fold_chain_tests(overlaps, None, None, m, right_kind)
 
 
 # --------------------------------------------------------------------------
@@ -432,24 +562,6 @@ def batched_overlap_grams(
         gram_c = xp.matmul(xp.conj(states), xp.transpose(states, (0, 2, 1)))
         overlap_sq.append(_accumulate(xp, xp.abs(gram_c) ** 2))
     return overlap_sq, None
-
-
-def batched_trace_gram(
-    xp: ArrayModule, dtype: np.dtype, densities: np.ndarray
-) -> np.ndarray:
-    """Hilbert-Schmidt trace Gram ``Tr(rho_r rho_s)`` of stacked densities.
-
-    ``densities`` is the host ``(B, R, d, d)`` stack; the Gram is one
-    batched matmul on the vectorized rows (``Tr(rho sigma) = vec(rho) .
-    conj(vec(sigma))`` for Hermitian matrices), returned as host float64.
-    """
-    batch, rows, dim = densities.shape[0], densities.shape[1], densities.shape[2]
-    vectors = xp.asarray(
-        np.asarray(densities, dtype=dtype).reshape(batch, rows, dim * dim),
-        dtype=dtype,
-    )
-    gram = xp.real(xp.matmul(vectors, xp.transpose(xp.conj(vectors), (0, 2, 1))))
-    return _accumulate(xp, gram)
 
 
 def batched_measure_dense(

@@ -34,12 +34,14 @@ Two independent evaluators implement these semantics:
     Groups jobs by structure signature and evaluates each group in one
     :class:`_GroupContext`.  A clean group stacks its registers into one
     array per tensor factor and reads every pair trace out of one batched
-    Gram product per factor, like a clean chain group; a noisy group stacks
-    the kept and sent densities of every row, built through each job's own
-    channel superoperators, and reads them out of one trace Gram.  The same
-    leaf-to-root recursion then runs vectorized over the batch axis.  The
-    Gram products route through :mod:`repro.engine.kernels`, so they run on
-    any :class:`~repro.engine.array_ops.ArrayModule` (numpy / torch / the
+    Gram product per factor, like a clean chain group; a noisy group builds
+    one density per distinct kept or sent register form of the batch and
+    one trace per distinct pair of them, the tables noisy chain groups use
+    (:func:`repro.engine.kernels.density_table`, :func:`~repro.engine.
+    kernels.pair_traces`).  The same leaf-to-root recursion then runs
+    vectorized over the batch axis.  The Gram products and pair traces
+    route through :mod:`repro.engine.kernels`, so they run on any
+    :class:`~repro.engine.array_ops.ArrayModule` (numpy / torch / the
     transfer-counting mock) in the configured contraction dtype; the
     recursion itself accumulates in host float64.
     :func:`tree_strategy_probabilities_batched` runs the same group
@@ -84,7 +86,7 @@ from repro.engine.jobs import (
 )
 from repro.engine import kernels
 from repro.exceptions import ProtocolError
-from repro.quantum.channels import flip_probability
+from repro.quantum.channels import KrausChannel, flip_probability
 
 
 # --------------------------------------------------------------------------
@@ -363,20 +365,22 @@ def tree_acceptance_probability(job: TreeJob) -> float:
 class _GroupContext:
     """Stacked rows and cached pair traces of one signature group.
 
-    Row ``r < R`` of :attr:`rows` is the kept form of register ``r``; its
-    sent form is row ``r + offset``.  A clean group's rows are its pure
-    states (offset 0, a register is sent as kept): factor 0 of the
-    ``(B, R, d)`` per-factor stacks.  A noisy group's rows are ``(B, 2R, d,
-    d)`` densities (offset ``R``), the kept and sent forms built through
-    each job's own channel superoperators.  ``matches[f][b, r, s]`` is the
-    pair trace ``Tr(rho_r rho_s)`` in tensor factor ``f``: one squared-
-    overlap Gram per factor for a clean group, the Hilbert-Schmidt trace
-    Gram of the vectorized densities for a noisy one.  These products and
-    the dense measurement of pure rows run through :mod:`repro.engine.
-    kernels` on the supplied array module in the supplied contraction
-    dtype; everything the recursion reads afterwards is host float64.
-    Accept factors pass the per-job readout flip when the group has
-    readout errors.
+    Row ``r < R`` is the kept form of register ``r``; its sent form is row
+    ``r + offset``.  A clean group's rows are its pure states (offset 0, a
+    register is sent as kept): :attr:`rows`, factor 0 of the ``(B, R, d)``
+    per-factor stacks.  A noisy group holds one density per distinct
+    register form in :attr:`table` (:func:`repro.engine.kernels.
+    density_table`: the kept forms through each job's own node channels,
+    the sent forms with its up-link channels on top) and each job's ``(B,
+    2R)`` rows of it in :attr:`ids` (offset ``R``).  ``matches[f][b, r,
+    s]`` is the pair trace ``Tr(rho_r rho_s)`` in tensor factor ``f``: one
+    squared-overlap Gram per factor for a clean group; for a noisy one,
+    :func:`repro.engine.kernels.pair_traces` of its table rows, one trace
+    per distinct pair.  These products and the dense measurement of pure
+    rows run through :mod:`repro.engine.kernels` on the supplied array
+    module in the supplied contraction dtype; everything the recursion
+    reads afterwards is host float64.  Accept factors pass the per-job
+    readout flip when the group has readout errors.
 
     The constructor takes the group's ``(B, R, d_f)`` host stacks, one per
     tensor factor, with each job's noise annotation and measurements:
@@ -401,32 +405,37 @@ class _GroupContext:
         self.dtype = resolve_dtype(dtype)
         self._dense_operators: Dict[int, np.ndarray] = {}
         self._cycle_traces: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._row_densities: Dict[int, np.ndarray] = {}
         errors = np.array(
             [noise.readout_error if noise is not None else 0.0 for noise in noises]
         )
         self.eps = errors if errors.any() else None
         self.cgram: Optional[np.ndarray] = None
-        if template.is_noisy:
+        self.noisy = template.is_noisy
+        if self.noisy:
             num_rows, dim = template.factors[0].shape
             owners = _row_owners(template)
-            states = stacks[0].astype(self.dtype, copy=False)
-            pure = states[:, :, :, None] * states.conj()[:, :, None, :]
-            kept_grid = [
-                [None if owner is None else noise.node_channels[owner] for owner in owners]
-                for noise in noises
-            ]
-            sent_grid = [
-                [None if owner is None else noise.up_channels[owner] for owner in owners]
-                for noise in noises
-            ]
-            self.rows = np.empty((self.batch, 2 * num_rows, dim, dim), dtype=self.dtype)
-            kept = kernels.apply_noise_grid(kept_grid, pure, self.dtype)
-            self.rows[:, :num_rows] = kept
-            self.rows[:, num_rows:] = kernels.apply_noise_grid(sent_grid, kept, self.dtype)
+            kept: List[Optional[KrausChannel]] = []
+            sent: List[Optional[KrausChannel]] = []
+            for noise in noises:
+                kept += [None if owner is None else noise.node_channels[owner] for owner in owners]
+                sent += [None if owner is None else noise.up_channels[owner] for owner in owners]
+            self.table, ids = kernels.density_table(
+                self.dtype, stacks[0].reshape(-1, dim), kept, sent
+            )
+            # Kept forms in columns 0 .. R - 1, sent forms in R .. 2R - 1.
+            self.ids = ids.reshape(self.batch, num_rows, 2).transpose(0, 2, 1).reshape(
+                self.batch, 2 * num_rows
+            )
             self.offset = num_rows
-            # Tr(rho sigma) = vec(rho) . conj(vec(sigma)) for Hermitian
-            # matrices: the same batched Gram matmul as pure rows.
-            self.matches = [kernels.batched_trace_gram(self.xp, self.dtype, self.rows)]
+            self.matches = [
+                kernels.pair_traces(
+                    self.xp,
+                    self.xp.asarray(self.table, dtype=self.dtype),
+                    self.ids[:, :, None],
+                    self.ids[:, None, :],
+                )
+            ]
         else:
             self.rows = stacks[0]
             self.offset = 0
@@ -437,6 +446,13 @@ class _GroupContext:
         for extra in self.matches[1:]:
             product = product * extra
         self.match_product = product
+
+    def densities(self, row: int) -> np.ndarray:
+        """The ``(B, d, d)`` densities of row ``row`` (noisy groups), from the table."""
+        cached = self._row_densities.get(row)
+        if cached is None:
+            cached = self._row_densities[row] = self.table[self.ids[:, row]]
+        return cached
 
     def sent_row(self, row: int) -> int:
         """The row index of a register's *sent* (up-link-transformed) form."""
@@ -451,8 +467,9 @@ class _GroupContext:
     def _cycle_trace(self, cycle_rows: Tuple[int, ...]) -> np.ndarray:
         """``Tr(prod rho)`` along one cycle, cached under its canonical rotation.
 
-        Pure rows multiply complex Gram entries ``<r|s>`` around the cycle;
-        density rows multiply the matrices and take the trace.
+        Pure rows multiply complex Gram entries ``<r|s>`` around the cycle.
+        Density rows read a two-cycle from the pair traces; a longer cycle
+        multiplies the table's matrices and traces the last product.
         """
         pivot = cycle_rows.index(min(cycle_rows))
         key = cycle_rows[pivot:] + cycle_rows[:pivot]
@@ -462,13 +479,15 @@ class _GroupContext:
                 cached = self.cgram[:, key[-1], key[0]]
                 for row_a, row_b in zip(key, key[1:]):
                     cached = cached * self.cgram[:, row_a, row_b]
+            elif len(key) == 2:
+                cached = self.matches[0][:, key[0], key[1]]
             else:
-                product = self.rows[:, key[0]]
-                for row in key[1:]:
-                    # Host-side allowlist: the noisy grid keeps densities on
-                    # the host (Kraus channels are host complex128 by design).
-                    product = np.matmul(product, self.rows[:, row])  # repro-lint: disable=device-purity
-                cached = np.trace(product, axis1=1, axis2=2)  # repro-lint: disable=device-purity
+                # Host-side allowlist (both below): the density table stays
+                # on the host (Kraus channels are host complex128 by design).
+                product = self.densities(key[0])
+                for row in key[1:-1]:
+                    product = np.matmul(product, self.densities(row))  # repro-lint: disable=device-purity
+                cached = np.einsum("bij,bji->b", product, self.densities(key[-1]))  # repro-lint: disable=device-purity
             self._cycle_traces[key] = cached
         return cached
 
@@ -497,14 +516,15 @@ class _GroupContext:
         """Accept factors of ``node``'s measurement on row ``row``."""
         measurement = self.template.measurements[node]
         if measurement.kind in (MEAS_DENSE, MEAS_DIAGONAL):
-            states = self.rows[:, row]
             operators = self._node_operators(node)
-            if states.ndim == 3:  # density rows
+            if self.noisy:
                 equation = "bij,bji->b" if measurement.kind == MEAS_DENSE else "bi,bii->b"
-                # Host-side allowlist: density rows stay on the host, so
-                # their traces are host contractions by design.
-                values = np.einsum(equation, operators, states).real  # repro-lint: disable=device-purity
-            elif measurement.kind == MEAS_DENSE:
+                # Host-side allowlist: the density table stays on the host,
+                # so its traces are host contractions by design.
+                values = np.einsum(equation, operators, self.densities(row)).real  # repro-lint: disable=device-purity
+                return self._flip(values)
+            states = self.rows[:, row]
+            if measurement.kind == MEAS_DENSE:
                 values = kernels.batched_measure_dense(
                     self.xp, self.dtype, states, operators
                 )

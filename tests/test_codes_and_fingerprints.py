@@ -56,6 +56,21 @@ class TestLinearCodes:
         with pytest.raises(EncodingError):
             random_linear_code(4, 3, rng=0)
 
+    def test_equal_codes_compare_and_hash_alike(self):
+        first, second = hadamard_code(2), hadamard_code(2)
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert first == pickle.loads(pickle.dumps(first))
+        assert ExactCodeFingerprint(2, rng=7).code == ExactCodeFingerprint(2, rng=7).code
+
+    def test_codes_with_different_generators_differ(self):
+        assert hadamard_code(2) != hadamard_code(3)
+        assert repetition_code(2, 3) != repetition_code(3, 2)
+        assert random_linear_code(3, 12, rng=0) != random_linear_code(3, 12, rng=1)
+        assert hadamard_code(2) != "hadamard"
+        assert len({hadamard_code(2), hadamard_code(3), repetition_code(2, 3)}) == 3
+
     def test_fingerprint_overlap_bound(self):
         code = hadamard_code(2)
         assert np.isclose(code.fingerprint_overlap_bound(), 0.5)

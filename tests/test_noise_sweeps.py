@@ -5,8 +5,9 @@ sibling per strength; every sibling attaches its annotation to the clean
 honest template the engine caches per layout and inputs.  These tests pin
 that route to the old one (one protocol constructed per noise model, all
 programs in one ``evaluate_programs`` call) bit for bit, pin the compile
-count of a sweep, and hold siblings to constructor-built protocols on
-random noise models and product proofs.
+count of a sweep and the density rows its channels are applied to, and
+hold siblings to constructor-built protocols on random noise models and
+product proofs.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import kernels
 from repro.engine.core import Engine, set_default_engine
 from repro.exceptions import ProtocolError
 from repro.experiments.noise_robustness import (
@@ -130,6 +132,21 @@ class TestSweepPins:
         sweep(strengths=STRENGTHS, readout_error=READOUT)
         stats = fresh_engine.cache.stats()
         assert (stats.misses, stats.evictions) == (2, 0)
+
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_a_sweep_builds_each_distinct_density_once(self, kind, fresh_engine, monkeypatch):
+        # Two instances and 64 strengths hold a few states and 64 channels:
+        # one density per distinct (state, channel) form, not one per job.
+        rows = []
+        apply_grid = kernels.apply_channel_grid
+
+        def counting(grid, densities):
+            rows.append(densities.shape[0] * densities.shape[1])
+            return apply_grid(grid, densities)
+
+        monkeypatch.setattr(kernels, "apply_channel_grid", counting)
+        SWEEPS[kind][0](strengths=STRENGTHS, readout_error=READOUT)
+        assert 0 < sum(rows) <= 3 * len(STRENGTHS) + 8
 
     @pytest.mark.parametrize("kind", sorted(SWEEPS))
     def test_a_clean_protocol_returns_the_cached_template(self, kind):

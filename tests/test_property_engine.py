@@ -51,8 +51,18 @@ slot rows) must score every strategy exactly like its own
 :meth:`~repro.engine.jobs.TreeStrategyBatch.jobs` on the transfer-matrix and
 mock backends, bit for bit, and like the dense reference within 1e-9
 (complex64 within its parity tolerance).
+
+Noisy groups contract one density per distinct register form and one trace
+per distinct pair of densities, so the last section builds batches that
+repeat work: chains (``m`` in {0, 1, 3}) and up-family trees over one or
+two shared state stacks, duplicated jobs, and channels that are absent,
+identities, zero-strength, named families at shared and at distinct
+strengths, generic and composed, with readout errors.  Each batch must
+match the dense reference, and each job's value in the batch its value
+alone, bit for bit for named-family channels.
 """
 
+from dataclasses import replace as dataclass_replace
 from math import factorial
 
 import numpy as np
@@ -84,16 +94,18 @@ from repro.engine import (
     MockDeviceTransferMatrixBackend,
     TransferMatrixBackend,
     TreeJobBuilder,
+    TreeNoise,
     TreeStrategyBatch,
     parity_tolerance,
 )
+from repro.engine import kernels
 from repro.protocols.chain import (
     chain_acceptance_operator,
     chain_acceptance_sweep,
     lanczos_top_eigenvalue,
     right_end_swap_operator,
 )
-from repro.quantum.channels import CHANNEL_FAMILIES, KrausChannel
+from repro.quantum.channels import CHANNEL_FAMILIES, KrausChannel, identity_channel
 from repro.quantum.random_states import haar_random_state
 
 MAX_EXAMPLES = 25
@@ -587,3 +599,184 @@ class TestTreeStrategyBatchDifferential:
             atol=parity_tolerance("complex64"),
             rtol=0.0,
         )
+
+
+# --------------------------------------------------------------------------
+# Density and pair-trace tables of noisy groups
+# --------------------------------------------------------------------------
+
+table_specs = st.tuples(
+    st.sampled_from([0, 1, 3]),  # intermediate nodes m
+    st.integers(1, 4),  # register dimension d
+    st.sampled_from([RIGHT_DENSE, RIGHT_PROJECTOR, RIGHT_SWAP]),
+    st.integers(1, 2),  # templates (state stacks) the jobs share
+    st.integers(1, 8),  # jobs before duplication
+    st.integers(0, 2**32 - 1),  # seed of the states, channels and choices
+)
+
+
+class _Palette:
+    """The channels a batch draws from, built to repeat work.
+
+    No channel, the identity map, zero-strength named families, named
+    families at two strengths every job shares (the same objects and fresh
+    equal ones), named families at a strength of their own, a generic Kraus
+    channel and a composed one.  ``named_only`` restricts the draw to the
+    channels the batched path applies in closed form (or skips).
+    """
+
+    def __init__(self, dim, rng):
+        self.dim = dim
+        self.rng = rng
+        self.strengths = [float(s) for s in rng.uniform(0.0, 1.0, 2)]
+        self.shared = [family(s, dim) for family in _FAMILIES for s in self.strengths]
+        self.generic = _isometry_channel(dim, rng)
+        self.composed = _FAMILIES[0](0.3, dim).then(_FAMILIES[2](0.4, dim))
+
+    def draw(self, named_only):
+        choice = int(self.rng.integers(0, 8 if named_only else 10))
+        family = _FAMILIES[int(self.rng.integers(0, len(_FAMILIES)))]
+        if choice == 0:
+            return None
+        if choice == 1:
+            return identity_channel(self.dim)
+        if choice == 2:
+            return family(0.0, self.dim)
+        if choice in (3, 4):
+            return self.shared[int(self.rng.integers(0, len(self.shared)))]
+        if choice == 5:
+            return family(self.strengths[int(self.rng.integers(0, 2))], self.dim)
+        if choice in (6, 7):
+            return family(float(self.rng.uniform(0.0, 1.0)), self.dim)
+        return self.generic if choice == 8 else self.composed
+
+
+def _readout(rng):
+    return (0.0, 0.05, float(rng.uniform(0.0, 0.2)))[int(rng.integers(0, 3))]
+
+
+def _table_chain_jobs(m, dim, kind, templates, count, seed):
+    """``(jobs, named)``: chains over shared state stacks, with the jobs whose
+    channels are all named-family, identity or absent flagged in ``named``."""
+    rng = np.random.default_rng(seed)
+    stacks = [_chain_job(m, dim, kind, False, int(rng.integers(0, 2**32))) for _ in range(templates)]
+    palette = _Palette(dim, rng)
+    jobs, named = [], []
+    for _ in range(count):
+        template = stacks[int(rng.integers(0, templates))]
+        only = bool(rng.integers(0, 2))
+        noise = ChainNoise(
+            edge_channels=tuple(palette.draw(only) for _ in range(m + 1)),
+            node_channels=tuple(palette.draw(only) for _ in range(m)),
+            left_channel=palette.draw(only),
+            right_channel=None if kind == RIGHT_DENSE else palette.draw(only),
+            readout_error=_readout(rng),
+        )
+        jobs.append(dataclass_replace(template, noise=noise))
+        named.append(only)
+        if rng.integers(0, 3) == 0:  # the same job twice, or an equal copy
+            again = jobs[-1] if rng.integers(0, 2) else dataclass_replace(jobs[-1])
+            jobs.append(again)
+            named.append(only)
+    return jobs, named
+
+
+tree_table_specs = st.tuples(
+    st.integers(2, 4),  # arity of the top permutation test
+    st.sampled_from(_MEAS_KINDS + (None,)),  # measuring root
+    st.integers(1, 2),  # templates: one structure, fresh states per template
+    st.integers(1, 6),  # jobs before duplication
+    st.integers(0, 2**32 - 1),  # seed of the structure, channels and choices
+)
+
+
+def _table_tree_jobs(arity, kind, templates, count, seed):
+    """Up-family tree jobs over shared templates, like :func:`_table_chain_jobs`."""
+    stacks = [_tree_job("up", True, 1, arity, kind, seed, copy) for copy in range(templates)]
+    rng = np.random.default_rng([seed, 2])
+    palette = _Palette(int(stacks[0].factors[0].shape[1]), rng)
+    # A dense or diagonal measuring node carries no prepared reference state.
+    unprepared = [
+        measurement is not None and measurement.kind in (MEAS_DENSE, MEAS_DIAGONAL)
+        for measurement in stacks[0].measurements
+    ]
+    jobs, named = [], []
+    for _ in range(count):
+        template = stacks[int(rng.integers(0, templates))]
+        only = bool(rng.integers(0, 2))
+        noise = TreeNoise(
+            up_channels=tuple(palette.draw(only) for _ in unprepared),
+            node_channels=tuple(None if skip else palette.draw(only) for skip in unprepared),
+            readout_error=_readout(rng),
+        )
+        jobs.append(dataclass_replace(template, noise=noise))
+        named.append(only)
+        if rng.integers(0, 3) == 0:
+            jobs.append(jobs[-1])
+            named.append(only)
+    return jobs, named
+
+
+def _assert_tables_hold(jobs, named, evaluate):
+    """Dense parity in both dtypes, and each closed-form job's bits alone."""
+    reference = evaluate(DenseBackend(), jobs)
+    batched = evaluate(TransferMatrixBackend(), jobs)
+    np.testing.assert_allclose(batched, reference, atol=1e-9, rtol=0.0)
+    np.testing.assert_allclose(
+        evaluate(MockDeviceTransferMatrixBackend(), jobs), reference, atol=1e-9, rtol=0.0
+    )
+    np.testing.assert_allclose(
+        evaluate(TransferMatrixBackend(dtype="complex64"), jobs),
+        reference,
+        atol=parity_tolerance("complex64"),
+        rtol=0.0,
+    )
+    backend = TransferMatrixBackend()
+    for job, value, only in zip(jobs, batched, named):
+        alone = evaluate(backend, [job])[0]
+        if only:
+            assert alone.hex() == value.hex()
+        else:
+            assert abs(alone - value) <= 1e-12
+
+
+class TestNoisyTableDifferential:
+    """Noisy groups that repeat work, through the density and pair-trace tables.
+
+    Chain batches share one or two state stacks (``m`` in {0, 1, 3}, ``d``
+    1 to 4, vector and dense right ends) and tree batches one up-family
+    structure with one or two sets of states; every slot draws from a
+    palette of absent, identity, zero-strength, shared-strength,
+    own-strength, generic and composed channels, with readout errors, and
+    some jobs come twice.  Each batch matches the dense reference (1e-9,
+    complex64 within its tolerance), and each job's value in the batch
+    equals its value alone: bit for bit when its channels are named
+    families, identities or absent, within 1e-12 otherwise (a generic
+    channel's superoperator matmul may move a last bit with its row count).
+    The pair-code deduplication behind the traces returns the sorted
+    distinct codes and each code's position among them.
+    """
+
+    @given(spec=table_specs)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_chain_tables_match_dense_and_jobs_alone(self, spec):
+        jobs, named = _table_chain_jobs(*spec)
+        _assert_tables_hold(jobs, named, lambda backend, batch: backend.chain_probabilities(batch))
+
+    @given(spec=tree_table_specs)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_tree_tables_match_dense_and_jobs_alone(self, spec):
+        jobs, named = _table_tree_jobs(*spec)
+        _assert_tables_hold(jobs, named, lambda backend, batch: backend.tree_probabilities(batch))
+
+    @given(
+        values=st.lists(st.integers(0, 2**40), min_size=1, max_size=60),
+        columns=st.sampled_from([1, 2, 3]),
+    )
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_pair_code_deduplication(self, values, columns):
+        codes = np.array(values * columns, dtype=np.intp).reshape(columns, -1)
+        distinct, position = kernels._distinct(codes)
+        assert distinct.tolist() == sorted(set(values))
+        assert position.shape == codes.shape
+        np.testing.assert_array_equal(distinct[position], codes)
