@@ -28,6 +28,16 @@ instances that do not compile (``strategy_batch`` returns ``None``: an
 oversized fan-out, an undescribable leaf measurement, or many-factor
 one-way messages) compile one proof per strategy into batched
 ``acceptance_probabilities`` calls.
+
+The search is two steps.  :func:`compile_strategy_search` runs once per
+instance: the candidates, node order and combos, the state table with its
+strategy rows, and the honest proof.  :func:`score_strategy_search` runs
+once per protocol sharing that layout — the same proof registers and
+fingerprint scheme, as every ``with_noise`` sibling has — and refuses any
+other protocol with :class:`~repro.exceptions.ProtocolError`.
+:func:`fingerprint_strategy_soundness` is the two steps on the protocol it
+is given; the noisy soundness sweeps compile once per instance and score
+every noise point's sibling (:mod:`repro.experiments.noisy_soundness`).
 """
 
 from __future__ import annotations
@@ -128,6 +138,167 @@ def _strategy_label(nodes: Sequence, combo: Sequence[str]) -> str:
     return ",".join(f"{node}={string}" for node, string in zip(nodes, combo))
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledStrategySearch:
+    """A fingerprint strategy search compiled for one instance layout.
+
+    :func:`compile_strategy_search` builds it once per instance: the
+    candidates' node order and combos, the honest proof, and — for a
+    protocol with a batch compiler — the state table with one row of table
+    indices per strategy.  :func:`score_strategy_search` scores it on any
+    protocol sharing that layout (the same proof registers and fingerprint
+    scheme), such as every ``with_noise`` sibling of a noise sweep.
+    """
+
+    inputs: Tuple[str, ...]
+    registers: Tuple[ProofRegister, ...]
+    fingerprint_token: Tuple
+    #: The registers a strategy fills with its node's candidate fingerprint.
+    fingerprint_registers: Tuple[ProofRegister, ...]
+    nodes: Tuple
+    combos: Tuple[Tuple[str, ...], ...]
+    honest: ProductProof
+    honest_states: Dict[str, np.ndarray]
+    #: Raw candidate fingerprints; a proof normalises them as it stores them.
+    candidate_states: Dict[str, np.ndarray]
+    #: ``(table, strategies)`` of :func:`_strategy_table`, or ``None`` for a
+    #: protocol without a batch compiler or without proof registers.
+    table: Optional[Tuple[np.ndarray, np.ndarray]]
+    batch_size: int
+
+    def proof(self, index: int) -> ProductProof:
+        """Strategy ``index`` as a proof: the honest proof, then each combo."""
+        if index == 0:
+            return self.honest
+        node_string = dict(zip(self.nodes, self.combos[index - 1]))
+        # One ProductProof construction per strategy (not a replaced() chain,
+        # which would re-normalize every register once per replacement).
+        states = dict(self.honest_states)
+        for register in self.fingerprint_registers:
+            states[register.name] = self.candidate_states[node_string[register.node]]
+        return ProductProof(states)
+
+    def label(self, index: int) -> str:
+        """Strategy ``index``'s label: ``"honest"`` or its per-node assignment."""
+        if index == 0:
+            return "honest"
+        return _strategy_label(self.nodes, self.combos[index - 1])
+
+
+def compile_strategy_search(
+    protocol: DQMAProtocol,
+    inputs: Sequence[str],
+    candidate_strings: Optional[Iterable[str]] = None,
+    max_assignments: int = 4096,
+    batch_size: int = STRATEGY_BATCH_SIZE,
+) -> CompiledStrategySearch:
+    """The strategy search of :func:`fingerprint_strategy_soundness`, compiled.
+
+    Validates the search sizes before touching ``protocol``, enumerates the
+    per-node candidate assignments and tabulates their register states once;
+    :func:`score_strategy_search` then evaluates them on ``protocol`` or on
+    any protocol sharing its layout.
+    """
+    require_positive_integer(max_assignments, "max_assignments")
+    batch = require_positive_integer(batch_size, "batch_size")
+    fingerprints = getattr(protocol, "fingerprints", None)
+    if fingerprints is None:
+        raise ProtocolError("fingerprint strategy search needs a fingerprint-based protocol")
+    inputs = tuple(inputs)
+    if candidate_strings is None:
+        candidate_strings = list(dict.fromkeys(inputs))
+    candidates = list(dict.fromkeys(candidate_strings))
+
+    honest = protocol.honest_proof(inputs)
+    registers = tuple(protocol.proof_registers())
+    fingerprint_registers = tuple(reg for reg in registers if reg.dim == fingerprints.dim)
+    nodes = tuple(sorted({reg.node for reg in fingerprint_registers}, key=str))
+
+    assignments = len(candidates) ** len(nodes)
+    if assignments > max_assignments:
+        raise ProtocolError(
+            f"{assignments} candidate assignments exceed the search limit {max_assignments}"
+        )
+
+    # The candidate fingerprints are computed once up front.
+    candidate_states = {string: fingerprints.state(string) for string in candidates}
+    honest_states = {name: honest.state(name) for name in honest.register_names}
+    combos = tuple(iter_product(candidates, repeat=len(nodes)))
+    table = None
+    if registers and getattr(protocol, "strategy_batch", None) is not None:
+        table = _strategy_table(
+            combos, candidate_states, honest_states, registers, nodes, fingerprints.dim
+        )
+    return CompiledStrategySearch(
+        inputs=inputs,
+        registers=registers,
+        fingerprint_token=fingerprints.cache_token,
+        fingerprint_registers=fingerprint_registers,
+        nodes=nodes,
+        combos=combos,
+        honest=honest,
+        honest_states=honest_states,
+        candidate_states=candidate_states,
+        table=table,
+        batch_size=batch,
+    )
+
+
+def score_strategy_search(
+    search: CompiledStrategySearch, protocol: DQMAProtocol
+) -> StrategySearchResult:
+    """Best strategy of a compiled search, evaluated on ``protocol`` as built.
+
+    ``protocol`` must share the layout the search was compiled on — the same
+    proof registers and fingerprint scheme, as every ``with_noise`` sibling
+    does — or :class:`~repro.exceptions.ProtocolError` is raised.  Strategy 0
+    is the honest proof, strategy ``1 + i`` the combo ``i``; the first maximum
+    in that order wins.  With a table, each ``batch_size`` chunk compiles
+    through ``protocol.strategy_batch`` into one strategy-batch engine call;
+    where that returns ``None`` (or there is no table), one proof per
+    strategy goes through batched ``acceptance_probabilities`` calls.
+    """
+    fingerprints = getattr(protocol, "fingerprints", None)
+    if (
+        fingerprints is None
+        or fingerprints.cache_token != search.fingerprint_token
+        or tuple(protocol.proof_registers()) != search.registers
+    ):
+        raise ProtocolError(
+            "the strategy search was compiled for another layout: score it on a protocol "
+            "with the same proof registers and fingerprints (a with_noise sibling)"
+        )
+    inputs, batch = search.inputs, search.batch_size
+    table_chunks = None
+    if search.table is not None:
+        table, strategies = search.table
+        table_chunks = [
+            protocol.strategy_batch(inputs, table, strategies[start : start + batch])
+            for start in range(0, len(strategies), batch)
+        ]
+    if table_chunks and table_chunks[0] is not None:
+        best_index, best_value = _best_strategy(
+            protocol.engine.strategy_probabilities(batches) for batches in table_chunks
+        )
+        best_proof = search.proof(best_index)
+    else:
+        proofs: List[ProductProof] = [
+            search.proof(index) for index in range(1 + len(search.combos))
+        ]
+        proof_chunks = [proofs[start : start + batch] for start in range(0, len(proofs), batch)]
+        best_index, best_value = _best_strategy(
+            protocol.acceptance_probabilities([inputs] * len(chunk), proofs=chunk)
+            for chunk in proof_chunks
+        )
+        best_proof = proofs[best_index]
+    return StrategySearchResult(
+        best_acceptance=float(best_value),
+        best_proof=best_proof,
+        best_strategy=search.label(best_index),
+        num_assignments=len(search.combos),
+    )
+
+
 def fingerprint_strategy_soundness(
     protocol: DQMAProtocol,
     inputs: Sequence[str],
@@ -153,81 +324,19 @@ def fingerprint_strategy_soundness(
     the best cheating acceptance over all proofs, never a certificate that
     no better cheat exists.
 
-    The search evaluates the protocol as built: one constructed with a
-    noise model, or a :meth:`~repro.protocols.base.DQMAProtocol.with_noise`
+    The search is :func:`compile_strategy_search` followed by
+    :func:`score_strategy_search` on ``protocol``; a sweep over noise models
+    compiles once and scores each ``with_noise`` sibling instead.  The
+    search evaluates the protocol as built: one constructed with a noise
+    model, or a :meth:`~repro.protocols.base.DQMAProtocol.with_noise`
     sibling, runs every strategy on the engine's density-matrix path
     (``ChainNoise``/``TreeNoise``-annotated jobs), so the search reports the
     best structured cheat *under* that model.
     """
-    require_positive_integer(max_assignments, "max_assignments")
-    batch = require_positive_integer(batch_size, "batch_size")
-    fingerprints = getattr(protocol, "fingerprints", None)
-    if fingerprints is None:
-        raise ProtocolError("fingerprint strategy search needs a fingerprint-based protocol")
-    inputs = tuple(inputs)
-    if candidate_strings is None:
-        candidate_strings = list(dict.fromkeys(inputs))
-    candidates = list(dict.fromkeys(candidate_strings))
-
-    honest = protocol.honest_proof(inputs)
-    registers = protocol.proof_registers()
-    fingerprint_registers = [reg for reg in registers if reg.dim == fingerprints.dim]
-    nodes = sorted({reg.node for reg in fingerprint_registers}, key=str)
-
-    assignments = len(candidates) ** len(nodes)
-    if assignments > max_assignments:
-        raise ProtocolError(
-            f"{assignments} candidate assignments exceed the search limit {max_assignments}"
-        )
-
-    # One ProductProof construction per strategy (not a replaced() chain,
-    # which would re-normalize every register once per replacement), with the
-    # candidate fingerprints computed once up front.
-    candidate_states = {string: fingerprints.state(string) for string in candidates}
-    honest_states = {name: honest.state(name) for name in honest.register_names}
-
-    def build_proof(combo: Sequence[str]) -> ProductProof:
-        node_string = dict(zip(nodes, combo))
-        states = dict(honest_states)
-        for register in fingerprint_registers:
-            states[register.name] = candidate_states[node_string[register.node]]
-        return ProductProof(states)
-
-    # Strategy 0 is the honest proof, strategy 1 + i the combo i.  Protocols
-    # whose strategy_batch compiles the instance score each chunk from a
-    # state table; the rest (strategy_batch returns None, or there are no
-    # proof registers to tabulate) evaluate one ProductProof per strategy.
-    combos = list(iter_product(candidates, repeat=len(nodes)))
-    table_chunks = None
-    if registers and getattr(protocol, "strategy_batch", None) is not None:
-        table, strategies = _strategy_table(
-            combos, candidate_states, honest_states, registers, nodes, fingerprints.dim
-        )
-        table_chunks = [
-            protocol.strategy_batch(inputs, table, strategies[start : start + batch])
-            for start in range(0, len(strategies), batch)
-        ]
-    if table_chunks and table_chunks[0] is not None:
-        best_index, best_value = _best_strategy(
-            protocol.engine.strategy_probabilities(batches) for batches in table_chunks
-        )
-        best_proof = honest if best_index == 0 else build_proof(combos[best_index - 1])
-    else:
-        proofs: List[ProductProof] = [honest] + [build_proof(combo) for combo in combos]
-        proof_chunks = [proofs[start : start + batch] for start in range(0, len(proofs), batch)]
-        best_index, best_value = _best_strategy(
-            protocol.acceptance_probabilities([inputs] * len(chunk), proofs=chunk)
-            for chunk in proof_chunks
-        )
-        best_proof = proofs[best_index]
-    return StrategySearchResult(
-        best_acceptance=float(best_value),
-        best_proof=best_proof,
-        best_strategy=(
-            "honest" if best_index == 0 else _strategy_label(nodes, combos[best_index - 1])
-        ),
-        num_assignments=assignments,
+    search = compile_strategy_search(
+        protocol, inputs, candidate_strings, max_assignments, batch_size
     )
+    return score_strategy_search(search, protocol)
 
 
 def _best_strategy(chunks: Iterable[np.ndarray]) -> Tuple[int, float]:

@@ -25,7 +25,7 @@ comparison at fixed strength (``noise-channels``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +53,10 @@ DEFAULT_CHANNEL_NAMES = (
 )
 
 
+#: The protocol families the noise sweeps evaluate through ``with_noise``.
+NoiseCapable = Union[EqualityPathProtocol, EqualityTreeProtocol, RelayEqualityProtocol]
+
+
 def default_noise_strengths() -> List[float]:
     """The default strength grid of the noise-robustness sweeps."""
     return [float(strength) for strength in DEFAULT_STRENGTHS]
@@ -63,35 +67,32 @@ def default_channel_names() -> List[str]:
     return list(DEFAULT_CHANNEL_NAMES)
 
 
-def _sweep_rows(
-    experiment: str,
-    base: Union[EqualityPathProtocol, EqualityTreeProtocol, RelayEqualityProtocol],
-    channel: str,
-    strengths: Sequence[float],
-    readout_error: float,
-    yes_inputs: Sequence[str],
-    no_inputs: Sequence[str],
-) -> List[ExperimentRow]:
-    """Evaluate completeness and no-instance acceptance for every noise point.
+def honest_grid(
+    base: NoiseCapable,
+    models: Sequence[Optional[NoiseModel]],
+    instances: Sequence[Sequence[str]],
+) -> Tuple[List[NoiseCapable], np.ndarray]:
+    """Every noise model's sibling and its honest acceptance on every instance.
 
-    Every strength evaluates ``base.with_noise`` of a uniform link model of
-    that strength, so the sweep compiles each instance once: the engine
-    caches the clean honest template, and each point attaches its annotation
-    to it.  All programs (every strength, both instances) are handed to the
-    engine in a single ``evaluate_programs`` batch, on the process-wide
-    default engine, so pool workers evaluating many chunks of a sweep share
-    its two templates instead of compiling them per chunk.
+    Model ``i`` evaluates ``base.with_noise(models[i])``, so the grid
+    compiles each instance once: the engine caches the clean honest
+    template, and each sibling attaches its annotation to it.  All programs
+    (every model, every instance) are handed to the engine in a single
+    ``evaluate_programs`` batch, on the process-wide default engine, so pool
+    workers evaluating many chunks of a sweep share its templates instead of
+    compiling them per chunk.  Returns the siblings, in model order, and a
+    ``(len(models), len(instances))`` array of acceptances; the noise sweeps
+    format the array as rows, and the noisy soundness sweeps also score
+    their compiled strategy search on each sibling.
     """
     engine = default_engine()
     base.use_engine(engine)
-    build = channel_family(channel)
-    dim = base.fingerprints.dim
+    siblings = []
     programs = []
-    for strength in strengths:
-        protocol = base.with_noise(
-            NoiseModel.uniform_link(build(strength, dim), readout_error)
-        )
-        for inputs in (yes_inputs, no_inputs):
+    for model in models:
+        protocol = base.with_noise(model)
+        siblings.append(protocol)
+        for inputs in instances:
             program = protocol.acceptance_program(inputs)
             if program is None:
                 raise ProtocolError(
@@ -101,10 +102,25 @@ def _sweep_rows(
                 )
             programs.append(program)
     values = engine.evaluate_programs(programs)
+    return siblings, values.reshape(len(models), len(instances))
+
+
+def _sweep_rows(
+    experiment: str,
+    base: NoiseCapable,
+    channel: str,
+    strengths: Sequence[float],
+    readout_error: float,
+    yes_inputs: Sequence[str],
+    no_inputs: Sequence[str],
+) -> List[ExperimentRow]:
+    """Completeness and no-instance acceptance under a uniform link model per strength."""
+    build = channel_family(channel)
+    dim = base.fingerprints.dim
+    models = [NoiseModel.uniform_link(build(strength, dim), readout_error) for strength in strengths]
+    _, values = honest_grid(base, models, (yes_inputs, no_inputs))
     rows = []
-    for index, strength in enumerate(strengths):
-        completeness = float(values[2 * index])
-        no_accept = float(values[2 * index + 1])
+    for strength, (completeness, no_accept) in zip(strengths, values.tolist()):
         rows.append(
             ExperimentRow(
                 experiment,

@@ -3,11 +3,19 @@
 The noise-robustness scenarios measure the *honest* prover's degradation; the
 soundness scenarios search for cheats on *noiseless* hardware.  These sweeps
 close the gap — the ROADMAP's "noise-aware adversarial soundness" item — by
-running the batched fingerprint-strategy search of
-:func:`repro.analysis.soundness.fingerprint_strategy_soundness` under a
-:class:`~repro.quantum.channels.NoiseModel`: every strategy assignment of a
-sweep point compiles to ``ChainNoise``-annotated jobs and evaluates on the
-engine's density-matrix path, one stacked contraction per strategy batch.
+running the fingerprint-strategy search of :mod:`repro.analysis.soundness`
+under a :class:`~repro.quantum.channels.NoiseModel`.  A sweep evaluates its
+whole grid at once: the search compiles once per instance
+(:func:`~repro.analysis.soundness.compile_strategy_search`: the candidate
+lattice, the state table with its strategy rows, the honest proof) and is
+scored on every point's ``with_noise`` sibling
+(:func:`~repro.analysis.soundness.score_strategy_search`), whose strategy
+batch carries the point's ``ChainNoise`` annotation onto the engine's
+density-matrix path, one strategy-batch engine call per point.  Every
+point's no-instance and completeness programs go to the engine together in
+one ``evaluate_programs`` call
+(:func:`~repro.experiments.noise_robustness.honest_grid`).  The
+path-length sweep has one point per instance, so it compiles per length.
 
 Three scenarios are registered with the runner:
 
@@ -41,10 +49,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.soundness import (
-    fingerprint_strategy_soundness,
+    compile_strategy_search,
     paper_bound_slack,
+    score_strategy_search,
 )
-from repro.engine.core import Engine, default_engine
+from repro.experiments.noise_robustness import honest_grid
 from repro.experiments.records import ExperimentRow
 from repro.protocols.equality import EqualityPathProtocol
 from repro.quantum.channels import NoiseModel, channel_family
@@ -98,31 +107,37 @@ def _candidates(inputs: Sequence[str]) -> Tuple[str, ...]:
     return tuple(strings)
 
 
-def _search_point(
+def _search_grid(
     protocol: EqualityPathProtocol,
     inputs: Tuple[str, ...],
-    noise: NoiseModel,
-    engine: Engine,
-) -> dict:
-    """One sweep point: honest acceptance and best structured cheat under noise.
+    models: Sequence[NoiseModel],
+) -> List[dict]:
+    """Every noise point's honest acceptance, completeness and best structured cheat.
 
-    The search and the honest evaluations share the clean protocol's noisy
-    sibling (its layout, with only the noise mapped), so every strategy
-    batch lands on the density-matrix contraction path of the active backend.
+    The strategy search compiles once for the instance and is scored on each
+    point's ``with_noise`` sibling (its layout, with only the noise mapped),
+    one strategy-batch engine call per point on the density-matrix path of
+    the active backend.  Every point's no-instance and completeness programs
+    go to the engine in one :func:`~repro.experiments.noise_robustness.honest_grid`
+    call.  The honest acceptance stays its own job rather than the search's
+    strategy 0: a table row is re-normalised, so the two can differ in the
+    last bits.
     """
-    noisy = protocol.use_engine(engine).with_noise(noise)
-    search = fingerprint_strategy_soundness(
-        noisy, inputs, candidate_strings=_candidates(inputs)
-    )
-    honest = noisy.acceptance_probability(inputs, None)
-    completeness = noisy.acceptance_probability((inputs[0], inputs[0]), None)
-    return {
-        "honest_acceptance": honest,
-        "completeness": completeness,
-        "best_found_acceptance": search.best_acceptance,
-        "best_strategy": search.best_strategy,
-        "strategies_searched": search.num_assignments + 1,
-    }
+    search = compile_strategy_search(protocol, inputs, candidate_strings=_candidates(inputs))
+    siblings, honest = honest_grid(protocol, models, (inputs, (inputs[0], inputs[0])))
+    points = []
+    for sibling, (no_accept, completeness) in zip(siblings, honest.tolist()):
+        result = score_strategy_search(search, sibling)
+        points.append(
+            {
+                "honest_acceptance": no_accept,
+                "completeness": completeness,
+                "best_found_acceptance": result.best_acceptance,
+                "best_strategy": result.best_strategy,
+                "strategies_searched": result.num_assignments + 1,
+            }
+        )
+    return points
 
 
 def channel_family_soundness_sweep(
@@ -138,16 +153,17 @@ def channel_family_soundness_sweep(
     """
     if points is None:
         points = default_channel_strength_points()
-    engine = default_engine()
     fingerprints = ExactCodeFingerprint(input_length, rng=7)
-    inputs = _no_instance(input_length)
     protocol = EqualityPathProtocol.on_path(input_length, path_length, fingerprints)
-    rows = []
-    for channel, strength in points:
-        noise = NoiseModel.uniform_link(
+    models = [
+        NoiseModel.uniform_link(
             channel_family(channel)(float(strength), fingerprints.dim), readout_error
         )
-        values = _search_point(protocol, inputs, noise, engine)
+        for channel, strength in points
+    ]
+    grid = _search_grid(protocol, _no_instance(input_length), models)
+    rows = []
+    for (channel, strength), values in zip(points, grid):
         values.update({"channel": channel, "noise": float(strength)})
         rows.append(
             ExperimentRow(
@@ -173,7 +189,6 @@ def path_length_soundness_sweep(
     """
     if path_lengths is None:
         path_lengths = default_noisy_path_lengths()
-    engine = default_engine()
     fingerprints = ExactCodeFingerprint(input_length, rng=7)
     inputs = _no_instance(input_length)
     noise = NoiseModel.uniform_link(
@@ -185,7 +200,7 @@ def path_length_soundness_sweep(
             input_length, int(path_length), fingerprints
         )
         bound = 1.0 - protocol.single_shot_soundness_gap()
-        values = _search_point(protocol, inputs, noise, engine)
+        (values,) = _search_grid(protocol, inputs, [noise])
         values.update(
             {
                 "path_length": int(path_length),
@@ -225,18 +240,17 @@ def gap_collapse_sweep(
     """
     if strengths is None:
         strengths = default_collapse_strengths()
-    engine = default_engine()
     fingerprints = ExactCodeFingerprint(input_length, rng=7)
-    inputs = _no_instance(input_length)
     build = channel_family(channel)
     protocol = EqualityPathProtocol.on_path(input_length, path_length, fingerprints)
     bound = 1.0 - protocol.single_shot_soundness_gap()
+    models = [
+        NoiseModel.uniform_link(build(float(strength), fingerprints.dim), readout_error)
+        for strength in strengths
+    ]
+    grid = _search_grid(protocol, _no_instance(input_length), models)
     rows = []
-    for strength in strengths:
-        noise = NoiseModel.uniform_link(
-            build(float(strength), fingerprints.dim), readout_error
-        )
-        values = _search_point(protocol, inputs, noise, engine)
+    for strength, values in zip(strengths, grid):
         best = values["best_found_acceptance"]
         values.update(
             {

@@ -8,8 +8,10 @@ acceptance operator of a noisy protocol against the engine's numbers, the
 entangled report on noisy protocols, dtype-derived paper-bound slack,
 pickle/byte stability of the result dataclasses through the sharded pool,
 the path search's table route (bit for bit against its per-strategy jobs and
-the per-proof search, and its device traffic), and the registered
-``noisy-soundness-*`` sweep scenarios.
+the per-proof search, and its device traffic), a search compiled once and
+scored on ``with_noise`` siblings (against each sibling's own search, and
+its layout guard), and the registered ``noisy-soundness-*`` sweep scenarios
+(bit for bit against per-point searches, and their engine calls).
 """
 
 import pickle
@@ -21,13 +23,16 @@ from hypothesis import strategies as st
 
 from repro.analysis.soundness import (
     SoundnessReport,
+    compile_strategy_search,
     entangled_soundness_report,
     fingerprint_strategy_soundness,
     paper_bound_slack,
+    score_strategy_search,
 )
 from repro.comm.one_way import FingerprintEqualityOneWay
 from repro.comm.problems import EqualityProblem
 from repro.engine import Engine, MockDeviceTransferMatrixBackend, TransferMatrixBackend
+from repro.engine.core import set_default_engine
 from repro.exceptions import ProtocolError
 from repro.experiments.noisy_soundness import (
     channel_family_soundness_sweep,
@@ -38,6 +43,7 @@ from repro.experiments.noisy_soundness import (
 from repro.experiments.soundness_scaling import small_fingerprints
 from repro.experiments.runner import run_scenario
 from repro.experiments.sweep import run_sweep_sharded
+from repro.experiments.tree_soundness import network_zoo, no_instance
 from repro.network.topology import path_network, star_network
 from repro.protocols.base import ProductProof, RepeatedProtocol
 from repro.protocols.equality import EqualityPathProtocol, EqualityTreeProtocol
@@ -415,9 +421,9 @@ LATTICE = (
 )
 
 
-def _lattice_noise(family, strength):
+def _lattice_noise(family, strength, readout_error=0.0):
     return NoiseModel.uniform_link(
-        channel_family(family)(strength, LATTICE_FINGERPRINTS.dim)
+        channel_family(family)(strength, LATTICE_FINGERPRINTS.dim), readout_error
     )
 
 
@@ -504,7 +510,197 @@ class TestStrategyTableRoute:
         assert whole.bytes_to_device < stack_bytes
 
 
+def _assert_same_search(result, reference):
+    """Two search results agree in label, value bits, size and winning proof."""
+    assert result.best_strategy == reference.best_strategy
+    assert result.best_acceptance.hex() == reference.best_acceptance.hex()
+    assert result.num_assignments == reference.num_assignments
+    assert result.best_proof.register_names == reference.best_proof.register_names
+    for name in result.best_proof.register_names:
+        np.testing.assert_array_equal(
+            result.best_proof.state(name), reference.best_proof.state(name)
+        )
+
+
+#: Each protocol family's clean base and no-instance for the compile-once tests.
+COMPILED_INSTANCES = {
+    "path": lambda: (EqualityPathProtocol.on_path(2, 4, FINGERPRINTS), NO_INSTANCE),
+    "tree": lambda: (
+        EqualityTreeProtocol(dict(network_zoo(3))["binary-depth2"], FINGERPRINTS),
+        no_instance(2, 3),
+    ),
+}
+
+
+class TestCompiledSearch:
+    """One compiled search, scored on every ``with_noise`` sibling of its layout."""
+
+    @pytest.mark.parametrize("kind", sorted(COMPILED_INSTANCES))
+    def test_one_compile_scores_each_sibling_like_its_own_search(self, kind):
+        base, inputs = COMPILED_INSTANCES[kind]()
+        base.use_engine(Engine(backend=TransferMatrixBackend(dtype="complex128")))
+        candidates = ("11", "10", "01")
+        search = compile_strategy_search(base, inputs, candidate_strings=candidates)
+        for model in [None, NoiseModel()] + [_model(channel) for channel in CHANNELS]:
+            sibling = base.with_noise(model)
+            _assert_same_search(
+                score_strategy_search(search, sibling),
+                fingerprint_strategy_soundness(sibling, inputs, candidate_strings=candidates),
+            )
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            EqualityPathProtocol.on_path(2, 4, LATTICE_FINGERPRINTS),
+            EqualityPathProtocol.on_path(2, 3, FINGERPRINTS),
+        ],
+        ids=["path-length", "fingerprints"],
+    )
+    def test_scoring_another_layout_is_refused(self, other):
+        assert FINGERPRINTS.cache_token != LATTICE_FINGERPRINTS.cache_token
+        base = EqualityPathProtocol.on_path(2, 3, LATTICE_FINGERPRINTS)
+        search = compile_strategy_search(
+            base, LATTICE_INPUTS, candidate_strings=LATTICE_CANDIDATES
+        )
+        with pytest.raises(ProtocolError, match="another layout"):
+            score_strategy_search(search, other.with_noise(_lattice_noise("depolarizing", 0.15)))
+
+
+@pytest.fixture
+def fresh_engine():
+    engine = Engine()
+    set_default_engine(engine)
+    yield engine
+    set_default_engine(None)
+
+
+class _CountingBackend(TransferMatrixBackend):
+    """The default transfer-matrix backend, counting its chain and strategy calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.chain_calls = []
+        self.strategy_calls = 0
+
+    def chain_probabilities(self, jobs):
+        self.chain_calls.append(len(jobs))
+        return super().chain_probabilities(jobs)
+
+    def chain_strategy_probabilities(self, batch):
+        self.strategy_calls += 1
+        return super().chain_strategy_probabilities(batch)
+
+
+def _reference_point(path_length, family, strength, readout_error):
+    """One sweep point the per-point way: a sibling, its own search, two honest runs.
+
+    Returns the sibling's Lemma 17 bound and the point's search values.
+    """
+    sibling = (
+        EqualityPathProtocol.on_path(2, path_length, LATTICE_FINGERPRINTS)
+        .use_engine(Engine())
+        .with_noise(_lattice_noise(family, strength, readout_error))
+    )
+    search = fingerprint_strategy_soundness(
+        sibling, LATTICE_INPUTS, candidate_strings=LATTICE_CANDIDATES
+    )
+    return 1.0 - sibling.single_shot_soundness_gap(), {
+        "honest_acceptance": sibling.acceptance_probability(LATTICE_INPUTS),
+        "completeness": sibling.acceptance_probability((LATTICE_INPUTS[0],) * 2),
+        "best_found_acceptance": search.best_acceptance,
+        "best_strategy": search.best_strategy,
+        "strategies_searched": search.num_assignments + 1,
+    }
+
+
+#: A channel-sweep grid mixing the three families, strength 0 included.
+MIXED_POINTS = [
+    (CHANNELS[index % 3], float(strength))
+    for index, strength in enumerate(np.linspace(0.0, 0.45, 7))
+]
+
+
+def _reference_channels(readout_error):
+    rows = []
+    for channel, strength in MIXED_POINTS:
+        _, values = _reference_point(3, channel, strength, readout_error)
+        rows.append(dict(values, channel=channel, noise=strength))
+    return channel_family_soundness_sweep(points=MIXED_POINTS, readout_error=readout_error), rows
+
+
+def _reference_path_lengths(readout_error):
+    rows = []
+    for path_length in (2, 3, 4):
+        bound, values = _reference_point(path_length, "depolarizing", 0.15, readout_error)
+        values.update(
+            path_length=path_length,
+            noise=0.15,
+            paper_bound=bound,
+            respects_bound=values["best_found_acceptance"] <= bound + paper_bound_slack(),
+        )
+        rows.append(values)
+    sweep = path_length_soundness_sweep(path_lengths=[2, 3, 4], readout_error=readout_error)
+    return sweep, rows
+
+
+def _reference_collapse(readout_error):
+    strengths = [float(strength) for strength in np.linspace(0.0, 0.5, 11)]
+    rows = []
+    for strength in strengths:
+        bound, values = _reference_point(3, "depolarizing", strength, readout_error)
+        best = values["best_found_acceptance"]
+        values.update(
+            noise=strength,
+            paper_bound=bound,
+            bound_margin=bound - best,
+            gap=values["completeness"] - best,
+            exceeds_paper_bound=best > bound + paper_bound_slack(),
+        )
+        rows.append(values)
+    return gap_collapse_sweep(strengths=strengths, readout_error=readout_error), rows
+
+
+#: Each noisy-soundness sweep on the grid route with its per-point reference.
+GRID_SWEEPS = {
+    "channels": _reference_channels,
+    "path-length": _reference_path_lengths,
+    "collapse": _reference_collapse,
+}
+
+
+def _bits(values):
+    return {
+        key: value.hex() if isinstance(value, float) else repr(value)
+        for key, value in values.items()
+    }
+
+
 class TestNoisySoundnessScenarios:
+    @pytest.mark.parametrize("readout_error", [0.0, 0.03])
+    @pytest.mark.parametrize("sweep", sorted(GRID_SWEEPS))
+    def test_grid_rows_equal_per_point_searches_bitwise(self, sweep, readout_error, fresh_engine):
+        rows, references = GRID_SWEEPS[sweep](readout_error)
+        assert len(rows) == len(references)
+        for row, reference in zip(rows, references):
+            assert _bits(row.values) == _bits(reference)
+
+    def test_a_channel_sweep_evaluates_its_honest_grid_in_one_call(self):
+        # 16 points: one strategy batch each, and all 32 honest programs (the
+        # no-instance and the completeness of every point) in one chain call.
+        points = [
+            (CHANNELS[index % 3], float(strength))
+            for index, strength in enumerate(np.linspace(0.0, 0.45, 16))
+        ]
+        backend = _CountingBackend()
+        set_default_engine(Engine(backend=backend))
+        try:
+            rows = channel_family_soundness_sweep(points=points)
+        finally:
+            set_default_engine(None)
+        assert len(rows) == 16
+        assert backend.chain_calls == [32]
+        assert backend.strategy_calls == 16
+
     def test_channel_sweep_covers_every_family(self):
         rows = channel_family_soundness_sweep(
             points=[(name, 0.2) for name in CHANNELS]
