@@ -11,16 +11,15 @@ The strategy search evaluates its whole enumeration — up to
 call.  On the Algorithm 3 path, the Algorithm 5 tree and the Theorem 32
 trees it never builds those proofs: the registers' distinct states go into
 one table, each strategy becomes the table row of every register, and the
-protocol's ``strategy_batch`` compiles each chunk to strategy batches whose
-values multiply to each strategy's acceptance.  A path chunk is one
-:class:`~repro.engine.jobs.ChainStrategyBatch`: because every SWAP test
-couples only adjacent registers, the transfer-matrix backend scores it from
-per-register tables: one Gram of the table states for a clean chunk, the
-densities of its registers and the traces of the pairs its strategies read
-for a noisy one.  A tree chunk is
-one :class:`~repro.engine.jobs.TreeStrategyBatch` per verification tree: the
-honest job compiles once as the template, and the transfer-matrix backend
-gathers every strategy's row stack from the table into its ordinary tree
+protocol's ``strategy_batch`` compiles each chunk to
+:class:`~repro.engine.jobs.StrategyBatch` objects whose values multiply to
+each strategy's acceptance: one per chunk on a path, one per verification
+tree on a tree, each with the protocol's honest job as its template.
+Because every SWAP test of a chain couples only adjacent registers, the
+transfer-matrix backend scores a path batch from per-register tables (one
+Gram of the batch's states for a clean chunk, the densities of its registers
+and the traces of the pairs its strategies read for a noisy one), and it
+gathers a tree batch's row stacks from the table into its ordinary tree
 group evaluator.  Both routes give the per-proof route's values to the bit;
 only the winner's label and :class:`~repro.protocols.base.ProductProof` are
 built.  Protocols without a batch compiler, without proof registers, and

@@ -9,11 +9,11 @@ asks the simulator to evaluate from *how* the evaluation is carried out:
   tree-rooted verification: nodes carry fixed / symmetrized / routed
   registers, SWAP- and permutation-test links follow the tree edges, and
   measuring leaves carry accept operators — a chain is the degenerate path
-  tree), :class:`ChainStrategyBatch` and :class:`TreeStrategyBatch` (many
-  proof strategies of one chain or tree job as row indices into a table of
-  register states) and :class:`TreeProgram` (a weighted sum of products of
-  jobs, the shape every compiled protocol's acceptance probability takes;
-  :class:`ChainProgram` is a thin subclass kept for the chain families).
+  tree), :class:`StrategyBatch` (many proof strategies of one chain or tree
+  job as row indices into a table of register states) and
+  :class:`TreeProgram` (a weighted sum of products of jobs, the shape every
+  compiled protocol's acceptance probability takes; :class:`ChainProgram`
+  is a thin subclass kept for the chain families).
   Jobs may carry :class:`ChainNoise` / :class:`TreeNoise` channel
   annotations (see :mod:`repro.quantum.channels`); the backends evaluate
   them on the same paths as clean jobs, which are the noisy ones with no
@@ -101,14 +101,13 @@ from repro.engine.jobs import (
     ChainJob,
     ChainNoise,
     ChainProgram,
-    ChainStrategyBatch,
     LeafMeasurement,
     MeasurementSpec,
+    StrategyBatch,
     TreeJob,
     TreeJobBuilder,
     TreeNoise,
     TreeProgram,
-    TreeStrategyBatch,
 )
 from repro.engine.tree_contraction import (
     tree_acceptance_probability,
@@ -138,7 +137,6 @@ __all__ = [
     "ChainJob",
     "ChainNoise",
     "ChainProgram",
-    "ChainStrategyBatch",
     "DenseBackend",
     "Engine",
     "LeafMeasurement",
@@ -148,13 +146,13 @@ __all__ = [
     "OperatorCache",
     "OperatorPack",
     "SimulationBackend",
+    "StrategyBatch",
     "TorchTransferMatrixBackend",
     "TransferMatrixBackend",
     "TreeJob",
     "TreeJobBuilder",
     "TreeNoise",
     "TreeProgram",
-    "TreeStrategyBatch",
     "available_array_modules",
     "available_backends",
     "default_engine",

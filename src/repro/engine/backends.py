@@ -21,7 +21,9 @@ Two evaluation strategies ship with the library:
     :func:`~repro.engine.kernels.chain_probabilities`, and every tree group
     through the single group evaluator of :func:`~repro.engine.
     tree_contraction.tree_probabilities_batched`.  This is the fast path
-    behind ``DQMAProtocol.acceptance_probabilities``.
+    behind ``DQMAProtocol.acceptance_probabilities``; strategy searches
+    reach it, for both families, through its one override of
+    :meth:`SimulationBackend.strategy_probabilities`.
 
 The transfer-matrix evaluation is parameterized by an
 :class:`~repro.engine.array_ops.ArrayModule` and a contraction dtype, so the
@@ -79,9 +81,8 @@ from repro.engine.array_ops import (
 from repro.engine.jobs import (
     RIGHT_DENSE,
     ChainJob,
-    ChainStrategyBatch,
+    StrategyBatch,
     TreeJob,
-    TreeStrategyBatch,
     group_jobs_by_shape,
 )
 from repro.engine import kernels
@@ -107,15 +108,6 @@ class SimulationBackend(ABC):
         """Acceptance probability of a single chain job."""
         return float(self.chain_probabilities([job])[0])
 
-    def chain_strategy_probabilities(self, batch: ChainStrategyBatch) -> np.ndarray:
-        """Acceptance probability of every strategy of a chain strategy batch.
-
-        The default evaluates the batch's ordinary chain jobs
-        (:meth:`ChainStrategyBatch.jobs`), which keeps the dense backend the
-        oracle; backends with a table kernel override it.
-        """
-        return self.chain_probabilities(batch.jobs())
-
     def tree_probabilities(self, jobs: Sequence[TreeJob]) -> np.ndarray:
         """Acceptance probability of every tree job, as a float array.
 
@@ -130,13 +122,16 @@ class SimulationBackend(ABC):
         """Acceptance probability of a single tree job."""
         return float(self.tree_probabilities([job])[0])
 
-    def tree_strategy_probabilities(self, batch: TreeStrategyBatch) -> np.ndarray:
-        """Acceptance probability of every strategy of a tree strategy batch.
+    def strategy_probabilities(self, batch: StrategyBatch) -> np.ndarray:
+        """Acceptance probability of every strategy of a strategy batch.
 
-        The default evaluates the batch's ordinary tree jobs
-        (:meth:`TreeStrategyBatch.jobs`), which keeps the dense backend the
-        oracle; the transfer-matrix backend overrides it.
+        The default evaluates the batch's ordinary jobs
+        (:meth:`StrategyBatch.jobs`), which keeps the dense backend the
+        oracle; the transfer-matrix backend overrides it once, for both
+        families.
         """
+        if isinstance(batch.template, ChainJob):
+            return self.chain_probabilities(batch.jobs())
         return self.tree_probabilities(batch.jobs())
 
     def describe(self) -> Dict[str, str]:
@@ -219,16 +214,6 @@ class TransferMatrixBackend(SimulationBackend):
     def tree_probabilities(self, jobs: Sequence[TreeJob]) -> np.ndarray:
         return tree_probabilities_batched(jobs, xp=self.xp, dtype=self.dtype)
 
-    def tree_strategy_probabilities(self, batch: TreeStrategyBatch) -> np.ndarray:
-        """Score every strategy of ``batch`` through the tree group evaluator.
-
-        The strategies' row stack is gathered from the batch's state table
-        (:func:`repro.engine.tree_contraction.
-        tree_strategy_probabilities_batched`), so no job is built per
-        strategy and each value equals its job's.
-        """
-        return tree_strategy_probabilities_batched(batch, xp=self.xp, dtype=self.dtype)
-
     def chain_probabilities(self, jobs: Sequence[ChainJob]) -> np.ndarray:
         """Contract each ``(m, d, kind, noisy)`` group in one kernel call.
 
@@ -262,33 +247,19 @@ class TransferMatrixBackend(SimulationBackend):
             results[indices] = np.clip(values, 0.0, 1.0)
         return results
 
-    def chain_strategy_probabilities(self, batch: ChainStrategyBatch) -> np.ndarray:
-        """Score every strategy of ``batch`` from per-register tables.
+    def strategy_probabilities(self, batch: StrategyBatch) -> np.ndarray:
+        """Score every strategy of ``batch`` without building its jobs.
 
-        A clean batch stacks ``[left; table; target]`` for
-        :func:`repro.engine.kernels.chain_strategy_probabilities`.  A noisy
-        one builds the densities of its registers only
-        (:func:`repro.engine.kernels.chain_strategy_density_table`), so each
-        is the one an ordinary job of the batch would build, and gathers
-        every strategy's rows of them into
-        :func:`repro.engine.kernels.chain_probabilities`.  Both run on this
-        backend's array module.
+        A tree batch gathers its strategies' row stack into the tree group
+        evaluator (:func:`repro.engine.tree_contraction.
+        tree_strategy_probabilities_batched`), so each value equals its
+        job's; a chain batch is scored from per-register tables
+        (:func:`repro.engine.kernels.chain_strategy_probabilities`).  Both
+        run on this backend's array module.
         """
-        m = batch.num_intermediate
-        if batch.is_noisy:
-            table, rows = kernels.chain_strategy_density_table(
-                self.dtype, batch.left, batch.table, batch.choices, batch.right_operator, batch.noise
-            )
-            eps = np.full(len(batch), batch.noise.readout_error)
-            values = kernels.chain_probabilities(
-                self.xp, self.dtype, rows, None, eps, m, batch.right_kind, table
-            )
-        else:
-            rows = np.concatenate([batch.left[None], batch.table, batch.right_operator[None]])
-            values = kernels.chain_strategy_probabilities(
-                self.xp, self.dtype, rows, batch.choices, m, batch.right_kind
-            )
-        return np.clip(values, 0.0, 1.0)
+        if isinstance(batch.template, TreeJob):
+            return tree_strategy_probabilities_batched(batch, xp=self.xp, dtype=self.dtype)
+        return np.clip(kernels.chain_strategy_probabilities(self.xp, self.dtype, batch), 0.0, 1.0)
 
 
 class MockDeviceTransferMatrixBackend(TransferMatrixBackend):

@@ -28,14 +28,7 @@ import numpy as np
 
 from repro.engine.backends import SimulationBackend, get_backend
 from repro.engine.cache import OperatorCache, OperatorPack
-from repro.engine.jobs import (
-    ChainJob,
-    ChainStrategyBatch,
-    Job,
-    TreeJob,
-    TreeProgram,
-    TreeStrategyBatch,
-)
+from repro.engine.jobs import ChainJob, Job, StrategyBatch, TreeJob, TreeProgram
 from repro.utils.env import env_str
 
 #: Environment variable selecting the default backend.
@@ -95,23 +88,13 @@ class Engine:
             return np.zeros(0, dtype=np.float64)
         return self._backend.chain_probabilities(jobs)
 
-    def chain_strategy_probabilities(self, batch: ChainStrategyBatch) -> np.ndarray:
-        """Acceptance probability of every strategy of a chain strategy batch."""
-        return self._backend.chain_strategy_probabilities(batch)
-
     def tree_probabilities(self, jobs: Sequence[TreeJob]) -> np.ndarray:
         """Acceptance probabilities of a batch of tree jobs."""
         if not jobs:
             return np.zeros(0, dtype=np.float64)
         return self._backend.tree_probabilities(jobs)
 
-    def tree_strategy_probabilities(self, batch: TreeStrategyBatch) -> np.ndarray:
-        """Acceptance probability of every strategy of a tree strategy batch."""
-        return self._backend.tree_strategy_probabilities(batch)
-
-    def strategy_probabilities(
-        self, batches: Sequence[Union[ChainStrategyBatch, TreeStrategyBatch]]
-    ) -> np.ndarray:
+    def strategy_probabilities(self, batches: Sequence[StrategyBatch]) -> np.ndarray:
         """Acceptance of every strategy whose jobs the strategy batches hold.
 
         ``batches`` hold one job of each strategy apiece, in program job
@@ -123,12 +106,7 @@ class Engine:
         :meth:`TreeProgram.combine`'s arithmetic — the product in batch
         order from 1.0, added to 0.0, clipped to [0, 1].
         """
-        values = [
-            self.chain_strategy_probabilities(batch)
-            if isinstance(batch, ChainStrategyBatch)
-            else self.tree_strategy_probabilities(batch)
-            for batch in batches
-        ]
+        values = [self._backend.strategy_probabilities(batch) for batch in batches]
         if len(values) == 1:
             return values[0]
         product = np.ones(len(values[0]))

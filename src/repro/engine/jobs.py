@@ -1,6 +1,6 @@
 """Jobs and programs: the engine's intermediate representation.
 
-The engine evaluates protocols through two job types, two batch types and one
+The engine evaluates protocols through two job types, one batch type and one
 program type:
 
 :class:`ChainJob`
@@ -13,13 +13,6 @@ program type:
     chain_probabilities`).  Semantically a chain is the degenerate *path*
     tree (see :meth:`ChainJob.to_tree_job`).
 
-:class:`ChainStrategyBatch`
-    Many proof strategies of one chain at once: a table of register states
-    and, per strategy, the table row of every pair register.  A strategy
-    search compiles each chunk to one batch; the transfer-matrix backend
-    scores it from per-register tables, every other backend through the
-    ordinary chain jobs of :meth:`ChainStrategyBatch.jobs`.
-
 :class:`TreeJob`
     One instance of a tree-structured verification: a rooted tree whose nodes
     carry registers (a fixed state, a symmetrized kept/sent pair, or a routed
@@ -29,13 +22,14 @@ program type:
     networks, the Algorithm 9 one-way-protocol trees of Theorem 32, and — as
     the degenerate path — every chain protocol.
 
-:class:`TreeStrategyBatch`
-    Many proof strategies of one tree job: a template job, a table of
-    register states and, per strategy, the table row of every proof row of
-    the template.  The transfer-matrix backend gathers every strategy's row
-    stack from the table into its ordinary group evaluator; every other
-    backend evaluates the ordinary tree jobs of :meth:`TreeStrategyBatch.
-    jobs`.
+:class:`StrategyBatch`
+    Many proof strategies of one chain or tree job: a template job (a
+    protocol's honest job), a table of register states and, per strategy,
+    the table row of every register row the strategies fill.  A strategy
+    search compiles each chunk to batches; the transfer-matrix backend
+    scores a chain's from per-register tables and gathers a tree's into its
+    ordinary group evaluator, every other backend evaluates the ordinary
+    jobs of :meth:`StrategyBatch.jobs`.
 
 :class:`TreeProgram`
     A weighted sum of products of jobs,
@@ -130,6 +124,7 @@ noise-strength sweeps fast.
 
 from __future__ import annotations
 
+from copy import copy as shallow_copy
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
 from math import factorial
@@ -468,6 +463,16 @@ class ChainJob:
             object.__setattr__(self, "_shape_key", key)
         return key
 
+    def with_noise(self, noise: Optional[ChainNoise]) -> "ChainJob":
+        """This job carrying ``noise``, an annotation validated for its layout.
+
+        :meth:`ChainNoise.validate` checks an annotation once where a
+        protocol maps it onto its chain (:func:`repro.protocols.equality.
+        path_chain_noise`), so attaching it to a cached template checks
+        nothing again.
+        """
+        return dataclass_replace(self, noise=noise)
+
     def to_tree_job(self) -> "TreeJob":
         """This chain as the degenerate path tree.
 
@@ -519,106 +524,6 @@ class ChainJob:
             node_channels=tuple(node_channels),
             readout_error=self.noise.readout_error,
         )
-
-
-@dataclass(frozen=True, eq=False)
-class ChainStrategyBatch:
-    """Many proof strategies of one chain, as row indices into a state table.
-
-    Compared by identity (``eq=False``), like :class:`ChainJob`.  Every
-    strategy shares the left state, the vector right end and the noise
-    annotation; they differ only in which ``table`` row sits in each pair
-    register.  Since each SWAP test couples one node's forwarded register
-    with the next node's kept one, a strategy's acceptance depends on the
-    table only through O(m) adjacent pairs of rows, which is what lets a
-    batching backend score the whole batch from per-register tables
-    (:func:`repro.engine.kernels.chain_strategy_probabilities`).
-
-    Attributes
-    ----------
-    left:
-        The pure state of the left end, shape ``(d,)``.
-    table:
-        The ``K`` register states strategies draw from, shape ``(K, d)``.
-    choices:
-        Integer table rows of shape ``(B, m, 2)``: ``choices[b, j, s]`` is the
-        row strategy ``b`` places in slot ``s`` of intermediate node ``j``
-        (the layout of :attr:`ChainJob.pairs`).
-    right_operator:
-        The defining vector ``phi`` of the right end, shape ``(d,)``.
-    right_kind:
-        ``"projector"`` or ``"swap"``.
-    noise:
-        Optional :class:`ChainNoise` annotation shared by every strategy.
-    """
-
-    left: np.ndarray
-    table: np.ndarray
-    choices: np.ndarray
-    right_operator: np.ndarray
-    right_kind: str = RIGHT_PROJECTOR
-    noise: Optional[ChainNoise] = None
-
-    def __post_init__(self) -> None:
-        left = np.asarray(self.left, dtype=np.complex128).reshape(-1)
-        table = np.asarray(self.table, dtype=np.complex128)
-        right = np.asarray(self.right_operator, dtype=np.complex128)
-        choices = np.asarray(self.choices)
-        if table.ndim != 2 or table.shape[0] == 0 or table.shape[1] != left.size:
-            raise DimensionMismatchError(
-                f"the state table must hold at least one row of dimension {left.size}"
-            )
-        if self.right_kind not in _VECTOR_RIGHT_KINDS:
-            raise ProtocolError(
-                f"strategy batches need a vector right end, got {self.right_kind!r}"
-            )
-        if right.shape != left.shape:
-            raise DimensionMismatchError("right accept vector has the wrong dimension")
-        if choices.dtype.kind not in "iu" or choices.ndim != 3 or choices.shape[2] != 2:
-            raise ProtocolError(
-                "choices must be an integer array of shape (strategies, nodes, 2)"
-            )
-        if choices.size and (choices.min() < 0 or choices.max() >= table.shape[0]):
-            raise ProtocolError(f"choices must name rows of the {table.shape[0]}-row table")
-        if self.noise is not None:
-            self.noise.validate(int(choices.shape[1]), int(left.size), self.right_kind)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "choices", choices.astype(np.intp, copy=False))
-        object.__setattr__(self, "right_operator", right)
-
-    def __len__(self) -> int:
-        """Number of strategies ``B``."""
-        return int(self.choices.shape[0])
-
-    @property
-    def num_intermediate(self) -> int:
-        """Number of intermediate nodes ``m``."""
-        return int(self.choices.shape[1])
-
-    @property
-    def dim(self) -> int:
-        """Register dimension ``d``."""
-        return int(self.left.size)
-
-    @property
-    def is_noisy(self) -> bool:
-        """True when the batch carries a non-empty channel annotation."""
-        return self.noise is not None and not self.noise.is_trivial
-
-    def jobs(self) -> List[ChainJob]:
-        """One ordinary :class:`ChainJob` per strategy, in strategy order.
-
-        The route of every backend without a table kernel, the dense
-        reference included, so the dense backend stays the batch's oracle.
-        """
-        pairs = self.table[self.choices]
-        return [
-            ChainJob.from_arrays(
-                self.left, strategy, self.right_operator, self.right_kind, noise=self.noise
-            )
-            for strategy in pairs
-        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -840,30 +745,49 @@ class TreeJob:
                     raise ProtocolError(
                         "in a fan-out (down-forwarding) job every internal node fans out"
                     )
-        if self.noise is not None and not self.noise.is_trivial:
-            if down:
+        self._validate_noise()
+
+    def _validate_noise(self) -> None:
+        """Check the noise annotation against the (already valid) structure."""
+        if self.noise is None or self.noise.is_trivial:
+            return
+        n = self.num_nodes
+        if any(test == TEST_FANOUT for test in self.tests):
+            raise ProtocolError(
+                "noise annotations support the up-forwarding tree family only"
+            )
+        if self.num_factors != 1:
+            raise ProtocolError(
+                "noise annotations require single-factor registers"
+            )
+        dim = int(self.factors[0].shape[1])
+        _validate_channel_tuple(self.noise.up_channels, n, dim, "up-link")
+        _validate_channel_tuple(self.noise.node_channels, n, dim, "node")
+        for node in range(n):
+            measurement = self.measurements[node]
+            if (
+                measurement is not None
+                and measurement.kind in (MEAS_DENSE, MEAS_DIAGONAL)
+                and self.noise.node_channels[node] is not None
+            ):
                 raise ProtocolError(
-                    "noise annotations support the up-forwarding tree family only"
+                    "preparation noise on a dense/diagonal measuring node "
+                    "is not supported: its accept operator carries no "
+                    "prepared reference state"
                 )
-            if self.num_factors != 1:
-                raise ProtocolError(
-                    "noise annotations require single-factor registers"
-                )
-            dim = int(self.factors[0].shape[1])
-            _validate_channel_tuple(self.noise.up_channels, n, dim, "up-link")
-            _validate_channel_tuple(self.noise.node_channels, n, dim, "node")
-            for node in range(n):
-                measurement = self.measurements[node]
-                if (
-                    measurement is not None
-                    and measurement.kind in (MEAS_DENSE, MEAS_DIAGONAL)
-                    and self.noise.node_channels[node] is not None
-                ):
-                    raise ProtocolError(
-                        "preparation noise on a dense/diagonal measuring node "
-                        "is not supported: its accept operator carries no "
-                        "prepared reference state"
-                    )
+
+    def with_noise(self, noise: Optional[TreeNoise]) -> "TreeJob":
+        """This job carrying ``noise``, with only the annotation validated.
+
+        The structure, arrays and measurements are this job's own, already
+        validated, so a noise sweep attaching one annotation per strength to
+        a cached template checks each annotation, not the tree again.
+        """
+        job = shallow_copy(self)
+        object.__setattr__(job, "noise", noise)
+        job.__dict__.pop("_signature", None)  # it records whether the job is noisy
+        job._validate_noise()
+        return job
 
     def _validate_measurement(
         self, node: int, measurement: LeafMeasurement, num_rows: int
@@ -1013,43 +937,63 @@ class TreeJobBuilder:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class TreeStrategyBatch:
-    """Many proof strategies of one tree job, as row indices into a state table.
+#: Any job the engine can evaluate.
+Job = Union[ChainJob, TreeJob]
 
-    Compared by identity (``eq=False``), like :class:`TreeJob`.  Every
-    strategy is the ``template`` job with its rows ``rows[p]`` holding table
-    row ``choices[b, p]``; structure, the other rows, measurements and noise
-    are the template's.  A strategy's row stack is therefore a gather from
-    ``[template rows; table]`` with the shape and bytes of its own job's, which
-    is what lets a batching backend run the whole batch through its ordinary
-    group evaluator (:func:`repro.engine.tree_contraction.
-    tree_strategy_probabilities_batched`) without building one job per
-    strategy.
+
+@dataclass(frozen=True, eq=False)
+class StrategyBatch:
+    """Many proof strategies of one job, as row indices into a state table.
+
+    Compared by identity (``eq=False``), like the job classes.  Every
+    strategy is the ``template`` job with its register rows ``rows[p]``
+    holding table row ``choices[b, p]``; structure, the other rows,
+    measurements and noise are the template's.  A chain's register rows are
+    its left state, then its pairs in the layout of :attr:`ChainJob.pairs`
+    (row ``1 + 2j + s`` is slot ``s`` of node ``j``); a tree's are the rows
+    of its one factor stack.
+
+    A strategy's registers are therefore a gather from ``[template rows;
+    table]`` (:meth:`stack`), which lets a batching backend score the whole
+    batch without building one job per strategy (see
+    :meth:`repro.engine.backends.TransferMatrixBackend.strategy_probabilities`).
 
     Attributes
     ----------
     template:
-        A single-factor :class:`TreeJob` (a protocol passes its honest job).
+        A :class:`ChainJob` with a vector right end or a single-factor
+        :class:`TreeJob`, carrying its noise annotation (a protocol passes
+        its honest job).
     table:
         The ``K`` register states strategies draw from, shape ``(K, d)``.
     choices:
         Integer table rows of shape ``(B, P)``: ``choices[b, p]`` is the row
-        strategy ``b`` places in template row ``rows[p]``.
+        strategy ``b`` places in template register row ``rows[p]``.
     rows:
-        The ``P`` distinct template rows the strategies fill.
+        The ``P`` distinct template register rows the strategies fill.
+    registers:
+        The template's ``(R, d)`` register rows (derived).
     """
 
-    template: TreeJob
+    template: Job
     table: np.ndarray
     choices: np.ndarray
     rows: np.ndarray
+    registers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         template = self.template
-        if template.num_factors != 1:
+        if isinstance(template, ChainJob):
+            if template.right_kind not in _VECTOR_RIGHT_KINDS:
+                raise ProtocolError(
+                    f"strategy batches need a vector right end, got {template.right_kind!r}"
+                )
+            registers = np.concatenate([template.left[None], template.pairs.reshape(-1, template.dim)])
+        elif template.num_factors != 1:
             raise ProtocolError("tree strategy batches need single-factor registers")
-        num_rows, dim = template.factors[0].shape
+        else:
+            registers = template.factors[0]
+        num_rows, dim = registers.shape
         table = np.asarray(self.table, dtype=np.complex128)
         choices = np.asarray(self.choices)
         rows = np.asarray(self.rows)
@@ -1059,9 +1003,10 @@ class TreeStrategyBatch:
             )
         if rows.dtype.kind not in "iu" or rows.ndim != 1:
             raise ProtocolError("rows must be a 1-D integer array of template rows")
-        if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
+        filled = rows.tolist()  # a few rows: plain Python beats numpy reductions
+        if filled and (min(filled) < 0 or max(filled) >= num_rows):
             raise ProtocolError(f"rows must name rows of the {num_rows}-row template")
-        if len(set(rows.tolist())) != rows.size:
+        if len(set(filled)) != len(filled):
             raise ProtocolError("each template row may be filled only once")
         if choices.dtype.kind not in "iu" or choices.ndim != 2 or choices.shape[1] != rows.size:
             raise ProtocolError(
@@ -1072,32 +1017,33 @@ class TreeStrategyBatch:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "choices", choices.astype(np.intp, copy=False))
         object.__setattr__(self, "rows", rows.astype(np.intp, copy=False))
+        object.__setattr__(self, "registers", registers)
 
     def __len__(self) -> int:
         """Number of strategies ``B``."""
         return int(self.choices.shape[0])
 
     def stack(self) -> np.ndarray:
-        """The ``(B, R, d)`` row stack of every strategy, one gather."""
-        template_rows = self.template.factors[0]
-        num_rows = template_rows.shape[0]
+        """The ``(B, R, d)`` register rows of every strategy, one gather."""
+        num_rows = len(self.registers)
         index = np.tile(np.arange(num_rows, dtype=np.intp), (len(self), 1))
         index[:, self.rows] = num_rows + self.choices
-        return np.concatenate([template_rows, self.table])[index]
+        return np.concatenate([self.registers, self.table])[index]
 
-    def jobs(self) -> List[TreeJob]:
-        """One ordinary :class:`TreeJob` per strategy, in strategy order.
+    def jobs(self) -> List[Job]:
+        """One ordinary job per strategy, in strategy order.
 
         The route of every backend without a table evaluator, the dense
         reference included, so the dense backend stays the batch's oracle.
         """
+        template = self.template
+        if isinstance(template, TreeJob):
+            return [dataclass_replace(template, factors=(rows,)) for rows in self.stack()]
+        shape = template.pairs.shape
         return [
-            dataclass_replace(self.template, factors=(rows,)) for rows in self.stack()
+            dataclass_replace(template, left=rows[0], pairs=rows[1:].reshape(shape))
+            for rows in self.stack()
         ]
-
-
-#: Any job the engine can evaluate.
-Job = Union[ChainJob, TreeJob]
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,7 @@
 The hot paths of :class:`~repro.engine.backends.TransferMatrixBackend` and
 :mod:`repro.engine.tree_contraction` — the one chain kernel
 :func:`chain_probabilities` (clean and noisy groups of any length), its
-table-indexed twin :func:`chain_strategy_probabilities` for clean strategy
+table-indexed twin :func:`chain_strategy_probabilities` for chain strategy
 batches, the vectorized symmetrization recursion, the channel grid
 application, the density and pair-trace tables of noisy groups and the
 signature-grouped tree Gram products — live here as pure functions
@@ -47,7 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.array_ops import ArrayModule
-from repro.engine.jobs import RIGHT_DENSE, RIGHT_PROJECTOR, ChainNoise
+from repro.engine.jobs import RIGHT_DENSE, RIGHT_PROJECTOR, ChainNoise, StrategyBatch
 from repro.quantum.channels import KrausChannel, apply_channel_grid, flip_probability
 
 # --------------------------------------------------------------------------
@@ -279,6 +279,29 @@ def _paired_traces(xp: ArrayModule, first: Any, second: Any) -> Any:
     return xp.einsum("bkij,bkji->bk", first, second, **options)
 
 
+def chain_register_channels(
+    noise: ChainNoise, num_intermediate: int, vector_end: bool
+) -> Tuple[List[Optional[KrausChannel]], List[Optional[KrausChannel]]]:
+    """The kept and the sent channel of every register of an annotated chain.
+
+    Registers come in the clean row layout of :func:`chain_probabilities`:
+    the left state (its preparation channel kept, edge 0 sent), the ``2m``
+    pair registers (node ``j``'s delivery channel kept, edge ``j + 1`` sent,
+    the same for both slots), and for a vector right end the target.
+    """
+    kept = [noise.left_channel]
+    sent = [noise.edge_channels[0]]
+    for node in range(num_intermediate):
+        kept += (noise.node_channels[node],) * 2
+        sent += (noise.edge_channels[node + 1],) * 2
+    if vector_end:
+        # Right-end preparation noise acts on the verifier's reference
+        # state, i.e. the measurement target density.
+        kept.append(noise.right_channel)
+        sent.append(None)
+    return kept, sent
+
+
 def chain_density_table(
     dtype: np.dtype,
     states: np.ndarray,
@@ -306,16 +329,9 @@ def chain_density_table(
     kept: List[Optional[KrausChannel]] = []
     sent: List[Optional[KrausChannel]] = []
     for noise in noises:
-        kept.append(noise.left_channel)
-        sent.append(noise.edge_channels[0])
-        for node in range(m):
-            kept += (noise.node_channels[node],) * 2
-            sent += (noise.edge_channels[node + 1],) * 2
-        if vector_end:
-            # Right-end preparation noise acts on the verifier's reference
-            # state, i.e. the measurement target density.
-            kept.append(noise.right_channel)
-            sent.append(None)
+        job_kept, job_sent = chain_register_channels(noise, m, vector_end)
+        kept += job_kept
+        sent += job_sent
     table, ids = density_table(dtype, states.reshape(-1, dim), kept, sent)
     # A job's register r has its kept form in column 2r, its sent form in 2r + 1.
     pairs = range(2, 2 + 4 * m, 2)
@@ -453,83 +469,111 @@ def _fold_chain_tests(
     return np.sum(weights * accepts, axis=1)
 
 
-def chain_strategy_density_table(
-    dtype: np.dtype,
-    left: np.ndarray,
-    candidates: np.ndarray,
-    choices: np.ndarray,
-    right: np.ndarray,
-    noise: ChainNoise,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The density table of a noisy strategy batch, for :func:`chain_probabilities`.
+@lru_cache(maxsize=128)
+def _chain_strategy_layout(
+    num_rows: int, filled: Tuple[int, ...], size: int, noisy: bool
+) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray]:
+    """``(channels, states, base)``: the registers of a chain strategy batch.
 
-    ``left``, ``candidates`` (the ``(K, d)`` state table), ``choices`` (``(B,
-    m, 2)`` candidate rows), ``right`` and ``noise`` are a
-    :class:`~repro.engine.jobs.ChainStrategyBatch`'s fields.  The table
-    holds the left state as sent, each candidate kept at node ``j`` and
-    sent past edge ``j + 1``, and the target, built by :func:`density_table`
-    like the densities of the batch's own jobs; a node's two slots see the
-    same channels, so one register per (node, candidate) serves both.  Returns
-    the table and every strategy's ``(B, 2 + 4m)`` table rows in the layout
-    of :func:`chain_density_table`.
+    The registers of a batch filling template rows ``filled`` (of
+    ``num_rows``) from a ``size``-row table are the rows no strategy fills,
+    the table rows (a noisy batch's once per chain position a strategy
+    fills: a node's two slots see the same channels) and the target.
+    Register ``i`` holds row ``states[i]`` of ``[template rows; table;
+    target]`` with the channels of template row ``channels[i]``; a
+    strategy's job row ``r`` (``num_rows`` for the target) holds register
+    ``base[r]`` plus the table row it chooses there.
     """
-    batch, m = choices.shape[0], choices.shape[1]
-    size = len(candidates)
-    kept = [noise.left_channel]
-    sent = [noise.edge_channels[0]]
-    for node in range(m):
-        kept += (noise.node_channels[node],) * size
-        sent += (noise.edge_channels[node + 1],) * size
-    table, ids = density_table(
-        dtype,
-        np.concatenate([left[None], np.tile(candidates, (m, 1)), right[None]]),
-        kept + [noise.right_channel],
-        sent + [None],
+    registers: Dict[Tuple[int, int], int] = {}  # (channel row, source row) -> register
+    base = []
+    for row in range(num_rows):
+        if row in filled:  # every table row, once per chain position: a node's slots share channels
+            head, sources = max(row - 1 + row % 2, 0), range(num_rows, num_rows + size)
+        else:
+            head, sources = row, range(row, row + 1)
+        if not noisy:
+            head = -1  # channels play no part: each row once
+        for source in sources:
+            registers.setdefault((head, source), len(registers))
+        base.append(registers[head, sources[0]])
+    base.append(registers.setdefault((num_rows, num_rows + size), len(registers)))
+    channels, states = zip(*registers)
+    arrays = (np.array(states, dtype=np.intp), np.array(base, dtype=np.intp))
+    for array in arrays:
+        array.flags.writeable = False  # shared by every caller of the cache
+    return (channels, *arrays)
+
+
+def _chain_strategy_registers(
+    batch: StrategyBatch, noisy: bool
+) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray]:
+    """``(channels, states, registers)`` of ``batch`` (see :func:`_chain_strategy_layout`).
+
+    ``registers[b, r]`` is the register in job row ``r`` of strategy ``b``,
+    the target last.
+    """
+    template = batch.template
+    channels, states, base = _chain_strategy_layout(
+        len(batch.registers), tuple(batch.rows.tolist()), len(batch.table), noisy
     )
-    registers = 1 + (np.arange(m)[:, None] * size + choices).reshape(batch, 2 * m)
-    ends = np.broadcast_to(ids[[0, -1], [1, 0]], (batch, 2))
+    sources = np.concatenate([batch.registers, batch.table, template.right_operator[None]])
+    picks = np.zeros((len(batch), len(base)), dtype=np.intp)
+    picks[:, batch.rows] = batch.choices
+    return channels, sources[states], base + picks
+
+
+def chain_strategy_density_table(
+    dtype: np.dtype, batch: StrategyBatch
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The density table of a noisy chain strategy batch, for :func:`chain_probabilities`.
+
+    The batch's registers (:func:`_chain_strategy_registers`) take the
+    channels :func:`chain_register_channels` gives their rows, and
+    :func:`density_table` builds their densities like those of the batch's
+    own jobs.  Returns the table and every strategy's ``(B, 2 + 4m)`` table
+    rows in the layout of :func:`chain_density_table`.
+    """
+    template = batch.template
+    channels, states, registers = _chain_strategy_registers(batch, noisy=True)
+    kept, sent = chain_register_channels(template.noise, template.num_intermediate, True)
+    table, ids = density_table(
+        dtype, states, [kept[row] for row in channels], [sent[row] for row in channels]
+    )
+    # The left state sent, the pairs kept, the pairs sent, the target kept.
+    pairs = registers[:, 1:-1]
     rows = np.concatenate(
-        [ends[:, :1], ids[registers, 0], ids[registers, 1], ends[:, 1:]], axis=1
+        [ids[registers[:, :1], 1], ids[pairs, 0], ids[pairs, 1], ids[registers[:, -1:], 0]], axis=1
     )
     return table, rows
 
 
 def chain_strategy_probabilities(
-    xp: ArrayModule,
-    dtype: np.dtype,
-    rows: np.ndarray,
-    choices: np.ndarray,
-    num_intermediate: int,
-    right_kind: str,
+    xp: ArrayModule, dtype: np.dtype, batch: StrategyBatch
 ) -> np.ndarray:
-    """Evaluate a clean :class:`~repro.engine.jobs.ChainStrategyBatch` from its table.
+    """Evaluate a chain :class:`~repro.engine.jobs.StrategyBatch` from its tables.
 
-    ``rows`` is the host ``(K + 2, d)`` state stack ``[left; table;
-    target]``, ``choices`` the batch's ``(B, m, 2)`` array of table rows;
-    the right end is a vector.  All pair overlaps come from one Gram
-    product of the stack, and each strategy gathers its O(m) overlaps by
-    index on the host and folds them through :func:`chain_probabilities`'
-    recursion tail, so it gets the bits its own chain job would.  (A noisy
-    batch builds :func:`chain_strategy_density_table` and runs through
-    :func:`chain_probabilities` itself.)
+    Each SWAP test couples one node's forwarded register with the next
+    node's kept one, so a strategy reads the table through O(m) pairs of
+    rows.  A clean batch puts its registers (``[left; table; target]`` on a
+    path) through one Gram product; each strategy gathers its overlaps on
+    the host and folds them through :func:`chain_probabilities`' recursion
+    tail.  A noisy batch builds the densities of its registers only
+    (:func:`chain_strategy_density_table`) and gathers every strategy's
+    rows of them into :func:`chain_probabilities`, its own jobs' kernel.
     """
-    m = num_intermediate
-    batch = choices.shape[0]
-    size = rows.shape[0] - 2
-    # Job row r of a strategy is stack row base[r] + picks[:, column[r]];
-    # column 0 of picks is zero for the fixed left and target.
-    picks = np.concatenate(
-        [np.zeros((batch, 1), dtype=np.intp), choices.reshape(batch, 2 * m)], axis=1
-    )
-    base = np.concatenate([[0], np.ones(2 * m, dtype=np.intp), [size + 1]])
-    column = np.concatenate([[0], 1 + np.arange(2 * m), [0]])
+    template = batch.template
+    m = template.num_intermediate
+    if template.is_noisy:
+        table, rows = chain_strategy_density_table(dtype, batch)
+        eps = np.full(len(batch), template.noise.readout_error)
+        return chain_probabilities(xp, dtype, rows, None, eps, m, template.right_kind, table)
+    _, states, registers = _chain_strategy_registers(batch, noisy=False)
     rows_a, rows_b, _ = _chain_row_pairs(m, 0, 2 * m + 1)
-    states = xp.asarray(rows[None], dtype=dtype)
+    states = xp.asarray(states[None], dtype=dtype)
     gram = xp.matmul(xp.conj(states), xp.transpose(states, (0, 2, 1)))
     lookup = _accumulate(xp, xp.abs(gram) ** 2)[0]
-    unified = base + picks[:, column]
-    overlaps = lookup[unified[:, rows_a], unified[:, rows_b]]
-    return _fold_chain_tests(overlaps, None, None, m, right_kind)
+    overlaps = lookup[registers[:, rows_a], registers[:, rows_b]]
+    return _fold_chain_tests(overlaps, None, None, m, template.right_kind)
 
 
 # --------------------------------------------------------------------------

@@ -45,9 +45,9 @@ Two independent evaluators implement these semantics:
     transfer-counting mock) in the configured contraction dtype; the
     recursion itself accumulates in host float64.
     :func:`tree_strategy_probabilities_batched` runs the same group
-    evaluator on the row stack a :class:`~repro.engine.jobs.
-    TreeStrategyBatch` gathers from its state table, in place of the
-    stack of its jobs.
+    evaluator on the row stack a tree :class:`~repro.engine.jobs.
+    StrategyBatch` gathers from its state table, in place of the stack of
+    its jobs.
 
 The two share only the tree bookkeeping (choices, row owners, cycle
 decompositions, the threshold tail); each computes its own accept factors,
@@ -77,9 +77,9 @@ from repro.engine.jobs import (
     TEST_MEASURE,
     TEST_NONE,
     LeafMeasurement,
+    StrategyBatch,
     TreeJob,
     TreeNoise,
-    TreeStrategyBatch,
     assignment_count,
     group_tree_jobs_by_signature,
     router_assignments,
@@ -656,15 +656,15 @@ def tree_probabilities_batched(
 
 
 def tree_strategy_probabilities_batched(
-    batch: TreeStrategyBatch,
+    batch: StrategyBatch,
     xp: Optional[ArrayModule] = None,
     dtype: Optional[np.dtype] = None,
 ) -> np.ndarray:
-    """Acceptance probability of every strategy of a :class:`TreeStrategyBatch`.
+    """Acceptance probability of every strategy of a tree :class:`StrategyBatch`.
 
     The batch's strategies share the template's structure, noise and
     measurements, so they form one signature group: its row stack is one
-    gather from ``[template rows; table]`` (:meth:`TreeStrategyBatch.stack`)
+    gather from ``[template rows; table]`` (:meth:`StrategyBatch.stack`)
     and the group runs through the same :class:`_GroupContext` and
     recursion as the group of the batch's own jobs.  That stack has the shape
     and bytes the jobs' stack would, so every value equals its job's value.

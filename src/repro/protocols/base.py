@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from dataclasses import replace as dataclass_replace
 from math import ceil, log2
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
@@ -36,12 +35,12 @@ import numpy as np
 from repro.comm.problems import Problem
 from repro.engine import (
     Engine,
-    TreeJob,
+    StrategyBatch,
     TreeProgram,
-    TreeStrategyBatch,
     default_engine,
     get_backend,
 )
+from repro.engine.jobs import Job
 from repro.exceptions import ProofError, ProtocolError, ReproError
 from repro.network.topology import Network, NodeId
 from repro.utils.rng import RngLike, ensure_rng
@@ -83,19 +82,21 @@ def unit_proof_state(state: np.ndarray, what: str) -> np.ndarray:
 
 
 def template_strategy_batch(
-    template: TreeJob,
+    template: Job,
     row_registers: Mapping[int, Tuple[str, ...]],
     registers: Sequence[ProofRegister],
     table: np.ndarray,
     register_rows: np.ndarray,
-) -> TreeStrategyBatch:
-    """Strategies over ``registers`` as a :class:`TreeStrategyBatch` of ``template``.
+) -> StrategyBatch:
+    """Strategies over ``registers`` as a :class:`~repro.engine.jobs.StrategyBatch` of ``template``.
 
-    ``row_registers`` maps each proof row of the template to the names of
-    the registers filling it (one register per row: the batch has one tensor
-    factor); ``register_rows[b, i]`` is the ``table`` row strategy ``b``
-    places in ``registers[i]``.  Each proof row then takes its register's
-    column of ``register_rows``.
+    ``template`` is the protocol's honest chain or tree job, carrying its
+    noise annotation.  ``row_registers`` maps each proof row of the template
+    to the names of the registers filling it (one register per row: the
+    batch has one tensor factor); ``register_rows[b, i]`` is the ``table``
+    row strategy ``b`` places in ``registers[i]``.  Each proof row then
+    takes its register's column of ``register_rows``; the batch checks the
+    table's dimension and the rows it names.
     """
     register_rows = np.asarray(register_rows)
     if register_rows.ndim != 2 or register_rows.shape[1] != len(registers):
@@ -103,7 +104,7 @@ def template_strategy_batch(
     column = {register.name: index for index, register in enumerate(registers)}
     rows = sorted(row_registers)
     columns = np.array([column[row_registers[row][0]] for row in rows], dtype=np.intp)
-    return TreeStrategyBatch(
+    return StrategyBatch(
         template, table, register_rows[:, columns], np.array(rows, dtype=np.intp)
     )
 
@@ -116,18 +117,19 @@ def annotated_program(program: Program, noises: Sequence[Any]) -> Program:
 
     Each entry is ``None`` or an annotation of its job's family (a
     :class:`~repro.engine.jobs.ChainNoise` or a
-    :class:`~repro.engine.jobs.TreeNoise`), already validated against the
-    job's layout.  ``with_noise`` siblings share one clean honest program
-    per layout and inputs (cached on the engine) and attach their own
-    annotations here, so the engine receives the jobs a noisy compile would
-    build, with the same arrays.  Returns ``program`` itself when every
-    entry is ``None``.
+    :class:`~repro.engine.jobs.TreeNoise`).  ``with_noise`` siblings share
+    one clean honest program per layout and inputs (cached on the engine)
+    and attach their own annotations here, so the engine receives the jobs
+    a noisy compile would build, with the same arrays.  Each job's
+    ``with_noise`` checks only the annotation, never the unchanged
+    structure again.  Returns ``program`` itself when every entry is
+    ``None``.
     """
     if all(noise is None for noise in noises):
         return program
     return type(program)(
         jobs=tuple(
-            job if noise is None else dataclass_replace(job, noise=noise)
+            job if noise is None else job.with_noise(noise)
             for job, noise in zip(program.jobs, noises)
         ),
         terms=program.terms,

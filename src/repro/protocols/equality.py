@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.problems import EqualityProblem
-from repro.exceptions import ProofError, ProtocolError, TopologyError
+from repro.exceptions import ProtocolError, TopologyError
 from repro.network.spanning_tree import VerificationTree, build_verification_tree
 from repro.network.topology import Network, NodeId, path_network
 from repro.protocols.base import (
@@ -52,12 +52,11 @@ from repro.engine import (
     ChainJob,
     ChainNoise,
     ChainProgram,
-    ChainStrategyBatch,
+    StrategyBatch,
     TreeJob,
     TreeJobBuilder,
     TreeNoise,
     TreeProgram,
-    TreeStrategyBatch,
 )
 from repro.quantum.channels import NoiseModel
 from repro.engine.jobs import MAX_PERM_TEST_ARITY
@@ -160,6 +159,12 @@ class EqualityPathProtocol(DQMAProtocol):
         self.fingerprints = fingerprints
         self.path_nodes = _ordered_path_nodes(network)
         self.path_length = len(self.path_nodes) - 1
+        # Built once per layout: the strategy search reads them on every batch.
+        self._registers = tuple(
+            ProofRegister(self._register_name(index, slot), self.path_nodes[index], fingerprints.dim)
+            for index in range(1, self.path_length)
+            for slot in (0, 1)
+        )
         self._map_noise(noise)
 
     # -- layout --------------------------------------------------------------
@@ -209,14 +214,7 @@ class EqualityPathProtocol(DQMAProtocol):
         return f"R[{node_index},{slot}]"
 
     def proof_registers(self) -> List[ProofRegister]:
-        registers = []
-        for index in range(1, self.path_length):
-            node = self.path_nodes[index]
-            for slot in (0, 1):
-                registers.append(
-                    ProofRegister(self._register_name(index, slot), node, self.fingerprints.dim)
-                )
-        return registers
+        return list(self._registers)
 
     def _messages(self) -> Dict[Tuple[NodeId, NodeId], float]:
         messages = {}
@@ -301,37 +299,24 @@ class EqualityPathProtocol(DQMAProtocol):
 
     def strategy_batch(
         self, inputs: Sequence[str], table: np.ndarray, register_rows: np.ndarray
-    ) -> Tuple[ChainStrategyBatch]:
+    ) -> Tuple[StrategyBatch]:
         """Product-proof strategies on ``inputs`` as one table-indexed chain batch.
 
         ``table`` holds unit register states and ``register_rows[b, i]`` the
         row strategy ``b`` places in register ``i`` of :meth:`proof_registers`.
-        Each strategy evaluates exactly like the :class:`ProductProof` of
-        those rows through :meth:`acceptance_probabilities`, with the layout
+        The honest job, with this protocol's noise, is the batch's template,
+        so each strategy evaluates exactly like the :class:`ProductProof` of
+        its rows through :meth:`acceptance_probabilities`, with the layout
         checks done once for the batch: the search of
         :func:`repro.analysis.soundness.fingerprint_strategy_soundness`
         compiles each chunk through here and scores the returned batches
         with :meth:`~repro.engine.core.Engine.strategy_probabilities`.
         """
-        inputs = self.problem.validate_inputs(inputs)
-        table = np.asarray(table)
-        register_rows = np.asarray(register_rows)
-        count = 2 * (self.path_length - 1)
-        if register_rows.ndim != 2 or register_rows.shape[1] != count:
-            raise ProofError(f"every strategy must assign the {count} proof registers")
-        if table.ndim != 2 or table.shape[1] != self.fingerprints.dim:
-            raise ProofError(
-                f"register states must have the fingerprint dimension {self.fingerprints.dim}"
-            )
+        template = self._acceptance_program(inputs, None).jobs[0]
+        # Register i is R[j, s] with i = 2(j - 1) + s, chain register row 1 + i.
+        row_registers = {1 + index: (register.name,) for index, register in enumerate(self._registers)}
         return (
-            ChainStrategyBatch(
-                left=self.fingerprints.state(inputs[0]),
-                table=table,
-                choices=register_rows.reshape(len(register_rows), self.path_length - 1, 2),
-                right_operator=self.fingerprints.state(inputs[1]),
-                right_kind=RIGHT_PROJECTOR,
-                noise=self._chain_noise,
-            ),
+            template_strategy_batch(template, row_registers, self._registers, table, register_rows),
         )
 
     def acceptance_operator(self, inputs: Sequence[str]) -> np.ndarray:
@@ -616,7 +601,7 @@ class EqualityTreeProtocol(DQMAProtocol):
 
     def strategy_batch(
         self, inputs: Sequence[str], table: np.ndarray, register_rows: np.ndarray
-    ) -> Optional[Tuple[TreeStrategyBatch]]:
+    ) -> Optional[Tuple[StrategyBatch]]:
         """Product-proof strategies on ``inputs`` as one table-indexed tree batch.
 
         ``table`` holds unit register states and ``register_rows[b, i]`` the

@@ -27,10 +27,10 @@ from repro.engine import (
     NODE_ROUTER,
     TEST_FANOUT,
     TEST_NONE,
+    StrategyBatch,
     TreeJob,
     TreeJobBuilder,
     TreeProgram,
-    TreeStrategyBatch,
 )
 from repro.engine.jobs import MAX_ROUTER_REGISTERS
 from repro.exceptions import ProtocolError
@@ -258,7 +258,7 @@ class OneWayToTreeProtocol(DQMAProtocol):
 
     def strategy_batch(
         self, inputs: Sequence[str], table: np.ndarray, register_rows: np.ndarray
-    ) -> Optional[Tuple[TreeStrategyBatch, ...]]:
+    ) -> Optional[Tuple[StrategyBatch, ...]]:
         """Product-proof strategies on ``inputs`` as one tree batch per verification tree.
 
         ``table`` holds unit register states and ``register_rows[b, i]`` the

@@ -20,14 +20,13 @@ from repro.engine import (
     ChainJob,
     ChainNoise,
     ChainProgram,
-    ChainStrategyBatch,
     DenseBackend,
     Engine,
     OperatorCache,
+    StrategyBatch,
     TransferMatrixBackend,
     TreeJobBuilder,
     TreeProgram,
-    TreeStrategyBatch,
     available_backends,
     default_engine,
     get_backend,
@@ -110,43 +109,64 @@ class TestChainJobsAndPrograms:
         with pytest.raises(DimensionMismatchError):
             ChainJob.from_states(np.ones(2), [], np.ones(2), right_kind="mystery")
 
+    @staticmethod
+    def _chain_template(right_kind=RIGHT_PROJECTOR, noise=None):
+        """A two-node chain on qubits whose registers hold |0>."""
+        left = np.array([1.0, 0.0])
+        right = np.eye(2) if right_kind == RIGHT_DENSE else left
+        return ChainJob.from_arrays(left, np.tile(left, (2, 2, 1)), right, right_kind, noise=noise)
+
     def test_strategy_batch_validation(self):
-        left, table = np.array([1.0, 0.0]), np.eye(2)
-        choices = np.zeros((3, 2, 2), dtype=int)
-        batch = ChainStrategyBatch(left, table, choices, left)
-        assert (len(batch), batch.num_intermediate, batch.dim) == (3, 2, 2)
-        assert not batch.is_noisy
+        template, table = self._chain_template(), np.eye(2)
+        choices, rows = np.zeros((3, 4), dtype=int), np.arange(1, 5)
+        batch = StrategyBatch(template, table, choices, rows)
+        assert len(batch) == 3 and batch.stack().shape == (3, 5, 2)
+        assert not batch.template.is_noisy
+        # Choices: integers naming table rows, one column per filled row.
         with pytest.raises(ProtocolError, match="rows of the 2-row table"):
-            ChainStrategyBatch(left, table, choices + 2, left)
+            StrategyBatch(template, table, choices + 2, rows)
         with pytest.raises(ProtocolError, match="rows of the 2-row table"):
-            ChainStrategyBatch(left, table, choices - 1, left)
+            StrategyBatch(template, table, choices - 1, rows)
         with pytest.raises(ProtocolError, match="integer array"):
-            ChainStrategyBatch(left, table, choices.astype(float), left)
+            StrategyBatch(template, table, choices.astype(float), rows)
         with pytest.raises(ProtocolError, match="integer array"):
-            ChainStrategyBatch(left, table, np.zeros((3, 2, 3), dtype=int), left)
+            StrategyBatch(template, table, np.zeros((3, 2, 2), dtype=int), rows)
+        # The clean chain kernel reads a vector right end.
         with pytest.raises(ProtocolError, match="vector right end"):
-            ChainStrategyBatch(left, table, choices, np.eye(2), right_kind=RIGHT_DENSE)
+            StrategyBatch(self._chain_template(RIGHT_DENSE), table, choices, rows)
+        # The table: at least one row, of the template's dimension.
         with pytest.raises(DimensionMismatchError):
-            ChainStrategyBatch(left, np.eye(3), choices, left)
+            StrategyBatch(template, np.eye(3), choices, rows)
         with pytest.raises(DimensionMismatchError):
-            ChainStrategyBatch(left, np.zeros((0, 2)), choices[:, :0], left)
+            StrategyBatch(template, np.zeros((0, 2)), choices[:0], rows)
+        # Rows: distinct register rows of the template (left, then 2m pair rows).
+        with pytest.raises(ProtocolError, match="5-row template"):
+            StrategyBatch(template, table, choices, np.arange(2, 6))
+        with pytest.raises(ProtocolError, match="only once"):
+            StrategyBatch(template, table, choices, np.array([1, 2, 3, 3]))
+        # The template's annotation is checked when the template is built.
         with pytest.raises(ProtocolError, match="expected 3 edge channels"):
-            ChainStrategyBatch(
-                left, table, choices, left, noise=ChainNoise(edge_channels=(), node_channels=())
-            )
+            self._chain_template(noise=ChainNoise(edge_channels=(), node_channels=()))
 
     def test_strategy_batch_jobs_place_the_chosen_rows(self):
         table = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-        choices = np.array([[[0, 2], [1, 1]], [[2, 0], [0, 1]]])
-        batch = ChainStrategyBatch(table[0], table, choices, table[1], right_kind=RIGHT_SWAP)
+        choices = np.array([[0, 2, 1, 1], [2, 0, 0, 1]])
+        template = self._chain_template(RIGHT_SWAP)
+        batch = StrategyBatch(template, table, choices, np.arange(1, 5))
         jobs = batch.jobs()
         for job, strategy in zip(jobs, choices):
-            np.testing.assert_array_equal(job.pairs, table[strategy])
+            np.testing.assert_array_equal(job.left, template.left)
+            np.testing.assert_array_equal(job.pairs, table[strategy].reshape(2, 2, 2))
             assert job.right_kind == RIGHT_SWAP and job.noise is None
         np.testing.assert_array_equal(
-            Engine(backend="dense").chain_strategy_probabilities(batch),
+            Engine(backend="dense").strategy_probabilities((batch,)),
             DenseBackend().chain_probabilities(jobs),
         )
+        # A chain's left register row may be filled too.
+        left_filled = StrategyBatch(template, table, choices[:, :1], np.array([0]))
+        for job, strategy in zip(left_filled.jobs(), choices):
+            np.testing.assert_array_equal(job.left, table[strategy[0]])
+            np.testing.assert_array_equal(job.pairs, template.pairs)
 
     @staticmethod
     def _tree_template():
@@ -163,64 +183,64 @@ class TestChainJobsAndPrograms:
     def test_tree_strategy_batch_validation(self):
         template, table = self._tree_template(), np.eye(2)
         choices, rows = np.zeros((3, 2), dtype=int), np.array([1, 2])
-        batch = TreeStrategyBatch(template, table, choices, rows)
+        batch = StrategyBatch(template, table, choices, rows)
         assert len(batch) == 3 and batch.stack().shape == (3, 3, 2)
         # The table: at least one row, of the template's dimension.
         with pytest.raises(DimensionMismatchError, match="dimension 2"):
-            TreeStrategyBatch(template, np.eye(3), choices, rows)
+            StrategyBatch(template, np.eye(3), choices, rows)
         with pytest.raises(DimensionMismatchError, match="dimension 2"):
-            TreeStrategyBatch(template, np.zeros((0, 2)), choices[:0], rows)
+            StrategyBatch(template, np.zeros((0, 2)), choices[:0], rows)
         with pytest.raises(DimensionMismatchError, match="dimension 2"):
-            TreeStrategyBatch(template, np.ones(2), choices, rows)
+            StrategyBatch(template, np.ones(2), choices, rows)
         # Choices: integers naming table rows, one column per filled row.
         with pytest.raises(ProtocolError, match="rows of the 2-row table"):
-            TreeStrategyBatch(template, table, choices + 2, rows)
+            StrategyBatch(template, table, choices + 2, rows)
         with pytest.raises(ProtocolError, match="rows of the 2-row table"):
-            TreeStrategyBatch(template, table, choices - 1, rows)
+            StrategyBatch(template, table, choices - 1, rows)
         with pytest.raises(ProtocolError, match="integer array"):
-            TreeStrategyBatch(template, table, choices.astype(float), rows)
+            StrategyBatch(template, table, choices.astype(float), rows)
         with pytest.raises(ProtocolError, match="integer array"):
-            TreeStrategyBatch(template, table, np.zeros((3, 3), dtype=int), rows)
+            StrategyBatch(template, table, np.zeros((3, 3), dtype=int), rows)
         with pytest.raises(ProtocolError, match="integer array"):
-            TreeStrategyBatch(template, table, choices[:, :, None], rows)
+            StrategyBatch(template, table, choices[:, :, None], rows)
         # Rows: distinct integers naming rows of the template.
         with pytest.raises(ProtocolError, match="3-row template"):
-            TreeStrategyBatch(template, table, choices, np.array([1, 3]))
+            StrategyBatch(template, table, choices, np.array([1, 3]))
         with pytest.raises(ProtocolError, match="3-row template"):
-            TreeStrategyBatch(template, table, choices, np.array([-1, 2]))
+            StrategyBatch(template, table, choices, np.array([-1, 2]))
         with pytest.raises(ProtocolError, match="1-D integer"):
-            TreeStrategyBatch(template, table, choices, rows.astype(float))
+            StrategyBatch(template, table, choices, rows.astype(float))
         with pytest.raises(ProtocolError, match="1-D integer"):
-            TreeStrategyBatch(template, table, choices, rows[None])
+            StrategyBatch(template, table, choices, rows[None])
         with pytest.raises(ProtocolError, match="only once"):
-            TreeStrategyBatch(template, table, choices, np.array([1, 1]))
+            StrategyBatch(template, table, choices, np.array([1, 1]))
         # Templates of many-factor registers have no (K, d) table.
         builder = TreeJobBuilder(num_factors=2)
         root = builder.add_node(-1, NODE_FIXED, registers=((np.ones(2), np.ones(2)),), test=TEST_PERM)
         builder.add_node(root, NODE_FIXED, registers=((np.ones(2), np.ones(2)),))
         with pytest.raises(ProtocolError, match="single-factor"):
-            TreeStrategyBatch(builder.build(), table, choices, rows[:1])
+            StrategyBatch(builder.build(), table, choices, rows[:1])
 
     def test_tree_strategy_batch_jobs_place_the_chosen_rows(self):
         template = self._tree_template()
         table = np.array([[0.0, 1.0], [0.6, 0.8], [0.8, -0.6]])
         choices = np.array([[0, 2], [2, 1], [1, 1]])
-        batch = TreeStrategyBatch(template, table, choices, np.array([2, 1]))
+        batch = StrategyBatch(template, table, choices, np.array([2, 1]))
         jobs = batch.jobs()
         for job, strategy in zip(jobs, choices):
             np.testing.assert_array_equal(job.factors[0][0], template.factors[0][0])
             np.testing.assert_array_equal(job.factors[0][[2, 1]], table[strategy])
             assert job.signature == template.signature
         np.testing.assert_array_equal(
-            Engine(backend="dense").tree_strategy_probabilities(batch),
+            Engine(backend="dense").strategy_probabilities((batch,)),
             DenseBackend().tree_probabilities(jobs),
         )
 
     def test_strategy_probabilities_multiply_like_programs(self):
         template = self._tree_template()
         table = np.array([[0.0, 1.0], [0.6, 0.8], [0.8, -0.6]])
-        first = TreeStrategyBatch(template, table, np.array([[0, 2], [2, 1]]), np.array([1, 2]))
-        second = TreeStrategyBatch(template, table, np.array([[1, 1], [0, 2]]), np.array([2, 1]))
+        first = StrategyBatch(template, table, np.array([[0, 2], [2, 1]]), np.array([1, 2]))
+        second = StrategyBatch(template, table, np.array([[1, 1], [0, 2]]), np.array([2, 1]))
         engine = Engine()
         values = engine.strategy_probabilities((first, second))
         programs = [
@@ -229,7 +249,7 @@ class TestChainJobsAndPrograms:
         ]
         np.testing.assert_array_equal(values, engine.evaluate_programs(programs))
         np.testing.assert_array_equal(
-            engine.strategy_probabilities((first,)), engine.tree_strategy_probabilities(first)
+            engine.strategy_probabilities((first,)), engine.backend.strategy_probabilities(first)
         )
 
     def test_program_term_validation_and_rejecting(self):

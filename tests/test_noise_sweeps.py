@@ -15,9 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import kernels
+from repro.engine import (
+    MEAS_DENSE,
+    MEAS_PROJECTOR,
+    NODE_FIXED,
+    TEST_FANOUT,
+    TEST_MEASURE,
+    TEST_PERM,
+    MeasurementSpec,
+    TreeJob,
+    TreeJobBuilder,
+    TreeNoise,
+    TreeProgram,
+    kernels,
+)
 from repro.engine.core import Engine, set_default_engine
-from repro.exceptions import ProtocolError
+from repro.exceptions import DimensionMismatchError, ProtocolError
 from repro.experiments.noise_robustness import (
     path_noise_sweep,
     relay_noise_sweep,
@@ -26,7 +39,7 @@ from repro.experiments.noise_robustness import (
 from repro.experiments.topologies import topology_noise_sweep, topology_soundness_sweep
 from repro.experiments.tree_soundness import one_way_tree_soundness_sweep, tree_soundness_sweep
 from repro.network.topology import binary_tree_network, path_network, star_network
-from repro.protocols.base import ProductProof
+from repro.protocols.base import ProductProof, annotated_program
 from repro.protocols.equality import EqualityPathProtocol, EqualityTreeProtocol
 from repro.protocols.relay import RelayEqualityProtocol
 from repro.quantum.channels import CHANNEL_FAMILIES, NoiseModel, dephasing_channel
@@ -147,6 +160,65 @@ class TestSweepPins:
         monkeypatch.setattr(kernels, "apply_channel_grid", counting)
         SWEEPS[kind][0](strengths=STRENGTHS, readout_error=READOUT)
         assert 0 < sum(rows) <= 3 * len(STRENGTHS) + 8
+
+    def test_a_tree_sweep_validates_each_template_structure_once(self, fresh_engine, monkeypatch):
+        # Two instances compile two templates; attaching 64 strengths to
+        # them checks each annotation, never the unchanged tree again.
+        validated = []
+        validate = TreeJob._validate
+
+        def counting(job):
+            validated.append(job)
+            validate(job)
+
+        monkeypatch.setattr(TreeJob, "_validate", counting)
+        rows = tree_noise_sweep(strengths=STRENGTHS, readout_error=READOUT)
+        assert len(rows) == len(STRENGTHS)
+        assert len(validated) == 2
+
+    def test_a_malformed_annotation_is_rejected_when_attached(self):
+        protocol = _tree().use_engine(Engine())
+        program = protocol.acceptance_program(("111",) * 3)
+        job = program.jobs[0]
+        channel = CHANNEL_FAMILIES["depolarizing"](0.1, protocol.fingerprints.dim)
+        nodes = (None,) * job.num_nodes
+        # Channel counts and dimensions.
+        with pytest.raises(ProtocolError, match="up-link channels"):
+            annotated_program(program, (TreeNoise(nodes[1:], nodes, READOUT),))
+        with pytest.raises(ProtocolError, match="node channels"):
+            annotated_program(program, (TreeNoise(nodes, nodes[1:] + (channel,) * 2),))
+        with pytest.raises(DimensionMismatchError, match="dimension"):
+            small = CHANNEL_FAMILIES["depolarizing"](0.1, 2)
+            annotated_program(program, (TreeNoise((small,) + nodes[1:], nodes),))
+        # The annotation checks that read the structure still run: a dense
+        # measuring node takes no preparation noise, and neither a fan-out
+        # job nor a many-factor job takes any noise.
+        ket = np.array([1.0, 0.0])
+        readout_only = (TreeNoise((None, None), (None, None), 0.1),)
+        dense = TreeJobBuilder()
+        root = dense.add_node(
+            -1, NODE_FIXED, test=TEST_MEASURE, measurement=MeasurementSpec(MEAS_DENSE, operator=np.eye(2))
+        )
+        dense.add_node(root, NODE_FIXED, registers=(ket,))
+        noisy_root = TreeNoise((None, None), (dephasing_channel(0.1, 2), None))
+        with pytest.raises(ProtocolError, match="dense/diagonal measuring node"):
+            annotated_program(TreeProgram.single(dense.build()), (noisy_root,))
+        fanout = TreeJobBuilder()
+        root = fanout.add_node(-1, NODE_FIXED, registers=(ket,), test=TEST_FANOUT)
+        fanout.add_node(root, NODE_FIXED, measurement=MeasurementSpec(MEAS_PROJECTOR, targets=(ket,)))
+        with pytest.raises(ProtocolError, match="up-forwarding"):
+            annotated_program(TreeProgram.single(fanout.build()), readout_only)
+        factors = TreeJobBuilder(num_factors=2)
+        root = factors.add_node(-1, NODE_FIXED, registers=((ket, ket),), test=TEST_PERM)
+        factors.add_node(root, NODE_FIXED, registers=((ket, ket),))
+        with pytest.raises(ProtocolError, match="single-factor"):
+            annotated_program(TreeProgram.single(factors.build()), readout_only)
+        # A well-formed annotation attaches to the template's own arrays.
+        noise = TreeNoise((channel,) * job.num_nodes, nodes, READOUT)
+        attached = annotated_program(program, (noise,)).jobs[0]
+        assert attached.noise is noise and attached.is_noisy and not job.is_noisy
+        assert attached.factors is job.factors and attached.slots is job.slots
+        assert attached.signature == job.signature[:-1] + (True,)
 
     @pytest.mark.parametrize("kind", sorted(SWEEPS))
     def test_a_clean_protocol_returns_the_cached_template(self, kind):

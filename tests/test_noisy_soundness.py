@@ -402,9 +402,9 @@ class _RecordingEngine(Engine):
         super().__init__(backend=backend or TransferMatrixBackend(dtype="complex128"))
         self.batches = []
 
-    def chain_strategy_probabilities(self, batch):
-        self.batches.append(batch)
-        return super().chain_strategy_probabilities(batch)
+    def strategy_probabilities(self, batches):
+        self.batches.extend(batches)
+        return super().strategy_probabilities(batches)
 
 
 #: The benchmark's search lattice: fingerprints, no-instance and candidates of
@@ -455,9 +455,11 @@ class TestStrategyTableRoute:
         # r = 7 splits its 730 strategies into three chunks; every other
         # search is one chunk.
         assert len(engine.batches) == len(LATTICE) + 2 * 2
-        assert sum(batch.is_noisy for batch in engine.batches) == 6 + 2 + len(CHANNEL_FAMILIES)
+        assert sum(batch.template.is_noisy for batch in engine.batches) == 6 + 2 + len(
+            CHANNEL_FAMILIES
+        )
         for batch in engine.batches:
-            table = engine.backend.chain_strategy_probabilities(batch)
+            table = engine.backend.strategy_probabilities(batch)
             jobs = engine.backend.chain_probabilities(batch.jobs())
             np.testing.assert_array_equal(table.view(np.uint64), jobs.view(np.uint64))
 
@@ -586,9 +588,9 @@ class _CountingBackend(TransferMatrixBackend):
         self.chain_calls.append(len(jobs))
         return super().chain_probabilities(jobs)
 
-    def chain_strategy_probabilities(self, batch):
+    def strategy_probabilities(self, batch):
         self.strategy_calls += 1
-        return super().chain_strategy_probabilities(batch)
+        return super().strategy_probabilities(batch)
 
 
 def _reference_point(path_length, family, strength, readout_error):

@@ -19,12 +19,16 @@ within 1e-9, the complex64 contraction within its parity tolerance, and each
 job's :meth:`~repro.engine.jobs.ChainJob.to_tree_job` through both backends'
 tree path within 1e-9.
 
-A :class:`~repro.engine.jobs.ChainStrategyBatch` (strategies as row indices
-into a state table, 1 to 4 rows, ``m`` from 0 to 5, ``d`` from 1 to 4) must
-score every strategy like its own :meth:`~repro.engine.jobs.
-ChainStrategyBatch.jobs` within 1e-12 on the transfer-matrix and mock
-backends, and like the dense reference within 1e-9 (complex64 within its
-parity tolerance), clean and under named-family or random-isometry channels.
+A chain :class:`~repro.engine.jobs.StrategyBatch` (strategies as row indices
+into a state table, 1 to 4 rows, filling a random set of the template's
+register rows, ``m`` from 0 to 5, ``d`` from 1 to 4) must score every
+strategy like its own :meth:`~repro.engine.jobs.StrategyBatch.jobs` within
+1e-12 on the transfer-matrix and mock backends, and like the dense
+reference within 1e-9 (complex64 within its parity tolerance), clean and
+under named-family or random-isometry channels.  A chain batch and the
+batch of its :meth:`~repro.engine.jobs.ChainJob.to_tree_job` with the same
+register choices must agree within 1e-12 on the transfer-matrix and dense
+backends, clean and noisy.
 
 The matrix-free chain acceptance operator
 (:func:`~repro.protocols.chain.chain_acceptance_sweep`) is held to the dense
@@ -45,10 +49,10 @@ whose dense reference is the scalar leaf-to-root recursion:
 Each structure is built one to three times with fresh states and channels,
 so the batched backends stack real signature groups.
 
-A :class:`~repro.engine.jobs.TreeStrategyBatch` (a single-factor template
+A tree :class:`~repro.engine.jobs.StrategyBatch` (a single-factor template
 from the same strategies, 1 to 4 table rows filling a random set of its
 slot rows) must score every strategy exactly like its own
-:meth:`~repro.engine.jobs.TreeStrategyBatch.jobs` on the transfer-matrix and
+:meth:`~repro.engine.jobs.StrategyBatch.jobs` on the transfer-matrix and
 mock backends, bit for bit, and like the dense reference within 1e-9
 (complex64 within its parity tolerance).
 
@@ -88,14 +92,13 @@ from repro.engine import (
     TEST_PERM,
     ChainJob,
     ChainNoise,
-    ChainStrategyBatch,
     DenseBackend,
     MeasurementSpec,
     MockDeviceTransferMatrixBackend,
+    StrategyBatch,
     TransferMatrixBackend,
     TreeJobBuilder,
     TreeNoise,
-    TreeStrategyBatch,
     parity_tolerance,
 )
 from repro.engine import kernels
@@ -217,12 +220,17 @@ strategy_specs = st.tuples(
 )
 
 
-def _strategy_batch(size, m, dim, kind, channels, count, seed) -> ChainStrategyBatch:
+def _strategy_batch(size, m, dim, kind, channels, count, seed) -> StrategyBatch:
     rng = np.random.default_rng(seed)
     table = np.stack([haar_random_state(dim, rng=rng) for _ in range(size)])
-    # Independent draws per slot, so a node's two registers often differ.
-    choices = rng.integers(0, size, size=(count, m, 2))
     left, right = haar_random_state(dim, rng=rng), haar_random_state(dim, rng=rng)
+    pairs = np.array(
+        [haar_random_state(dim, rng=rng) for _ in range(2 * m)], dtype=np.complex128
+    ).reshape(m, 2, dim)
+    # A random set of the 1 + 2m register rows (the left state among them),
+    # with independent draws per row, so a node's two registers often differ.
+    rows = rng.choice(2 * m + 1, size=int(rng.integers(1, 2 * m + 2)), replace=False)
+    choices = rng.integers(0, size, size=(count, len(rows)))
     noise = None
     if channels != "clean":
         if channels == "named":
@@ -243,19 +251,32 @@ def _strategy_batch(size, m, dim, kind, channels, count, seed) -> ChainStrategyB
             right_channel=channel(),
             readout_error=float(rng.uniform(0.0, 0.1)),
         )
-    return ChainStrategyBatch(left, table, choices, right, right_kind=kind, noise=noise)
+    template = ChainJob.from_arrays(left, pairs, right, kind, noise=noise)
+    return StrategyBatch(template, table, choices, rows)
+
+
+def _tree_rows(m: int, rows: np.ndarray) -> np.ndarray:
+    """The rows of :meth:`ChainJob.to_tree_job` holding chain register ``rows``.
+
+    The path tree's rows are the right end's target, node ``m - 1``'s pair
+    down to node 0's, then the left state.
+    """
+    tree_rows = [2 * m + 1] + [1 + 2 * (m - 1 - j) + s for j in range(m) for s in (0, 1)]
+    return np.array(tree_rows, dtype=np.intp)[rows]
 
 
 class TestChainStrategyBatchDifferential:
-    """Table-indexed strategy batches against their own ordinary chain jobs.
+    """Table-indexed chain strategy batches against their own ordinary jobs.
 
     ``K`` from 1 to 4 table rows, ``m`` from 0 to 5 nodes and ``d`` from 1
-    to 4, projector and swap right ends, random choices, and clean batches
-    or noisy ones whose every edge, node and end carries a named-family or a
-    random-isometry channel, with readout errors up to 0.1.  The table
-    kernel must match :meth:`ChainStrategyBatch.jobs` on the same backend
-    within 1e-12 and the dense reference within 1e-9 (complex64 within its
-    parity tolerance).
+    to 4, projector and swap right ends, a random set of filled register
+    rows with random choices, and clean batches or noisy ones whose every
+    edge, node and end carries a named-family or a random-isometry channel,
+    with readout errors up to 0.1.  The table kernels must match
+    :meth:`StrategyBatch.jobs` on the same backend within 1e-12 and the
+    dense reference within 1e-9 (complex64 within its parity tolerance),
+    and the batch of the template's path tree with the same choices within
+    1e-12.
     """
 
     @given(spec=strategy_specs)
@@ -265,7 +286,7 @@ class TestChainStrategyBatchDifferential:
         assert len(batch.jobs()) == len(batch)
         for backend in (TransferMatrixBackend(), MockDeviceTransferMatrixBackend()):
             np.testing.assert_allclose(
-                backend.chain_strategy_probabilities(batch),
+                backend.strategy_probabilities(batch),
                 backend.chain_probabilities(batch.jobs()),
                 atol=1e-12,
                 rtol=0.0,
@@ -275,17 +296,36 @@ class TestChainStrategyBatchDifferential:
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_table_kernel_matches_dense_reference(self, spec):
         batch = _strategy_batch(*spec)
-        reference = DenseBackend().chain_strategy_probabilities(batch)
+        reference = DenseBackend().strategy_probabilities(batch)
         for backend in (TransferMatrixBackend(), MockDeviceTransferMatrixBackend()):
             np.testing.assert_allclose(
-                backend.chain_strategy_probabilities(batch), reference, atol=1e-9, rtol=0.0
+                backend.strategy_probabilities(batch), reference, atol=1e-9, rtol=0.0
             )
         np.testing.assert_allclose(
-            TransferMatrixBackend(dtype="complex64").chain_strategy_probabilities(batch),
+            TransferMatrixBackend(dtype="complex64").strategy_probabilities(batch),
             reference,
             atol=parity_tolerance("complex64"),
             rtol=0.0,
         )
+
+    @given(spec=strategy_specs)
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    def test_chain_and_its_path_tree_agree(self, spec):
+        batch = _strategy_batch(*spec)
+        template = batch.template
+        tree = StrategyBatch(
+            template.to_tree_job(),
+            batch.table,
+            batch.choices,
+            _tree_rows(template.num_intermediate, batch.rows),
+        )
+        for backend in (TransferMatrixBackend(), DenseBackend()):
+            np.testing.assert_allclose(
+                backend.strategy_probabilities(batch),
+                backend.strategy_probabilities(tree),
+                atol=1e-12,
+                rtol=0.0,
+            )
 
 
 
@@ -548,7 +588,7 @@ tree_strategy_specs = st.tuples(
 )
 
 
-def _tree_strategy_batch(family, noisy, arity, kind, size, count, seed) -> TreeStrategyBatch:
+def _tree_strategy_batch(family, noisy, arity, kind, size, count, seed) -> StrategyBatch:
     """A single-factor template of the tree-IR strategies, with random proof slots."""
     template = _tree_job(family, noisy, 1, arity, kind, seed, 0, max_error=0.1)
     rng = np.random.default_rng([seed, 1])
@@ -557,7 +597,7 @@ def _tree_strategy_batch(family, noisy, arity, kind, size, count, seed) -> TreeS
     dim = int(template.factors[0].shape[1])
     table = np.stack([haar_random_state(dim, rng=rng) for _ in range(size)])
     choices = rng.integers(0, size, size=(count, len(rows)))
-    return TreeStrategyBatch(template, table, choices, rows)
+    return StrategyBatch(template, table, choices, rows)
 
 
 class TestTreeStrategyBatchDifferential:
@@ -570,7 +610,7 @@ class TestTreeStrategyBatchDifferential:
     A random set of slot rows takes choices from 1 to 4 table rows.  The
     transfer-matrix and mock backends gather each strategy's stack from the
     table into the ordinary group evaluator, so they must equal their own
-    :meth:`TreeStrategyBatch.jobs` bit for bit (generic channels included);
+    :meth:`StrategyBatch.jobs` bit for bit (generic channels included);
     the dense reference within 1e-9 and complex64 within its tolerance.
     """
 
@@ -580,7 +620,7 @@ class TestTreeStrategyBatchDifferential:
         batch = _tree_strategy_batch(*spec)
         assert len(batch.jobs()) == len(batch)
         for backend in (TransferMatrixBackend(), MockDeviceTransferMatrixBackend()):
-            table = backend.tree_strategy_probabilities(batch)
+            table = backend.strategy_probabilities(batch)
             jobs = backend.tree_probabilities(batch.jobs())
             np.testing.assert_array_equal(table.view(np.uint64), jobs.view(np.uint64))
 
@@ -588,13 +628,13 @@ class TestTreeStrategyBatchDifferential:
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
     def test_table_route_matches_dense_reference(self, spec):
         batch = _tree_strategy_batch(*spec)
-        reference = DenseBackend().tree_strategy_probabilities(batch)
+        reference = DenseBackend().strategy_probabilities(batch)
         for backend in (TransferMatrixBackend(), MockDeviceTransferMatrixBackend()):
             np.testing.assert_allclose(
-                backend.tree_strategy_probabilities(batch), reference, atol=1e-9, rtol=0.0
+                backend.strategy_probabilities(batch), reference, atol=1e-9, rtol=0.0
             )
         np.testing.assert_allclose(
-            TransferMatrixBackend(dtype="complex64").tree_strategy_probabilities(batch),
+            TransferMatrixBackend(dtype="complex64").strategy_probabilities(batch),
             reference,
             atol=parity_tolerance("complex64"),
             rtol=0.0,

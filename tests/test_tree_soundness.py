@@ -1,7 +1,7 @@
 """Tree strategy searches: the table route and the locality of compiled templates.
 
 The structured-cheat search of the Algorithm 5 and Theorem 32 trees compiles
-each chunk of strategies into :class:`~repro.engine.jobs.TreeStrategyBatch`
+each chunk of strategies into :class:`~repro.engine.jobs.StrategyBatch`
 objects: the honest job of every verification tree is the template, and
 every strategy is a choice of state-table rows for the template's proof
 rows.  These tests pin that route, on transfer-matrix complex128, to the
@@ -161,7 +161,7 @@ class TestTreeStrategyTableRoute:
             assert len(batches) == len(trees)
             for batch in batches:
                 assert batch.template.is_noisy == (noise is not None)
-                table = backend.tree_strategy_probabilities(batch)
+                table = backend.strategy_probabilities(batch)
                 jobs = backend.tree_probabilities(batch.jobs())
                 np.testing.assert_array_equal(table.view(np.uint64), jobs.view(np.uint64))
 
